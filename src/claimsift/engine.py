@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import json
 import logging
-import pickle
-import struct
 import time
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Callable
 
@@ -41,8 +39,17 @@ from .annotators import (
 )
 from .config import RunConfig
 from .corpus import Claim, Dataset, mask_nonseed_labels, split_seeds
-from .errors import AnnotatorError, CheckpointError, ConfigError, DatasetError, ParseError
+from .errors import (
+    AnnotatorError,
+    CheckpointError,
+    ConfigError,
+    DatasetError,
+    EmbedError,
+    ParseError,
+)
+from .labels import VERACITIES
 from .policy import (
+    DISCARD,
     LEVEL_CLAIM,
     LEVEL_POST,
     MovingBaseline,
@@ -62,13 +69,18 @@ from .reward import (
     labeled_claim_reward,
     unlabeled_claim_reward,
 )
+from .runstate import read_run_state, write_run_state
 from .selection import ClaimSampler, PostSampler, TerminationTracker
 from .state import ContextAccumulator, build_state, pack_claim_text, pack_post_text
 
 logger = logging.getLogger(__name__)
 
-_RUN_MAGIC = b"CSFTRUN\x01"
-_RUN_VERSION = 1
+_MOMENTS = ("m_w1", "v_w1", "m_w2", "v_w2")
+# columns of the run state's per-step float block, one row per step
+_STEP_VALUES = ("retain", "logprob", "p_retain", "reward", "cosine")
+# annotation records are saved as rows of these fields, not repeating keys
+_RECORD_FIELDS = ("epoch", "claim_id", "post_id", "post_text", "stance",
+                  "explanation", "retained")
 
 
 @dataclass
@@ -144,21 +156,131 @@ def _load_prompt_target_jsonl(path: str | Path) -> list[dict]:
 
 
 def load_run_state_payload(path: str | Path) -> dict:
-    """Read and verify a run-state file, returning its raw payload dict."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 24:
-        raise CheckpointError("truncated run-state file")
-    if blob[:8] != _RUN_MAGIC:
-        raise CheckpointError("not a run-state file (bad magic)")
-    version, body_len = struct.unpack_from("<IQ", blob, 8)
-    if version != _RUN_VERSION:
-        raise CheckpointError(f"unsupported run-state version {version}")
-    if len(blob) != 20 + body_len + 4:
-        raise CheckpointError("truncated run-state file")
-    (stored_crc,) = struct.unpack_from("<I", blob, 20 + body_len)
-    if (zlib.crc32(blob[: 20 + body_len]) & 0xFFFFFFFF) != stored_crc:
-        raise CheckpointError("run-state checksum mismatch")
-    return pickle.loads(blob[20: 20 + body_len])
+    """Read, verify and decode a run-state file into the objects of a run."""
+    state, arrays = read_run_state(path)
+    try:
+        return _decode_run_state(state, arrays)
+    except (KeyError, IndexError, TypeError, ValueError, ConfigError) as exc:
+        raise CheckpointError(f"malformed run state: {exc!r}") from None
+
+
+def _rng(state: dict) -> np.random.Generator:
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
+def _array(arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    arr = arrays[name]
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _example_rows(examples: list[FineTuneExample]) -> list[tuple]:
+    return [(e.task, e.prompt, e.target, e.label_origin) for e in examples]
+
+
+def _decode_run_state(state: dict, arrays: dict) -> dict:
+    """Inverse of Trainer.save_run_state's encoding."""
+    config = RunConfig.from_dict(state["config"])
+    d, h = config.embed_dim, config.hidden_dim
+    optimizer = OptimizerState(**state["optimizer"])
+    if "m_w1" in arrays:  # Adam moments exist once the first update ran
+        for name in _MOMENTS:
+            setattr(optimizer, name,
+                    _array(arrays, name, (h, 3 * d) if name.endswith("w1") else (h,)))
+    baseline = state["baseline"]
+    if baseline is not None:
+        claim, post = baseline
+        baseline = RewardBaseline(claim=MovingBaseline(**claim),
+                                  post=MovingBaseline(**post))
+    references = ReferenceStanceStats()
+    sums = _array(arrays, "reference_sums", (len(VERACITIES), 4))
+    references._sums = dict(zip(VERACITIES, sums))
+    references._counts = dict(zip(VERACITIES, state["reference_counts"]))
+    claim_context = ContextAccumulator(d)
+    claim_context._sum = _array(arrays, "claim_context_sum", (d,))
+    claim_context.count = state["claim_context_count"]
+    claim_tracker = TerminationTracker(state["claim_tracker"]["n"])
+    claim_tracker.current_run = state["claim_tracker"]["current_run"]
+    claim_tracker.fired = state["claim_tracker"]["fired"]
+    sampler_rng = _rng(state["sampler_rng"])
+    epoch_sampler = state["epoch_sampler"]
+    if epoch_sampler is not None:
+        sampler = ClaimSampler(epoch_sampler["seeds"], epoch_sampler["pool"],
+                               epoch_sampler["epsilon"], sampler_rng)
+        sampler.last_branch = epoch_sampler["last_branch"]
+        epoch_sampler = sampler
+
+    trajectories = state["buffer"]
+    n_rows = sum(1 + t["posts"] for t in trajectories)
+    n_retained = sum(len(t["retained_posts"]) for t in trajectories)
+    rows = zip(
+        _array(arrays, "step_state", (n_rows, 3 * d)),
+        _array(arrays, "step_values", (n_rows, len(_STEP_VALUES))).tolist(),
+    )
+    stance = iter(_array(arrays, "retained_stance", (n_retained, 4)))
+    veracity = iter(_array(arrays, "veracity", (len(trajectories), 4)))
+
+    def step(level: str) -> tuple[Step, float]:
+        step_state, (retain, logprob, p_retain, reward, cosine) = next(rows)
+        return Step(step_state, RETAIN if retain else DISCARD, logprob, level,
+                    p_retain, int(reward)), cosine
+
+    buffer = []
+    for t in trajectories:
+        claim_step, claim_cosine = step(LEVEL_CLAIM)
+        posts = [step(LEVEL_POST) for _ in range(t["posts"])]
+        label, explanation, raw = t["veracity"]
+        buffer.append(Trajectory(
+            claim_id=t["claim_id"],
+            seed=t["seed"],
+            claim_step=claim_step,
+            post_steps=tuple(post_step for post_step, _cosine in posts),
+            retained_posts=tuple(
+                (post_id, StanceAnnotation(label, next(stance), explanation, raw))
+                for post_id, label, explanation, raw in t["retained_posts"]
+            ),
+            veracity=VeracityAnnotation(label, next(veracity), explanation, raw),
+            reward_branch=t["reward_branch"],
+            claim_cosine=claim_cosine,
+            post_cosines=tuple(cosine for _step, cosine in posts),
+            post_terminated=t["post_terminated"],
+        ))
+
+    def examples(key: str) -> list[FineTuneExample]:
+        return [FineTuneExample(*e) for e in state[key]]
+
+    return {
+        "config": config,
+        "fingerprint": tuple(state["fingerprint"]),
+        "seed_ids": frozenset(state["seed_ids"]),
+        "params": PolicyParams(w1=_array(arrays, "w1", (h, 3 * d)),
+                               w2=_array(arrays, "w2", (h,))),
+        "optimizer": optimizer,
+        "baseline": baseline,
+        "references": references,
+        "claim_context": claim_context,
+        "claim_tracker": claim_tracker,
+        "action_rng": _rng(state["action_rng"]),
+        "sampler_rng": sampler_rng,
+        "buffer": buffer,
+        "reports": [EpochReport(**r) for r in state["reports"]],
+        "annotation_records": [dict(zip(_RECORD_FIELDS, row))
+                               for row in state["annotation_records"]],
+        "finetune_stance": examples("finetune_stance"),
+        "finetune_veracity": examples("finetune_veracity"),
+        "epoch_ft_stance": examples("epoch_ft_stance"),
+        "epoch_ft_veracity": examples("epoch_ft_veracity"),
+        "epoch_index": state["epoch_index"],
+        "epoch_active": state["epoch_active"],
+        "epoch_sampler": epoch_sampler,
+        "acc": state["acc"],
+        "terminated": state["terminated"],
+        "pretrained": state["pretrained"],
+        "backend_states": state["backend_states"],
+    }
 
 
 class Trainer:
@@ -308,7 +430,12 @@ class Trainer:
         failures = 0
         truth = self.truth.get(claim.claim_id)
         is_seed = claim.claim_id in self.seed_ids
-        claim_vec = self._claim_embedding(claim)
+        try:
+            claim_vec = self._claim_embedding(claim)
+        except EmbedError as exc:
+            logger.warning("aborting claim %s: claim embedding failed: %s",
+                           claim.claim_id, exc)
+            return None, 1
         post_context = ContextAccumulator(config.embed_dim)
         sampler = PostSampler(len(claim.posts), config.epsilon, self._sampler_rng)
         post_tracker = TerminationTracker(config.n_termination_posts)
@@ -324,24 +451,24 @@ class Trainer:
             post = claim.posts[index]
             try:
                 annotation = annotate_post(self.sd, claim, post)
-            except (ParseError, AnnotatorError) as exc:
-                failures += 1
-                logger.warning("skipping post %s: %s", post.post_id, exc)
-                continue
-            state = build_state(
-                claim_vec,
-                post_context.mean(),
-                self.embedder.embed(annotation.explanation),
-            )
-            step = sample_action(self.params, state, self._action_rng, LEVEL_POST)
-            if step.action == RETAIN:
-                retained_pairs.append((post, annotation))
-                post_context.add(
-                    self.embedder.embed(
+                state = build_state(
+                    claim_vec,
+                    post_context.mean(),
+                    self.embedder.embed(annotation.explanation),
+                )
+                step = sample_action(self.params, state, self._action_rng, LEVEL_POST)
+                if step.action == RETAIN:
+                    context_vec = self.embedder.embed(
                         pack_post_text(post.text, annotation.label,
                                        annotation.explanation)
                     )
-                )
+            except (ParseError, AnnotatorError, EmbedError) as exc:
+                failures += 1
+                logger.warning("skipping post %s: %s", post.post_id, exc)
+                continue
+            if step.action == RETAIN:
+                retained_pairs.append((post, annotation))
+                post_context.add(context_vec)
                 if is_seed and truth is not None:
                     self.references.update(truth, annotation.distribution)
             annotated.append((post, annotation, step))
@@ -361,22 +488,25 @@ class Trainer:
 
         try:
             verdict = annotate_claim(self.rv, claim, retained_pairs)
-        except (ParseError, AnnotatorError) as exc:
+            claim_state = build_state(
+                claim_vec,
+                self.claim_context.mean(),
+                self.embedder.embed(verdict.explanation),
+            )
+            claim_step = sample_action(
+                self.params, claim_state, self._action_rng, LEVEL_CLAIM
+            )
+            if claim_step.action == RETAIN:
+                context_vec = self.embedder.embed(
+                    pack_claim_text(claim.text, verdict.label, verdict.explanation)
+                )
+        except (ParseError, AnnotatorError, EmbedError) as exc:
             failures += 1
             logger.warning(
                 "aborting claim %s: veracity annotation failed: %s",
                 claim.claim_id, exc,
             )
             return None, failures
-
-        claim_state = build_state(
-            claim_vec,
-            self.claim_context.mean(),
-            self.embedder.embed(verdict.explanation),
-        )
-        claim_step = sample_action(
-            self.params, claim_state, self._action_rng, LEVEL_CLAIM
-        )
 
         if truth is not None:
             outcome = labeled_claim_reward(
@@ -416,11 +546,7 @@ class Trainer:
                     break
 
         if claim_step.action == RETAIN:
-            self.claim_context.add(
-                self.embedder.embed(
-                    pack_claim_text(claim.text, verdict.label, verdict.explanation)
-                )
-            )
+            self.claim_context.add(context_vec)
             for post, annotation in retained_pairs:
                 self._epoch_ft_stance.append(
                     FineTuneExample(
@@ -524,11 +650,6 @@ class Trainer:
         self._epoch_ft_veracity = []
         self._epoch_active = True
 
-    def _window(self) -> list[Trajectory]:
-        if self.config.buffer_window is None:
-            return self.buffer
-        return self.buffer[-self.config.buffer_window:]
-
     def _step_claim(self) -> None:
         t0 = time.perf_counter()
         acc = self._acc
@@ -541,11 +662,14 @@ class Trainer:
             acc["wall"] += time.perf_counter() - t0
             return
         self.buffer.append(trajectory)
+        if self.config.buffer_window is not None:
+            # the update reads only the trailing window, so nothing older is kept
+            del self.buffer[:-self.config.buffer_window]
         self.claim_tracker.observe(trajectory.claim_step.reward)
         reinforce_update(
             self.params,
             self.optimizer,
-            [(t.claim_step, t.post_steps) for t in self._window()],
+            [(t.claim_step, t.post_steps) for t in self.buffer],
             baseline=self.baseline,
         )
         acc["policy_updates"] += 1
@@ -644,29 +768,58 @@ class Trainer:
     # ------------------------------------------------------------ persistence
 
     def save_run_state(self, path: str | Path) -> None:
-        """Serialize the complete run state with magic, version, and crc."""
-        payload = {
-            "config": self.config,
-            "fingerprint": self._fingerprint,
-            "seed_ids": self.seed_ids,
-            "params": self.params,
-            "optimizer": self.optimizer,
-            "baseline": self.baseline,
-            "references": self.references,
-            "claim_context": self.claim_context,
-            "claim_tracker": self.claim_tracker,
-            "action_rng": self._action_rng,
-            "sampler_rng": self._sampler_rng,
-            "buffer": self.buffer,
-            "reports": self.reports,
-            "annotation_records": self.annotation_records,
-            "finetune_stance": self.finetune_stance,
-            "finetune_veracity": self.finetune_veracity,
-            "epoch_ft_stance": self._epoch_ft_stance,
-            "epoch_ft_veracity": self._epoch_ft_veracity,
+        """Atomically write the complete run state (see claimsift.runstate).
+
+        Numbers that come in arrays (parameters, optimizer moments, sums,
+        step states and per-step values) are stored as raw arrays; all
+        else goes into the JSON manifest.
+        """
+        optimizer, sampler = self.optimizer, self._epoch_sampler
+        tracker = self.claim_tracker
+        steps = [s for t in self.buffer for s in (t.claim_step, *t.post_steps)]
+        cosines = [c for t in self.buffer for c in (t.claim_cosine, *t.post_cosines)]
+        state = {
+            "config": self.config.to_dict(),
+            "fingerprint": list(self._fingerprint),
+            "seed_ids": sorted(self.seed_ids),
+            "optimizer": {f.name: getattr(optimizer, f.name) for f in fields(optimizer)
+                          if f.name not in _MOMENTS},
+            "baseline": None if self.baseline is None else [
+                asdict(self.baseline.claim), asdict(self.baseline.post)
+            ],
+            "reference_counts": [self.references.count(v) for v in VERACITIES],
+            "claim_context_count": self.claim_context.count,
+            "claim_tracker": {"n": tracker.n, "current_run": tracker.current_run,
+                              "fired": tracker.fired},
+            "action_rng": self._action_rng.bit_generator.state,
+            "sampler_rng": self._sampler_rng.bit_generator.state,
+            "buffer": [
+                {
+                    "claim_id": t.claim_id,
+                    "seed": t.seed,
+                    "posts": len(t.post_steps),
+                    "retained_posts": [[post_id, a.label, a.explanation, a.raw]
+                                       for post_id, a in t.retained_posts],
+                    "veracity": [t.veracity.label, t.veracity.explanation,
+                                 t.veracity.raw],
+                    "reward_branch": t.reward_branch,
+                    "post_terminated": t.post_terminated,
+                }
+                for t in self.buffer
+            ],
+            "reports": [r.to_dict() for r in self.reports],
+            "annotation_records": [[r[k] for k in _RECORD_FIELDS]
+                                   for r in self.annotation_records],
+            "finetune_stance": _example_rows(self.finetune_stance),
+            "finetune_veracity": _example_rows(self.finetune_veracity),
+            "epoch_ft_stance": _example_rows(self._epoch_ft_stance),
+            "epoch_ft_veracity": _example_rows(self._epoch_ft_veracity),
             "epoch_index": self.epoch_index,
             "epoch_active": self._epoch_active,
-            "epoch_sampler": self._epoch_sampler,
+            "epoch_sampler": None if sampler is None else {
+                "seeds": sampler._seeds, "pool": sampler._pool,
+                "epsilon": sampler.epsilon, "last_branch": sampler.last_branch,
+            },
             "acc": self._acc,
             "terminated": self.terminated,
             "pretrained": self._pretrained,
@@ -675,10 +828,31 @@ class Trainer:
                 "rv": self.rv.get_state() if hasattr(self.rv, "get_state") else None,
             },
         }
-        body = pickle.dumps(payload, protocol=4)
-        head = _RUN_MAGIC + struct.pack("<IQ", _RUN_VERSION, len(body))
-        crc = struct.pack("<I", zlib.crc32(head + body) & 0xFFFFFFFF)
-        Path(path).write_bytes(head + body + crc)
+        arrays = {
+            "w1": self.params.w1,
+            "w2": self.params.w2,
+            "reference_sums": np.stack(
+                [self.references._sums[v] for v in VERACITIES]
+            ),
+            "claim_context_sum": self.claim_context._sum,
+            "step_state": [s.state for s in steps]
+            or np.empty((0, 3 * self.config.embed_dim)),
+            "step_values": np.array(
+                [(s.action == RETAIN, s.logprob, s.p_retain, s.reward, cosine)
+                 for s, cosine in zip(steps, cosines)],
+                dtype=np.float64,
+            ).reshape(-1, len(_STEP_VALUES)),
+            "retained_stance": np.array(
+                [a.distribution for t in self.buffer for _id, a in t.retained_posts],
+                dtype=np.float64,
+            ).reshape(-1, 4),
+            "veracity": np.array(
+                [t.veracity.distribution for t in self.buffer], dtype=np.float64
+            ).reshape(-1, 4),
+        }
+        if optimizer.m_w1 is not None:
+            arrays.update({name: getattr(optimizer, name) for name in _MOMENTS})
+        write_run_state(path, state, arrays)
 
     @classmethod
     def from_run_state(
@@ -714,8 +888,11 @@ class Trainer:
         trainer.terminated = payload["terminated"]
         trainer._pretrained = payload["pretrained"]
         states = payload["backend_states"]
-        if states.get("sd") is not None and hasattr(sd_backend, "set_state"):
-            sd_backend.set_state(states["sd"])
-        if states.get("rv") is not None and hasattr(rv_backend, "set_state"):
-            rv_backend.set_state(states["rv"])
+        try:
+            for backend, state in ((sd_backend, states["sd"]),
+                                   (rv_backend, states["rv"])):
+                if state is not None and hasattr(backend, "set_state"):
+                    backend.set_state(state)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed run state: {exc!r}") from None
         return trainer

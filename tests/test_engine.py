@@ -8,6 +8,7 @@ import logging
 import numpy as np
 import pytest
 
+from claimsift import engine
 from claimsift.annotators import BackendConfig, HttpAnnotator, OracleAnnotator
 from claimsift.config import RunConfig
 from claimsift.corpus import SynthConfig, generate_synthetic
@@ -17,6 +18,7 @@ from claimsift.errors import (
     CheckpointError,
     ConfigError,
     DatasetError,
+    EmbedError,
 )
 from claimsift.policy import PolicyParams
 from claimsift.state import HashedEmbedder
@@ -107,12 +109,25 @@ def test_train_runs_to_max_epochs():
     assert trainer._pretrained
 
 
-def test_trailing_window_selection():
-    trainer = _make_trainer()
-    trainer.buffer = ["t1", "t2", "t3"]
-    assert trainer._window() == ["t1", "t2", "t3"]
-    trainer.config.buffer_window = 2
-    assert trainer._window() == ["t2", "t3"]
+def test_trailing_window_selection(monkeypatch):
+    """Each update sees the trailing window; the buffer keeps nothing older."""
+    windows = []
+    update = engine.reinforce_update
+
+    def spy(params, optimizer, trajectories, baseline=None):
+        windows.append([id(claim_step) for claim_step, _posts in trajectories])
+        update(params, optimizer, trajectories, baseline=baseline)
+
+    monkeypatch.setattr(engine, "reinforce_update", spy)
+    for window in (None, 2):
+        windows.clear()
+        trainer = _make_trainer(buffer_window=window)
+        trainer.run_epoch(limit=4)
+        newest = [seen[-1] for seen in windows]
+        for k, seen in enumerate(windows):
+            start = 0 if window is None else max(0, k + 1 - window)
+            assert seen == newest[start:k + 1]
+        assert [id(t.claim_step) for t in trainer.buffer] == windows[-1]
 
 
 def test_event_stream_schema():
@@ -288,6 +303,44 @@ def test_stance_failures_are_counted_per_post():
     # claims still complete: the veracity oracle answers over an empty set
     assert report.claims_processed == n_claims
     assert all(t.post_steps == () for t in trainer.buffer)
+
+
+class FlakyEmbedder(HashedEmbedder):
+    """Raises EmbedError on one call, as a service embedder does once its
+    retries are spent."""
+
+    def __init__(self, d, fail_at):
+        super().__init__(d)
+        self.calls = 0
+        self.fail_at = fail_at
+
+    def embed(self, text):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise EmbedError("embedding service failed after retries")
+        return super().embed(text)
+
+
+def test_embed_failures_are_counted_and_skipped():
+    dataset = generate_synthetic(
+        SynthConfig(n_claims=10, posts_per_claim=6, rng_seed=1)
+    )
+    config = RunConfig(embed_dim=16, hidden_dim=8, max_epochs=1, learning_rate=1e-3)
+    # In this run, embedding call 1 is the first claim, 2 a post explanation,
+    # 7 a retained post's context, 10 the first verdict's explanation and 35
+    # a retained claim's context; 50 falls mid-epoch. A failed claim or
+    # verdict embedding aborts its claim; a failed post embedding skips it.
+    for fail_at, aborted in ((1, 1), (2, 0), (7, 0), (10, 1), (35, 1), (50, 0)):
+        trainer = Trainer(
+            config, dataset,
+            OracleAnnotator(rng=np.random.default_rng((config.rng_seed, 10))),
+            OracleAnnotator(rng=np.random.default_rng((config.rng_seed, 11))),
+            FlakyEmbedder(config.embed_dim, fail_at),
+        )
+        (report,) = trainer.train()
+        assert report.claims_processed + report.claims_aborted == 10
+        assert report.claims_aborted == aborted
+        assert report.annotator_failures == 1
 
 
 def test_embedder_width_must_match_config():
