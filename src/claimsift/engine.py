@@ -57,6 +57,7 @@ from .policy import (
     RewardBaseline,
     PolicyParams,
     RETAIN,
+    ReplayTable,
     Step,
     init_params,
     reinforce_update,
@@ -216,8 +217,9 @@ def _decode_run_state(state: dict, arrays: dict) -> dict:
     trajectories = state["buffer"]
     n_rows = sum(1 + t["posts"] for t in trajectories)
     n_retained = sum(len(t["retained_posts"]) for t in trajectories)
+    step_states = _array(arrays, "step_state", (n_rows, 3 * d))
     rows = zip(
-        _array(arrays, "step_state", (n_rows, 3 * d)),
+        step_states,
         _array(arrays, "step_values", (n_rows, len(_STEP_VALUES))).tolist(),
     )
     stance = iter(_array(arrays, "retained_stance", (n_retained, 4)))
@@ -266,6 +268,8 @@ def _decode_run_state(state: dict, arrays: dict) -> dict:
         "action_rng": _rng(state["action_rng"]),
         "sampler_rng": sampler_rng,
         "buffer": buffer,
+        "replay": ReplayTable.adopt(
+            step_states, [(t.claim_step, t.post_steps) for t in buffer]),
         "reports": [EpochReport(**r) for r in state["reports"]],
         "annotation_records": [dict(zip(_RECORD_FIELDS, row))
                                for row in state["annotation_records"]],
@@ -348,6 +352,8 @@ class Trainer:
         self._sampler_rng = np.random.default_rng((config.rng_seed, 3))
 
         self.buffer: list[Trajectory] = []
+        # the buffer's steps as rows for the update; it holds their states
+        self._replay = ReplayTable(np.empty((0, 3 * config.embed_dim)))
         self.reports: list[EpochReport] = []
         self.annotation_records: list[dict] = []
         self.finetune_stance: list[FineTuneExample] = []
@@ -662,16 +668,14 @@ class Trainer:
             acc["wall"] += time.perf_counter() - t0
             return
         self.buffer.append(trajectory)
+        self._replay.append(trajectory.claim_step, trajectory.post_steps)
         if self.config.buffer_window is not None:
             # the update reads only the trailing window, so nothing older is kept
             del self.buffer[:-self.config.buffer_window]
+            self._replay.trim(self.config.buffer_window)
         self.claim_tracker.observe(trajectory.claim_step.reward)
-        reinforce_update(
-            self.params,
-            self.optimizer,
-            [(t.claim_step, t.post_steps) for t in self.buffer],
-            baseline=self.baseline,
-        )
+        reinforce_update(self.params, self.optimizer, self._replay,
+                         baseline=self.baseline)
         acc["policy_updates"] += 1
         acc["claims_processed"] += 1
         acc["claims_retained"] += int(trajectory.claim_step.action == RETAIN)
@@ -835,8 +839,7 @@ class Trainer:
                 [self.references._sums[v] for v in VERACITIES]
             ),
             "claim_context_sum": self.claim_context._sum,
-            "step_state": [s.state for s in steps]
-            or np.empty((0, 3 * self.config.embed_dim)),
+            "step_state": self._replay.states,
             "step_values": np.array(
                 [(s.action == RETAIN, s.logprob, s.p_retain, s.reward, cosine)
                  for s, cosine in zip(steps, cosines)],
@@ -875,6 +878,7 @@ class Trainer:
         trainer._action_rng = payload["action_rng"]
         trainer._sampler_rng = payload["sampler_rng"]
         trainer.buffer = payload["buffer"]
+        trainer._replay = payload["replay"]
         trainer.reports = payload["reports"]
         trainer.annotation_records = payload["annotation_records"]
         trainer.finetune_stance = payload["finetune_stance"]

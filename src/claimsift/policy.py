@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CheckpointError, PolicyError
+from .runstate import write_checksummed
 
 logger = logging.getLogger(__name__)
 
@@ -121,42 +122,174 @@ def sample_action(
 
 
 Trajectory = tuple[Step, Sequence[Step]]
-Trajectories = Sequence[Trajectory]
 
 
-def _flatten(
-    trajectories: Trajectories, claim_shift: float = 0.0, post_shift: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack all steps with their objective weights.
+class ReplayTable:
+    """The steps of a trajectory window as rows, in the objective's order.
 
-    Claim steps weigh reward / t, post steps reward / (t * t'), where t is
-    the trajectory count and t' that claim's post sub-step count. The shifts
-    subtract a reward baseline per level during updates; they are zero when
-    evaluating the plain objective.
+    Each trajectory adds its claim step's row, then one row per post step.
+    Beside one `(rows, state_dim)` block of states, every row keeps its
+    retain flag, its reward, whether it is a claim row, and the post count
+    of its trajectory, so the objective and its gradients read the window
+    without re-stacking it. Storage grows by doubling.
+
+    `append` re-points the appended steps' states to views of their rows, so
+    each state is held once; the views follow the rows when the table grows
+    or `trim` drops old trajectories, and a dropped step gets a copy of its
+    state back. Iterating yields the `(claim_step, post_steps)` pairs.
+    Two tables are equal when they hold the same rows.
     """
-    t = len(trajectories)
-    states, actions, weights = [], [], []
-    for claim_step, post_steps in trajectories:
-        if claim_step.reward is None:
-            raise PolicyError("claim step has no reward")
-        states.append(claim_step.state)
-        actions.append(claim_step.action == RETAIN)
-        weights.append((claim_step.reward - claim_shift) / t)
-        t_prime = len(post_steps)
-        for post_step in post_steps:
-            if post_step.reward is None:
-                raise PolicyError("post step has no reward")
-            states.append(post_step.state)
-            actions.append(post_step.action == RETAIN)
-            weights.append((post_step.reward - post_shift) / (t * t_prime))
-    return (
-        np.stack(states),
-        np.asarray(actions, dtype=bool),
-        np.asarray(weights, dtype=np.float64),
-    )
+
+    _COLUMNS = ("_states", "_retain", "_reward", "_claim", "_posts")
+    __slots__ = (*_COLUMNS, "_rows", "_pairs")
+
+    def __init__(self, storage: np.ndarray):
+        """An empty table whose rows go into `storage`, a float64
+        `(capacity, state_dim)` block, until it is full."""
+        self._states = storage
+        self._retain = np.empty(len(storage), dtype=bool)
+        self._reward = np.empty(len(storage))
+        self._claim = np.empty(len(storage), dtype=bool)
+        self._posts = np.empty(len(storage), dtype=np.int64)
+        self._rows = 0
+        self._pairs: list[Trajectory] = []
+
+    @classmethod
+    def of(cls, trajectories: Sequence[Trajectory]) -> "ReplayTable":
+        """A table of copies of the trajectories' rows; their steps are left
+        as they are."""
+        rows = sum(1 + len(post_steps) for _claim_step, post_steps in trajectories)
+        state_dim = np.shape(trajectories[0][0].state)[0] if trajectories else 0
+        table = cls(np.empty((rows, state_dim)))
+        table._extend(trajectories)
+        return table
+
+    @classmethod
+    def adopt(cls, states: np.ndarray,
+              trajectories: Sequence[Trajectory]) -> "ReplayTable":
+        """A table that takes `states`, which holds the rows of the steps of
+        `trajectories` in order, as its storage without copying it."""
+        table = cls(states)
+        _point(table._extend(trajectories, states_written=True), table._states)
+        return table
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __getitem__(self, index: int) -> Trajectory:
+        return self._pairs[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReplayTable):
+            return NotImplemented
+        n = self._rows
+        return n == other._rows and len(self) == len(other) and all(
+            getattr(self, name)[:n].tobytes() == getattr(other, name)[:n].tobytes()
+            for name in self._COLUMNS
+        )
+
+    @property
+    def states(self) -> np.ndarray:
+        """The `(rows, state_dim)` step states, a view of the table's block."""
+        return self._states[:self._rows]
+
+    @property
+    def retain(self) -> np.ndarray:
+        return self._retain[:self._rows]
+
+    def weights(self, claim_shift: float = 0.0, post_shift: float = 0.0) -> np.ndarray:
+        """Per-row objective weights.
+
+        Claim rows weigh (reward - claim_shift) / t, post rows
+        (reward - post_shift) / (t * t'), where t is the trajectory count
+        and t' the row's post count. The shifts subtract a reward baseline
+        per level during updates; they are zero for the plain objective.
+        """
+        n = self._rows
+        claim = self._claim[:n]
+        shift = np.where(claim, claim_shift, post_shift)
+        t_t_prime = len(self) * np.where(claim, 1, self._posts[:n])  # t for claim rows
+        return (self._reward[:n] - shift) / t_t_prime
+
+    def append(self, claim_step: Step, post_steps: Sequence[Step]) -> None:
+        """Add one trajectory's rows; its steps' states become views of them."""
+        start = self._rows
+        _point(self._extend([(claim_step, post_steps)]), self._states[start:])
+
+    def trim(self, keep: int) -> None:
+        """Keep only the newest `keep` trajectories."""
+        drop = len(self._pairs) - keep
+        if drop <= 0:
+            return
+        dropped = _steps(self._pairs[:drop])
+        _point(dropped, self._states[:len(dropped)].copy())
+        n = self._rows - len(dropped)
+        for name in self._COLUMNS:
+            column = getattr(self, name)
+            column[:n] = column[len(dropped):self._rows]
+        del self._pairs[:drop]
+        self._rows = n
+        _point(_steps(self._pairs), self._states)
+
+    def _extend(self, pairs: Sequence[Trajectory],
+                states_written: bool = False) -> list[Step]:
+        """Write the rows of `pairs` after the last row; returns their steps."""
+        steps, claim, posts = [], [], []
+        for claim_step, post_steps in pairs:
+            steps.append(claim_step)
+            steps += post_steps
+            claim += [True] + [False] * len(post_steps)
+            posts += [len(post_steps)] * (1 + len(post_steps))
+        rewards = [step.reward for step in steps]
+        if None in rewards:
+            level = LEVEL_CLAIM if claim[rewards.index(None)] else LEVEL_POST
+            raise PolicyError(f"{level} step has no reward")
+        start, end = self._rows, self._rows + len(steps)
+        if end > len(self._states):
+            self._grow(max(end, 2 * len(self._states)))
+        if steps and not states_written:
+            self._states[start:end] = [step.state for step in steps]
+        self._retain[start:end] = [step.action == RETAIN for step in steps]
+        self._reward[start:end] = rewards
+        self._claim[start:end] = claim
+        self._posts[start:end] = posts
+        self._rows = end
+        self._pairs += pairs
+        return steps
+
+    def _grow(self, capacity: int) -> None:
+        n = self._rows
+        for name in self._COLUMNS:
+            old = getattr(self, name)
+            new = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
+            new[:n] = old[:n]
+            setattr(self, name, new)
+        _point(_steps(self._pairs), self._states)
 
 
-def objective(params: PolicyParams, trajectories: Trajectories) -> float:
+def _point(steps: list[Step], rows: np.ndarray) -> None:
+    """Make each step's state the row of `rows` at its position."""
+    for step, row in zip(steps, rows):
+        step.state = row
+
+
+def _steps(pairs: Sequence[Trajectory]) -> list[Step]:
+    return [step for claim_step, post_steps in pairs
+            for step in (claim_step, *post_steps)]
+
+
+def _table(trajectories: ReplayTable | Sequence[Trajectory]) -> ReplayTable:
+    if isinstance(trajectories, ReplayTable):
+        return trajectories
+    return ReplayTable.of(trajectories)
+
+
+def objective(
+    params: PolicyParams, trajectories: ReplayTable | Sequence[Trajectory]
+) -> float:
     """Buffer-averaged REINFORCE objective under the current parameters.
 
     Empty buffer evaluates to 0. A claim with no post sub-steps contributes
@@ -164,17 +297,17 @@ def objective(params: PolicyParams, trajectories: Trajectories) -> float:
     """
     if not trajectories:
         return 0.0
-    states, actions, weights = _flatten(trajectories)
-    z = _logits(params, states)
+    table = _table(trajectories)
+    z = _logits(params, table.states)
     log_retain = -np.logaddexp(0.0, -z)
     log_discard = -np.logaddexp(0.0, z)
-    logp = np.where(actions, log_retain, log_discard)
-    return float(weights @ logp)
+    logp = np.where(table.retain, log_retain, log_discard)
+    return float(table.weights() @ logp)
 
 
 def gradients(
     params: PolicyParams,
-    trajectories: Trajectories,
+    trajectories: ReplayTable | Sequence[Trajectory],
     claim_shift: float = 0.0,
     post_shift: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -185,9 +318,9 @@ def gradients(
     """
     if not trajectories:
         return np.zeros_like(params.w1), np.zeros_like(params.w2)
-    states, actions, weights = _flatten(
-        trajectories, claim_shift=claim_shift, post_shift=post_shift
-    )
+    table = _table(trajectories)
+    states, actions = table.states, table.retain
+    weights = table.weights(claim_shift, post_shift)
     pre = states @ params.w1.T
     hidden = np.maximum(pre, 0.0)
     z = hidden @ params.w2
@@ -278,7 +411,7 @@ class OptimizerState:
 def reinforce_update(
     params: PolicyParams,
     optimizer: OptimizerState,
-    trajectories: Trajectories,
+    trajectories: ReplayTable | Sequence[Trajectory],
     baseline: RewardBaseline | None = None,
 ) -> None:
     """One Adam ascent step on the objective over a trajectory window.
@@ -286,7 +419,9 @@ def reinforce_update(
     Empty windows are a no-op. Non-finite gradients are dropped with a
     warning instead of corrupting the parameters. When a baseline is given,
     its current per-level averages shift the step weights, and the newest
-    trajectory (the window's last entry) is folded in afterwards.
+    trajectory (the window's last entry) is folded in afterwards. Adam runs
+    in place, with two temporaries per parameter and the textbook order of
+    operations, so its results are bitwise those of the plain expressions.
     """
     if not trajectories:
         return
@@ -311,13 +446,15 @@ def reinforce_update(
         (g_w1, optimizer.m_w1, optimizer.v_w1, params.w1),
         (g_w2, optimizer.m_w2, optimizer.v_w2, params.w2),
     ):
+        a, b = np.empty_like(w), np.empty_like(w)
         m *= b1
-        m += (1.0 - b1) * g
+        m += np.multiply(g, 1.0 - b1, out=a)  # (1 - b1) g
         v *= b2
-        v += (1.0 - b2) * np.square(g)
-        m_hat = m / correction1
-        v_hat = v / correction2
-        w += lr * m_hat / (np.sqrt(v_hat) + optimizer.eps)
+        v += np.multiply(np.square(g, out=a), 1.0 - b2, out=a)  # (1 - b2) g^2
+        np.divide(m, correction1, out=a)  # m_hat
+        np.divide(v, correction2, out=b)  # v_hat
+        np.add(np.sqrt(b, out=b), optimizer.eps, out=b)
+        w += np.divide(np.multiply(a, lr, out=a), b, out=a)  # lr m_hat / (...)
 
 
 _MAGIC = b"CSPOLICY"
@@ -328,7 +465,8 @@ _HEAD = struct.Struct("<8sIIIQQII5d")  # magic, version, dims, counters, hypers
 def save_checkpoint(
     params: PolicyParams, optimizer: OptimizerState, path: str | Path
 ) -> None:
-    """Write policy and optimizer state as a checksummed little-endian blob."""
+    """Atomically write policy and optimizer state as a checksummed
+    little-endian blob (see claimsift.runstate.write_checksummed)."""
     optimizer.ensure_moments(params)
     head = _HEAD.pack(
         _MAGIC,
@@ -349,10 +487,9 @@ def save_checkpoint(
         params.w1, params.w2,
         optimizer.m_w1, optimizer.v_w1, optimizer.m_w2, optimizer.v_w2,
     )
-    body = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
-    payload = head + body
-    crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
-    Path(path).write_bytes(payload + crc)
+    write_checksummed(path, (
+        head, *(np.ascontiguousarray(a, dtype="<f8").data for a in arrays)
+    ))
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, OptimizerState]:

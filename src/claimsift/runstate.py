@@ -21,6 +21,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -39,48 +40,43 @@ def _pad(offset: int) -> int:
     return -offset % 8
 
 
-def _parts(value) -> tuple[tuple[int, ...], list[np.ndarray]]:
-    """Shape and contiguous little-endian float64 pieces of one array entry.
-
-    A list of equal-shape arrays is written as their stack along a new first
-    axis, piece by piece, so it is never copied into one block.
-    """
-    stacked = isinstance(value, list)
-    pieces = [np.ascontiguousarray(p, dtype="<f8")
-              for p in (value if stacked else [value])]
-    if any(p.shape != pieces[0].shape for p in pieces):
-        raise ValueError("stacked run-state rows differ in shape")
-    return ((len(pieces), *pieces[0].shape) if stacked else pieces[0].shape), pieces
-
-
 def write_run_state(path: str | Path, state: dict, arrays: dict) -> None:
     """Atomically write `state` (JSON-able) and `arrays` (name -> float64
-    array, or a non-empty list of equal-shape arrays to stack) to `path`."""
-    path = Path(path)
-    entries = {name: _parts(value) for name, value in arrays.items()}
-    table = [[name, "<f8", list(shape)] for name, (shape, _pieces) in entries.items()]
+    array) to `path`."""
+    arrays = {name: np.ascontiguousarray(value, dtype="<f8")
+              for name, value in arrays.items()}
+    table = [[name, "<f8", list(value.shape)] for name, value in arrays.items()]
     manifest = json.dumps(
         {"arrays": table, "state": state}, ensure_ascii=False, separators=(",", ":"),
     ).encode("utf-8")
     offset = _HEAD.size + _U64.size + len(manifest)
-    layout = []  # (padding before, pieces)
-    for _shape, pieces in entries.values():
-        layout.append((_pad(offset), pieces))
-        offset += _pad(offset) + sum(p.nbytes for p in pieces)
+    layout = []  # (padding before, array)
+    for value in arrays.values():
+        layout.append((_pad(offset), value))
+        offset += _pad(offset) + value.nbytes
     body_len = offset - _HEAD.size
+    write_checksummed(path, (
+        _HEAD.pack(MAGIC, VERSION, body_len), _U64.pack(len(manifest)), manifest,
+        *(chunk for padding, value in layout for chunk in (_ZEROS[:padding], value.data)),
+    ))
 
+
+def write_checksummed(path: str | Path, chunks: Iterable) -> None:
+    """Atomically write `chunks` (bytes-like) to `path`, then the u32
+    little-endian crc32 of everything written before it.
+
+    The bytes go through one handle to a temporary file in the target's
+    directory, which is flushed, fsynced and renamed over `path`; any error
+    removes the temporary file and leaves the previous `path` as it was.
+    """
+    path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             crc = 0
-            for chunk in (_HEAD.pack(MAGIC, VERSION, body_len),
-                          _U64.pack(len(manifest)), manifest):
+            for chunk in chunks:
                 fh.write(chunk)
                 crc = zlib.crc32(chunk, crc)
-            for padding, pieces in layout:
-                for chunk in (_ZEROS[:padding], *(p.data for p in pieces)):
-                    fh.write(chunk)
-                    crc = zlib.crc32(chunk, crc)
             fh.write(_CRC.pack(crc & 0xFFFFFFFF))
             fh.flush()
             os.fsync(fh.fileno())

@@ -130,6 +130,47 @@ def test_trailing_window_selection(monkeypatch):
         assert [id(t.claim_step) for t in trainer.buffer] == windows[-1]
 
 
+def _buffered_steps(trainer):
+    return [s for t in trainer.buffer for s in (t.claim_step, *t.post_steps)]
+
+
+def test_each_buffered_state_is_held_once_by_the_replay_table(tmp_path):
+    """With no window, every buffered step's state is a row of the replay
+    table, before and after a resume; with a window of 2 the table holds
+    exactly the rows of the trailing trajectories."""
+    trainer = _make_trainer(buffer_window=None)
+    trainer.run_epoch()
+    assert trainer.run_epoch(limit=2) is None
+    path = tmp_path / "run.state"
+    trainer.save_run_state(path)
+    resumed = Trainer.from_run_state(
+        path, generate_synthetic(SynthConfig(n_claims=6, posts_per_claim=4, rng_seed=1)),
+        OracleAnnotator(rng=0), OracleAnnotator(rng=0), HashedEmbedder(16),
+    )
+    for run in (trainer, resumed):
+        steps = _buffered_steps(run)
+        rows = run._replay.states
+        assert len(run.buffer) == len(trainer._claims) + 2 == len(run._replay)
+        assert len(steps) == len(rows)
+        for row, step in zip(rows, steps):
+            assert np.shares_memory(step.state, rows)
+            assert step.state.tobytes() == row.tobytes()
+    resumed.run_epoch()  # the adopted block grows like any other
+    assert all(np.shares_memory(s.state, resumed._replay.states)
+               for s in _buffered_steps(resumed))
+
+    windowed = _make_trainer(buffer_window=2)
+    for _ in range(5):
+        windowed.run_epoch(limit=1)
+        steps = _buffered_steps(windowed)
+        assert len(windowed.buffer) == len(windowed._replay) <= 2
+        assert [claim for claim, _posts in windowed._replay] == \
+            [t.claim_step for t in windowed.buffer]
+        assert windowed._replay.states.tobytes() == \
+            np.stack([s.state for s in steps]).tobytes()
+        assert all(np.shares_memory(s.state, windowed._replay.states) for s in steps)
+
+
 def test_event_stream_schema():
     trainer = _make_trainer()
     events = []

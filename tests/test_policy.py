@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import logging
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from claimsift import runstate
 from claimsift.errors import CheckpointError, PolicyError
 from claimsift.policy import (
     DISCARD,
@@ -17,6 +20,7 @@ from claimsift.policy import (
     OptimizerState,
     PolicyParams,
     RETAIN,
+    ReplayTable,
     RewardBaseline,
     Step,
     forward,
@@ -196,6 +200,110 @@ def test_flatten_requires_rewards():
 
 # ----------------------------------------------------------- gradients
 
+def _reference_flatten(trajectories, claim_shift=0.0, post_shift=0.0):
+    """Stack-based flattening, as the update worked before the replay table."""
+    t = len(trajectories)
+    states, actions, weights = [], [], []
+    for claim_step, post_steps in trajectories:
+        states.append(claim_step.state)
+        actions.append(claim_step.action == RETAIN)
+        weights.append((claim_step.reward - claim_shift) / t)
+        t_prime = len(post_steps)
+        for post_step in post_steps:
+            states.append(post_step.state)
+            actions.append(post_step.action == RETAIN)
+            weights.append((post_step.reward - post_shift) / (t * t_prime))
+    return (np.stack(states), np.asarray(actions, dtype=bool),
+            np.asarray(weights, dtype=np.float64))
+
+
+def _reference_objective(params, trajectories):
+    states, actions, weights = _reference_flatten(trajectories)
+    z = np.maximum(states @ params.w1.T, 0.0) @ params.w2
+    logp = np.where(actions, -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z))
+    return float(weights @ logp)
+
+
+def _reference_gradients(params, trajectories, claim_shift, post_shift):
+    states, actions, weights = _reference_flatten(trajectories, claim_shift, post_shift)
+    pre = states @ params.w1.T
+    hidden = np.maximum(pre, 0.0)
+    z = hidden @ params.w2
+    p = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(z))),
+                 np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    g_z = np.where(actions, 1.0 - p, -p) * weights
+    back = (g_z[:, None] * params.w2[None, :]) * (pre > 0.0).astype(np.float64)
+    return back.T @ states, hidden.T @ g_z
+
+
+_finite = st.floats(-4.0, 4.0, allow_nan=False, width=64)
+_step = st.tuples(st.lists(_finite, min_size=3, max_size=3), st.booleans(),
+                  st.sampled_from([-1, 0, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    window=st.sampled_from([None, 1, 2, 3]),
+    trajectories=st.lists(st.tuples(_step, st.lists(_step, max_size=4)),
+                          min_size=1, max_size=7),
+    shifts=st.tuples(_finite, _finite),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_replay_table_matches_stacked_reference(window, trajectories, shifts, seed):
+    """Built by appends and trims, the table gives bitwise the gradients and
+    objective of re-stacking the trailing window, and holds each buffered
+    state once."""
+    params = init_params(3, 2, np.random.default_rng(seed))
+
+    def steps(level, spec):
+        state, retain, reward = spec
+        action = RETAIN if retain else DISCARD
+        return (Step(np.array(state), action, 0.0, level, 0.5, reward),
+                Step(np.array(state), action, 0.0, level, 0.5, reward))
+
+    table = ReplayTable(np.empty((0, 3)))
+    held, reference, dropped = [], [], []
+    for claim_spec, post_specs in trajectories:
+        claim, claim_ref = steps(LEVEL_CLAIM, claim_spec)
+        posts = [steps(LEVEL_POST, spec) for spec in post_specs]
+        held.append((claim, tuple(step for step, _ref in posts)))
+        reference.append((claim_ref, [ref for _step, ref in posts]))
+        table.append(*held[-1])
+        if window is not None:
+            dropped += held[:-window]
+            del held[:-window], reference[:-window]
+            table.trim(window)
+
+        assert [pair[0] for pair in table] == [claim for claim, _posts in held]
+        assert table == ReplayTable.of(reference)
+        for (claim, posts), (claim_ref, posts_ref) in zip(held, reference):
+            for step, ref in zip((claim, *posts), (claim_ref, *posts_ref)):
+                assert np.shares_memory(step.state, table.states)
+                assert step.state.tobytes() == ref.state.tobytes()
+        for got, want in zip(gradients(params, table, *shifts),
+                             _reference_gradients(params, reference, *shifts)):
+            assert got.tobytes() == want.tobytes()
+        got = objective(params, table)
+        assert np.float64(got).tobytes() == \
+            np.float64(_reference_objective(params, reference)).tobytes()
+        assert objective(params, held) == got  # the plain-list path
+
+    # trimmed steps got their states back as copies of their own
+    for claim, posts in dropped:
+        for step in (claim, *posts):
+            assert not np.shares_memory(step.state, table.states)
+
+
+def test_replay_table_rejects_unrewarded_steps_without_changing():
+    table = ReplayTable(np.empty((0, 2)))
+    ok = Step(np.ones(2), RETAIN, 0.0, LEVEL_CLAIM, 0.5, reward=1)
+    bare = Step(np.zeros(2), RETAIN, 0.0, LEVEL_POST, 0.5, reward=None)
+    with pytest.raises(PolicyError, match="post step has no reward"):
+        table.append(ok, [bare])
+    assert len(table) == 0 and table.states.shape == (0, 2)
+    assert not np.shares_memory(ok.state, table.states)
+
+
 def test_analytic_gradients_match_finite_differences():
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -295,6 +403,33 @@ def test_adam_step_is_exact_for_single_weight():
     assert opt.step == 1
     assert params.w2[0] == pytest.approx(expected_w2, abs=1e-12)
     assert params.w1[0, 0] == pytest.approx(expected_w1, abs=1e-12)
+
+
+def test_in_place_adam_is_bitwise_the_textbook_update():
+    rng = np.random.default_rng(17)
+    params = init_params(6, 4, rng)
+    textbook = params.copy()
+    opt = OptimizerState(learning_rate=0.05, warmup_fraction=0.5, planned_updates=10)
+    b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+    m = [np.zeros_like(textbook.w1), np.zeros_like(textbook.w2)]
+    v = [np.zeros_like(textbook.w1), np.zeros_like(textbook.w2)]
+    for step in range(1, 9):  # five warm-up steps, then the full rate
+        trajs = _random_trajectories(rng, 6, n_claims=3)
+        grads = gradients(textbook, trajs)
+        lr = opt.lr_at(step)
+        for i, (name, g) in enumerate(zip(("w1", "w2"), grads)):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g ** 2
+            m_hat = m[i] / (1.0 - b1 ** step)
+            v_hat = v[i] / (1.0 - b2 ** step)
+            setattr(textbook, name,
+                    getattr(textbook, name) + lr * m_hat / (np.sqrt(v_hat) + eps))
+        reinforce_update(params, opt, trajs)
+        assert opt.step == step
+        for got, want in ((params.w1, textbook.w1), (params.w2, textbook.w2),
+                          (opt.m_w1, m[0]), (opt.m_w2, m[1]),
+                          (opt.v_w1, v[0]), (opt.v_w2, v[1])):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_update_ascends_objective():
@@ -454,3 +589,37 @@ def test_checkpoint_error_classes(tmp_path):
     corrupt.write_bytes(bytes(mutated))
     with pytest.raises(CheckpointError, match="checksum mismatch"):
         load_checkpoint(corrupt)
+
+
+class _FailingZlib:
+    """zlib whose crc32 fails on its fourth call, in the middle of a write."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def crc32(self, data, value=0):
+        self.calls += 1
+        if self.calls == 4:
+            raise OSError("disk full")
+        return zlib.crc32(data, value)
+
+
+def _failing_fsync(fd):
+    raise OSError("device lost")
+
+
+@pytest.mark.parametrize("fault", ["mid-write", "fsync"])
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch, fault):
+    params, opt = _trained_pair()
+    path = tmp_path / "policy.ckpt"
+    save_checkpoint(params, opt, path)
+    before = path.read_bytes()
+    reinforce_update(params, opt, _random_trajectories(np.random.default_rng(5), 6, 2))
+    if fault == "mid-write":
+        monkeypatch.setattr(runstate, "zlib", _FailingZlib())
+    else:
+        monkeypatch.setattr(runstate.os, "fsync", _failing_fsync)
+    with pytest.raises(OSError):
+        save_checkpoint(params, opt, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["policy.ckpt"]
