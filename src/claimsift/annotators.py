@@ -356,13 +356,13 @@ def _validated_distribution(
     distribution: np.ndarray, label_index: int, raw: str
 ) -> np.ndarray:
     arr = np.asarray(distribution, dtype=np.float64)
-    if arr.shape != (4,) or not np.all(np.isfinite(arr)):
+    if arr.shape != (4,) or not np.isfinite(arr).all():
         raise ParseError("distribution must be 4 finite values", raw=raw)
-    if (arr < -1e-9).any() or abs(float(arr.sum()) - 1.0) > 1e-6:
+    if arr.min() < -1e-9 or abs(float(arr.sum()) - 1.0) > 1e-6:
         raise ParseError("distribution must lie on the probability simplex", raw=raw)
-    if int(np.argmax(arr)) != label_index:
+    if arr.argmax() != label_index:
         raise ParseError("distribution argmax disagrees with the label", raw=raw)
-    return np.clip(arr, 0.0, None)
+    return np.maximum(arr, 0.0)  # np.clip(arr, 0.0, None), without its dispatch
 
 
 def _reply_alpha(backend) -> float:

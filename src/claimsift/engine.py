@@ -67,6 +67,7 @@ from .prompts import build_stance_prompt, build_veracity_prompt, \
     build_veracity_pretrain_prompt
 from .reward import (
     ReferenceStanceStats,
+    StanceMean,
     labeled_claim_reward,
     unlabeled_claim_reward,
 )
@@ -171,11 +172,16 @@ def _rng(state: dict) -> np.random.Generator:
     return rng
 
 
-def _array(arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _array(arrays: dict, name: str, shape: tuple[int, ...],
+           copy: bool = True) -> np.ndarray:
+    """The named array, checked for shape. The arrays are views of the one
+    buffer the file was read into, and a view kept for the rest of the run
+    would keep all of it, so only the step states, which the replay table
+    adopts, and arrays read once are not copied out."""
     arr = arrays[name]
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    return arr
+    return arr.copy() if copy else arr
 
 
 def _example_rows(examples: list[FineTuneExample]) -> list[tuple]:
@@ -217,10 +223,11 @@ def _decode_run_state(state: dict, arrays: dict) -> dict:
     trajectories = state["buffer"]
     n_rows = sum(1 + t["posts"] for t in trajectories)
     n_retained = sum(len(t["retained_posts"]) for t in trajectories)
-    step_states = _array(arrays, "step_state", (n_rows, 3 * d))
+    step_states = _array(arrays, "step_state", (n_rows, 3 * d), copy=False)
     rows = zip(
         step_states,
-        _array(arrays, "step_values", (n_rows, len(_STEP_VALUES))).tolist(),
+        _array(arrays, "step_values", (n_rows, len(_STEP_VALUES)),
+               copy=False).tolist(),
     )
     stance = iter(_array(arrays, "retained_stance", (n_retained, 4)))
     veracity = iter(_array(arrays, "veracity", (len(trajectories), 4)))
@@ -449,6 +456,10 @@ class Trainer:
 
         annotated: list[tuple] = []  # (post, annotation, step)
         retained_pairs: list[tuple] = []  # (post, annotation)
+        # The retained posts' stance distributions for every unlabeled reward
+        # of this claim: added as each post is retained with incremental
+        # veracity, else while the prefix rewards are assigned after the verdict.
+        retained_stance = StanceMean()
         post_cosines: list[float] = []
         post_terminated = False
 
@@ -477,10 +488,13 @@ class Trainer:
                 post_context.add(context_vec)
                 if is_seed and truth is not None:
                     self.references.update(truth, annotation.distribution)
+                if config.incremental_veracity:
+                    retained_stance.add(annotation.distribution)
             annotated.append((post, annotation, step))
 
             if config.incremental_veracity:
-                outcome = self._incremental_outcome(claim, retained_pairs, truth)
+                outcome = self._incremental_outcome(
+                    claim, retained_pairs, retained_stance, truth)
                 if outcome is None:
                     failures += 1
                     step.reward = 0
@@ -526,21 +540,18 @@ class Trainer:
                 post_cosines = [outcome.cosine] * len(annotated)
         else:
             if not config.incremental_veracity:
-                running: list[np.ndarray] = []
                 post_cosines = []
                 for _post, annotation, step in annotated:
                     if step.action == RETAIN:
-                        running.append(annotation.distribution)
+                        retained_stance.add(annotation.distribution)
                     sub = unlabeled_claim_reward(
-                        list(running), verdict.label, self.references,
+                        retained_stance, verdict.label, self.references,
                         config.centered_rewards,
                     )
                     step.reward = sub.value
                     post_cosines.append(sub.cosine)
             outcome = unlabeled_claim_reward(
-                [annotation.distribution for _p, annotation in retained_pairs],
-                verdict.label,
-                self.references,
+                retained_stance, verdict.label, self.references,
                 config.centered_rewards,
             )
             claim_step.reward = outcome.value
@@ -611,7 +622,7 @@ class Trainer:
         )
         return trajectory, failures
 
-    def _incremental_outcome(self, claim, retained_pairs, truth):
+    def _incremental_outcome(self, claim, retained_pairs, retained_stance, truth):
         try:
             verdict = annotate_claim(self.rv, claim, retained_pairs)
         except (ParseError, AnnotatorError) as exc:
@@ -624,9 +635,7 @@ class Trainer:
                 verdict.distribution, truth, self.config.centered_rewards
             )
         return unlabeled_claim_reward(
-            [annotation.distribution for _p, annotation in retained_pairs],
-            verdict.label,
-            self.references,
+            retained_stance, verdict.label, self.references,
             self.config.centered_rewards,
         )
 

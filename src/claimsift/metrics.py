@@ -169,8 +169,11 @@ def evaluate(
 
     Stance is scored over every post carrying a gold stance. Veracity is
     scored per claim; when a policy is given (with its embedder), posts are
-    filtered through retain/discard decisions in chronological order and the
-    veracity backend sees only the retained ones, mirroring training.
+    filtered through retain/discard decisions and the veracity backend sees
+    only the retained ones. The decisions use training's state and policy,
+    but the walk differs: every annotated post of the thread is decided in
+    chronological order, with no epsilon-greedy sampling, no `max_posts`
+    cap and no post-level termination.
     """
     if len(dataset) == 0:
         raise EmptyEvaluation("dataset has no claims")

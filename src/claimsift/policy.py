@@ -87,28 +87,33 @@ def _sigmoid(z):
     )
 
 
-def forward(params: PolicyParams, state: np.ndarray) -> float:
-    """Retain probability for one state."""
+def _retain_probability(
+    params: PolicyParams, state: np.ndarray
+) -> tuple[np.ndarray, float, float]:
+    """(state as float64, logit, retain probability) for one state.
+
+    The probability is `_sigmoid` of the logit, with `exp(-|z|)` taken once.
+    """
     state = np.asarray(state, dtype=np.float64)
     if state.shape != (params.state_dim,):
         raise PolicyError(
             f"state has shape {state.shape}, expected ({params.state_dim},)"
         )
     z = float(_logits(params, state[None, :])[0])
-    return float(_sigmoid(np.array(z)))
+    e = float(np.exp(-abs(z)))
+    return state, z, (1.0 / (1.0 + e) if z >= 0.0 else e / (1.0 + e))
+
+
+def forward(params: PolicyParams, state: np.ndarray) -> float:
+    """Retain probability for one state."""
+    return _retain_probability(params, state)[2]
 
 
 def sample_action(
     params: PolicyParams, state: np.ndarray, rng: np.random.Generator, level: str
 ) -> Step:
     """Draw retain/discard from the policy and record its log probability."""
-    state = np.asarray(state, dtype=np.float64)
-    if state.shape != (params.state_dim,):
-        raise PolicyError(
-            f"state has shape {state.shape}, expected ({params.state_dim},)"
-        )
-    z = float(_logits(params, state[None, :])[0])
-    p = float(_sigmoid(np.array(z)))
+    state, z, p = _retain_probability(params, state)
     retain = rng.random() < p
     # log sigma(z) and log sigma(-z) via softplus, stable at saturation
     logprob = float(-np.logaddexp(0.0, -z)) if retain else float(-np.logaddexp(0.0, z))

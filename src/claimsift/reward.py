@@ -26,9 +26,9 @@ def _check_distribution(vec, name: str) -> np.ndarray:
     arr = np.asarray(vec, dtype=np.float64)
     if arr.shape != (4,):
         raise RewardError(f"{name} must have 4 entries, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise RewardError(f"{name} contains non-finite values")
-    if (arr < -1e-9).any():
+    if arr.min() < -1e-9:
         raise RewardError(f"{name} has negative mass")
     if abs(float(arr.sum()) - 1.0) > 1e-6:
         raise RewardError(f"{name} does not sum to 1")
@@ -116,28 +116,58 @@ class ReferenceStanceStats:
         return {v: self._counts[v] for v in VERACITIES}
 
 
+class StanceMean:
+    """Running mean of the stance distributions of a claim's retained posts.
+
+    Each distribution is validated once, when it is added, so a prefix
+    reward costs the same however many posts precede it. The sum starts at
+    zero and adds the distributions in order, which is how NumPy reduces
+    axis 0 of an (n, 4) block: `mean()` is bitwise equal to
+    `np.stack(added).mean(axis=0)`. `len()` is the number of distributions.
+    """
+
+    __slots__ = ("_total", "_count")
+
+    def __init__(self, distributions: Sequence[np.ndarray] = ()):
+        self._total = np.zeros(4, dtype=np.float64)
+        self._count = 0
+        for distribution in distributions:
+            self.add(distribution)
+
+    def add(self, distribution) -> None:
+        self._total += _check_distribution(distribution, "stance distribution")
+        self._count += 1
+
+    def __len__(self) -> int:
+        return self._count
+
+    def mean(self) -> np.ndarray:
+        if self._count == 0:
+            raise RewardError("no stance distributions to average")
+        return self._total / self._count
+
+
 def unlabeled_claim_reward(
-    selected_stance_distributions: Sequence[np.ndarray],
+    selected_stance_distributions: StanceMean | Sequence[np.ndarray],
     predicted_veracity: str,
     references: ReferenceStanceStats,
     centered: bool = True,
 ) -> RewardOutcome:
     """Reward for an unlabeled claim.
 
-    Compares the mean stance distribution of the selected posts against the
-    reference mean for the predicted veracity class. No selected posts or a
-    cold reference class produce a 0 reward with an explanatory branch tag.
+    Compares the mean stance distribution of the selected posts, given as a
+    StanceMean or as a sequence of distributions, against the reference
+    mean for the predicted veracity class. No selected posts or a cold
+    reference class produce a 0 reward with an explanatory branch tag.
     """
-    if not selected_stance_distributions:
+    selected = selected_stance_distributions
+    if not isinstance(selected, StanceMean):
+        selected = StanceMean(selected)
+    if not selected:
         return RewardOutcome(value=0, cosine=0.0, branch="empty")
     reference = references.mean(predicted_veracity)
     if reference is None:
         return RewardOutcome(value=0, cosine=0.0, branch="cold")
-    stacked = np.stack(
-        [_check_distribution(d, "stance distribution") for d in
-         selected_stance_distributions]
-    )
-    mean = stacked.mean(axis=0)
-    cos = centered_cosine(mean, reference, centered=centered)
+    cos = centered_cosine(selected.mean(), reference, centered=centered)
     value = 0 if abs(cos) < _EPS else (1 if cos > 0.0 else -1)
     return RewardOutcome(value=value, cosine=cos, branch="unlabeled")

@@ -7,6 +7,7 @@ embeddings, and the embedding of the annotator's explanation.
 
 from __future__ import annotations
 
+import functools
 import time
 import zlib
 from dataclasses import dataclass
@@ -43,26 +44,41 @@ class EmbedConfig:
         return EmbedConfig(**raw)
 
 
+# Texts whose vectors one HashedEmbedder keeps; at d=768 that is at most
+# 6 MiB. Annotator explanations repeat a handful of templates, so most
+# embed calls of a claim step ask for a text embedded before.
+EMBED_MEMO_SIZE = 1024
+
+
 class HashedEmbedder:
     """Deterministic bag-of-words embedding into d crc32 hash buckets.
 
     Tokens are lowercase whitespace splits; bucket counts are L2-normalized.
     Empty text maps to the zero vector. crc32 rather than hash() so vectors
     are identical across processes and runs.
+
+    The embedding is a pure function of the text, so the vectors of the
+    last EMBED_MEMO_SIZE texts are kept and returned again. They are shared
+    and therefore read-only: a caller that writes into one gets an error.
     """
 
     def __init__(self, d: int):
         if d < 1:
             raise ConfigError("embed_dim: must be >= 1")
         self.d = d
+        self._memo = functools.lru_cache(maxsize=EMBED_MEMO_SIZE)(self._vector)
 
     def embed(self, text: str) -> np.ndarray:
+        return self._memo(text)
+
+    def _vector(self, text: str) -> np.ndarray:
         vec = np.zeros(self.d, dtype=np.float64)
         for token in text.lower().split():
             vec[zlib.crc32(token.encode("utf-8")) % self.d] += 1.0
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm
+        vec.flags.writeable = False
         return vec
 
 
@@ -149,13 +165,10 @@ def build_state(
     claim_vec: np.ndarray, context_vec: np.ndarray, explanation_vec: np.ndarray
 ) -> np.ndarray:
     """Concatenate the three state components, enforcing equal widths."""
+    names = ("claim", "context", "explanation")
     parts = []
     width = None
-    for name, vec in (
-        ("claim", claim_vec),
-        ("context", context_vec),
-        ("explanation", explanation_vec),
-    ):
+    for name, vec in zip(names, (claim_vec, context_vec, explanation_vec)):
         arr = np.asarray(vec, dtype=np.float64)
         if arr.ndim != 1:
             raise StateError(f"{name} vector must be 1-dimensional")
@@ -165,10 +178,13 @@ def build_state(
             raise StateError(
                 f"{name} vector has width {arr.shape[0]}, expected {width}"
             )
-        if not np.all(np.isfinite(arr)):
-            raise StateError(f"{name} vector contains non-finite values")
         parts.append(arr)
-    return np.concatenate(parts)
+    state = np.concatenate(parts)
+    if not np.isfinite(state).all():  # one pass; name the part only on failure
+        for name, arr in zip(names, parts):
+            if not np.isfinite(arr).all():
+                raise StateError(f"{name} vector contains non-finite values")
+    return state
 
 
 def pack_post_text(post_text: str, stance_label: str, explanation: str) -> str:

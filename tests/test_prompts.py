@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
+from claimsift.annotators import format_stance_target, format_veracity_target
 from claimsift.corpus import Claim, Post
 from claimsift.errors import ParseError
+from claimsift.labels import STANCES, VERACITIES
 from claimsift.prompts import (
     NO_POSTS_LINE,
     STANCE_TEMPLATE,
@@ -141,3 +144,19 @@ def test_parse_veracity_failure_carries_raw_text():
     with pytest.raises(ParseError) as err:
         parse_veracity_response("the claim is probably fine")
     assert err.value.raw == "the claim is probably fine"
+
+
+# Explanations as annotators write them: no surrounding whitespace.
+_explanation = st.text().map(str.strip)
+
+
+@given(label=st.sampled_from(STANCES), explanation=_explanation)
+def test_stance_target_round_trips_through_the_parser(label, explanation):
+    assert parse_stance_response(format_stance_target(label, explanation)) \
+        == (label, explanation)
+
+
+@given(label=st.sampled_from(VERACITIES), explanation=_explanation)
+def test_veracity_target_round_trips_through_the_parser(label, explanation):
+    assert parse_veracity_response(format_veracity_target(label, explanation)) \
+        == (label, explanation)

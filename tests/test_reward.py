@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from claimsift.errors import RewardError
 from claimsift.labels import VERACITIES, one_hot
 from claimsift.reward import (
     ReferenceStanceStats,
+    RewardOutcome,
+    StanceMean,
     centered_cosine,
     labeled_claim_reward,
     sign_similarity,
@@ -147,3 +152,83 @@ def test_unlabeled_reward_uses_mean_of_selection():
     )
     assert out.value == 0
     assert out.cosine == 0.0
+
+
+# ------------------------------------------------- running stance mean
+
+def _stacked_reward(prefix, veracity, references, centered):
+    """The unlabeled reward as first written: stack the prefix, then average."""
+    if not prefix:
+        return RewardOutcome(value=0, cosine=0.0, branch="empty")
+    reference = references.mean(veracity)
+    if reference is None:
+        return RewardOutcome(value=0, cosine=0.0, branch="cold")
+    mean = np.stack(prefix).mean(axis=0)
+    cos = centered_cosine(mean, reference, centered=centered)
+    value = 0 if abs(cos) < 1e-12 else (1 if cos > 0.0 else -1)
+    return RewardOutcome(value=value, cosine=cos, branch="unlabeled")
+
+
+def _bits(outcome):
+    return outcome.value, struct.pack("<d", outcome.cosine), outcome.branch
+
+
+# Masses that include exact and signed zeros and the tolerated -1e-10.
+_mass = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0, -1e-10]))
+
+
+@st.composite
+def _distribution(draw):
+    raw = np.array(draw(st.lists(_mass, min_size=4, max_size=4)))
+    assume(raw.sum() > 1e-3)
+    vec = raw / raw.sum()
+    assume(vec.min() >= -1e-9 and abs(vec.sum() - 1.0) <= 1e-6)
+    return vec
+
+
+@settings(max_examples=200, deadline=None)
+@given(prefix=st.lists(_distribution(), max_size=12),
+       references=st.lists(st.tuples(st.sampled_from(VERACITIES), _distribution()),
+                           max_size=6),
+       veracity=st.sampled_from(VERACITIES), centered=st.booleans())
+def test_running_mean_reward_equals_the_stacked_mean_bitwise(prefix, references,
+                                                             veracity, centered):
+    refs = ReferenceStanceStats()  # cold for every class no reference names
+    for label, distribution in references:
+        refs.update(label, distribution)
+    running = StanceMean()
+    for k in range(len(prefix) + 1):
+        if k:
+            running.add(prefix[k - 1])
+        assert len(running) == k
+        if k:
+            stacked = np.stack(prefix[:k]).mean(axis=0)
+            assert running.mean().tobytes() == stacked.tobytes()
+        expected = _bits(_stacked_reward(prefix[:k], veracity, refs, centered))
+        assert _bits(unlabeled_claim_reward(running, veracity, refs, centered)) \
+            == expected
+        assert _bits(unlabeled_claim_reward(list(prefix[:k]), veracity, refs,
+                                            centered)) == expected
+
+
+def test_stance_mean_validates_each_distribution_once_added():
+    running = StanceMean([_smoothed(0)])
+    with pytest.raises(RewardError, match="does not sum to 1"):
+        running.add([0.5, 0.5, 0.5, 0.5])
+    assert len(running) == 1
+    with pytest.raises(RewardError, match="no stance distributions"):
+        StanceMean().mean()
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_distribution(), q=_distribution(),
+       s=st.floats(1e-3, 1.0), t=st.floats(1e-3, 1.0))
+def test_cosine_sign_is_invariant_under_positive_scaling(p, q, s, t):
+    # uniform + s * (p - uniform) stays on the simplex for s in (0, 1]
+    assume(min(np.linalg.norm(p - 0.25), np.linalg.norm(q - 0.25)) > 1e-6)
+    cos = centered_cosine(p, q)
+    assume(abs(cos) > 1e-9)
+    scaled = centered_cosine(0.25 + s * (p - 0.25), 0.25 + t * (q - 0.25))
+    assert np.sign(scaled) == np.sign(cos)
+    assert sign_similarity(0.25 + s * (p - 0.25), 0.25 + t * (q - 0.25)) \
+        == sign_similarity(p, q)

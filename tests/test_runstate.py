@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from claimsift import runstate
+from claimsift import engine, runstate
 from claimsift.annotators import OracleAnnotator
 from claimsift.cli import main
 from claimsift.config import RunConfig
@@ -131,6 +131,55 @@ def test_mid_epoch_trainer_round_trips_bit_exactly(tmp_path, config):
         for report in run.reports:
             report.wall_time_s = 0.0
     assert _snapshot(resumed) == _snapshot(trainer)
+
+
+def _reachable_arrays(value, seen=None):
+    """Every array reachable from value through containers and claimsift objects."""
+    seen = set() if seen is None else seen
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _reachable_arrays(item, seen)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _reachable_arrays(item, seen)
+    elif type(value).__module__.startswith("claimsift"):
+        slots = [n for c in type(value).__mro__ for n in getattr(c, "__slots__", ())]
+        for item in [*getattr(value, "__dict__", {}).values(),
+                     *(getattr(value, n) for n in slots if hasattr(value, n))]:
+            yield from _reachable_arrays(item, seen)
+
+
+def test_resumed_trainer_keeps_no_view_of_the_file_buffer(tmp_path, monkeypatch):
+    config = RunConfig(embed_dim=D, hidden_dim=H, max_epochs=2, learning_rate=1e-3,
+                       rng_seed=9, buffer_window=None, seed_fraction=0.5)
+    trainer = _trainer(config)
+    trainer.run_epoch(limit=3)
+    path = tmp_path / "run.state"
+    trainer.save_run_state(path)
+    loaded = []
+
+    def read(state_path):
+        state, arrays = runstate.read_run_state(state_path)
+        loaded.append(arrays)
+        return state, arrays
+
+    monkeypatch.setattr(engine, "read_run_state", read)
+    resumed = _resume(path)
+    root = loaded[0]["w1"]
+    while isinstance(root, np.ndarray):
+        root = root.base
+    file_buffer = np.frombuffer(root, np.uint8)
+    assert np.shares_memory(resumed._replay.states, file_buffer)  # adopted
+    resumed.run_epoch(limit=1)  # one more claim step outgrows the adopted block
+    assert len(resumed.buffer) == 4
+    shared = [a.shape for a in _reachable_arrays(resumed)
+              if np.shares_memory(a, file_buffer)]
+    assert shared == []
 
 
 def _small_state(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from claimsift.errors import ConfigError, PoolExhausted
 from claimsift.selection import (
@@ -28,6 +29,15 @@ def test_post_sampler_epsilon_zero_is_uniform_permutation():
     drawn = [sampler.sample() for _ in range(8)]
     assert sorted(drawn) == list(range(8))
     assert sampler.last_branch == UNIFORM
+
+
+@given(n_posts=st.integers(0, 40), epsilon=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_post_sampler_draws_a_permutation(n_posts, epsilon, seed):
+    sampler = PostSampler(n_posts, epsilon, np.random.default_rng(seed))
+    drawn = [sampler.sample() for _ in range(n_posts)]
+    assert sorted(drawn) == list(range(n_posts))
+    assert sampler.remaining == 0
 
 
 def test_post_sampler_exhaustion():
@@ -113,6 +123,18 @@ def test_claim_sampler_branch_frequency():
         sampler.sample()
         greedy += sampler.last_branch == GREEDY
     assert abs(greedy / n - 0.7) < 0.02
+
+
+@given(ids=st.lists(st.text(min_size=1, max_size=6), unique=True, max_size=30),
+       n_seeds=st.integers(0, 30), epsilon=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_claim_sampler_draws_a_permutation(ids, n_seeds, epsilon, seed):
+    seeds, pool = ids[:n_seeds], ids[n_seeds:]
+    sampler = ClaimSampler(seeds, pool, epsilon, np.random.default_rng(seed))
+    drawn = [sampler.sample() for _ in range(len(ids))]
+    assert sorted(drawn) == sorted(ids)
+    with pytest.raises(PoolExhausted):
+        sampler.sample()
 
 
 def test_claim_sampler_rejects_overlap():

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from claimsift.errors import ConfigError, EmbedError, StateError
 from claimsift.state import (
+    EMBED_MEMO_SIZE,
     ContextAccumulator,
     EmbedConfig,
     HashedEmbedder,
@@ -43,6 +47,46 @@ def test_hashed_embedding_has_unit_norm_or_zero():
     assert np.linalg.norm(emb.embed("three word text")) == pytest.approx(1.0)
     np.testing.assert_array_equal(emb.embed(""), np.zeros(16))
     np.testing.assert_array_equal(emb.embed("   "), np.zeros(16))
+
+
+def _fresh_embedding(text: str, d: int) -> np.ndarray:
+    vec = np.zeros(d)
+    for token in text.lower().split():
+        vec[zlib.crc32(token.encode("utf-8")) % d] += 1.0
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0.0 else vec
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=st.lists(st.text(max_size=40), min_size=1, max_size=8),
+       d=st.integers(1, 32))
+def test_memoised_embeddings_equal_a_fresh_computation_bitwise(texts, d):
+    emb = HashedEmbedder(d)
+    for text in texts + texts[::-1]:  # the second pass is served from the memo
+        assert emb.embed(text).tobytes() == _fresh_embedding(text, d).tobytes()
+
+
+def test_memoised_embedding_is_read_only_and_shared():
+    emb = HashedEmbedder(16)
+    vec = emb.embed("breaking news flood")
+    assert emb.embed("breaking news flood") is vec
+    with pytest.raises(ValueError):
+        vec[0] = 1.0
+    with pytest.raises(ValueError):
+        vec /= 2.0
+    assert vec.tobytes() == _fresh_embedding("breaking news flood", 16).tobytes()
+
+
+def test_embedding_memo_never_exceeds_its_capacity():
+    emb = HashedEmbedder(4)
+    texts = [f"text number {i}" for i in range(EMBED_MEMO_SIZE + 50)]
+    for text in texts:
+        emb.embed(text)
+        assert emb._memo.cache_info().currsize <= EMBED_MEMO_SIZE
+    assert emb._memo.cache_info().currsize == EMBED_MEMO_SIZE
+    # the oldest text was evicted and is computed again, to the same vector
+    assert emb.embed(texts[0]).tobytes() == _fresh_embedding(texts[0], 4).tobytes()
+    assert emb._memo.cache_info().currsize == EMBED_MEMO_SIZE
 
 
 def test_hashed_embedder_rejects_bad_width():
@@ -175,6 +219,17 @@ def test_build_state_rejects_bad_shapes_and_values():
     with pytest.raises(StateError) as err:
         build_state(np.ones(4), np.ones(4), np.array([1.0, np.nan, 0.0, 0.0]))
     assert "non-finite" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", [0, 1, 2])
+def test_build_state_names_the_non_finite_part(part, bad):
+    vecs = [np.ones(4), np.zeros(4), np.full(4, 0.5)]
+    vecs[part] = np.array([0.0, 1.0, bad, 0.0])
+    with pytest.raises(StateError) as err:
+        build_state(*vecs)
+    name = ("claim", "context", "explanation")[part]
+    assert str(err.value) == f"{name} vector contains non-finite values"
 
 
 def test_pack_text_forms():
