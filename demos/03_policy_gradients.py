@@ -55,7 +55,7 @@ def main():
     state_dim, hidden_dim = 8, 6
     params = init_params(state_dim, hidden_dim, rng)
     optimizer = OptimizerState(learning_rate=0.05, warmup_fraction=0.0,
-                               max_epochs=1, planned_updates=args.steps)
+                               planned_updates=args.steps)
 
     probe = rng.normal(size=state_dim)
     print(f"p(retain) on a probe state before training: "

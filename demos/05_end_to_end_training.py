@@ -16,8 +16,8 @@ from claimsift.config import RunConfig
 from claimsift.corpus import SynthConfig, generate_synthetic
 from claimsift.engine import Trainer
 from claimsift.metrics import evaluate
-from claimsift.policy import LEVEL_POST, RETAIN, init_params, sample_action
-from claimsift.state import ContextAccumulator, HashedEmbedder, build_state, pack_post_text
+from claimsift.policy import RETAIN, init_params
+from claimsift.state import ContextAccumulator, HashedEmbedder, decide_post
 
 
 def skewed_mix(weight=0.85):
@@ -32,6 +32,8 @@ def skewed_mix(weight=0.85):
 
 
 def measure_gap(params, dataset, embedder, seed):
+    """Retain rates of signal and noise posts, each thread walked in order
+    with the decision step that training uses."""
     sd = OracleAnnotator(rng=np.random.default_rng(seed))
     action_rng = np.random.default_rng(seed + 1)
     marked, noise = [], []
@@ -40,16 +42,9 @@ def measure_gap(params, dataset, embedder, seed):
         context = ContextAccumulator(embedder.d)
         for post in claim.posts:
             annotation = annotate_post(sd, claim, post)
-            post_vec = embedder.embed(
-                pack_post_text(post.text, annotation.label,
-                               annotation.explanation)
-            )
-            state = build_state(claim_vec, context.mean(), post_vec)
-            step = sample_action(params, state, action_rng, LEVEL_POST)
-            retained = step.action == RETAIN
-            (noise if post.stance is None else marked).append(retained)
-            if retained:
-                context.add(post_vec)
+            step = decide_post(params, action_rng, embedder, claim_vec, context,
+                               post.text, annotation)
+            (noise if post.stance is None else marked).append(step.action == RETAIN)
     return float(np.mean(marked)), float(np.mean(noise))
 
 
@@ -91,10 +86,10 @@ def main():
         embedder,
     )
     print(f"training on {len(train_ds)} claims, {args.epochs} epochs:")
-    for report in trainer.train():
-        print(f"  epoch {report.epoch}: claim_reward={report.mean_claim_reward:+.3f} "
-              f"post_reward={report.mean_post_reward:+.3f} "
-              f"retained={report.posts_retained}/{report.posts_annotated}")
+    trainer.train(on_epoch=lambda report: print(
+        f"  epoch {report.epoch}: claim_reward={report.mean_claim_reward:+.3f} "
+        f"post_reward={report.mean_post_reward:+.3f} "
+        f"retained={report.posts_retained}/{report.posts_annotated}"))
 
     marked, noise = measure_gap(trainer.params, held_out, embedder, 909)
     print(f"\nheld-out retain rates: signal={marked:.3f} noise={noise:.3f} "

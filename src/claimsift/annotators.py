@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -39,6 +38,7 @@ from .prompts import (
     parse_stance_response,
     parse_veracity_response,
 )
+from .transport import post_json
 
 logger = logging.getLogger(__name__)
 
@@ -52,19 +52,16 @@ _STANCE_LINE_RE = re.compile(r"\(Stance: (Support|Deny|Question|Comment)\)")
 
 
 @dataclass
-class StanceAnnotation:
+class Annotation:
+    """A validated label with its distribution over the task's labels."""
+
     label: str
     distribution: np.ndarray
     explanation: str
     raw: str
 
 
-@dataclass
-class VeracityAnnotation:
-    label: str
-    distribution: np.ndarray
-    explanation: str
-    raw: str
+StanceAnnotation = VeracityAnnotation = Annotation
 
 
 @dataclass(frozen=True)
@@ -99,14 +96,7 @@ class BackendConfig:
             raise ConfigError(f"{prefix}.max_in_flight: must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "endpoint": self.endpoint,
-            "oracle_accuracy": self.oracle_accuracy,
-            "smoothing_alpha": self.smoothing_alpha,
-            "timeout": self.timeout,
-            "max_in_flight": self.max_in_flight,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(raw: dict, prefix: str = "backend") -> "BackendConfig":
@@ -118,10 +108,14 @@ class BackendConfig:
 
 @dataclass
 class BackendReply:
+    """A backend's answer. The fields hold what the backend sent, of any
+    type; the parser rejects a label or explanation that is not a string
+    and a distribution that is not four numbers."""
+
     raw: str
     label: str | None = None
     explanation: str | None = None
-    distribution: np.ndarray | None = None
+    distribution: np.ndarray | Sequence[float] | None = None
 
 
 def smoothed_one_hot(index: int, alpha: float) -> np.ndarray:
@@ -224,28 +218,24 @@ class OracleAnnotator:
             distribution = np.full(4, 0.25, dtype=np.float64)
             label = canonical_argmax(distribution, "veracity")
             explanation = "No responding posts are available to assess the claim."
-            return BackendReply(
-                raw=format_veracity_target(label, explanation),
-                label=VERACITY_NAMES[label],
-                explanation=explanation,
-                distribution=distribution,
+        else:
+            truth = truth_match.group(1).upper()
+            modal = self.modal_stance[truth]
+            stances = [normalize_stance(name) for name in stance_names]
+            matched = sum(1 for s in stances if s == modal)
+            p_correct = min(0.25 + 0.75 * matched / len(stances), self.accuracy)
+            index = self._emit(VERACITY_INDEX[truth], p_correct)
+            label = VERACITIES[index]
+            explanation = (
+                "The responding stances are most consistent with "
+                f"{VERACITY_NAMES[label].lower()}."
             )
-        truth = truth_match.group(1).upper()
-        modal = self.modal_stance[truth]
-        stances = [normalize_stance(name) for name in stance_names]
-        matched = sum(1 for s in stances if s == modal)
-        p_correct = min(0.25 + 0.75 * matched / len(stances), self.accuracy)
-        index = self._emit(VERACITY_INDEX[truth], p_correct)
-        label = VERACITIES[index]
-        explanation = (
-            "The responding stances are most consistent with "
-            f"{VERACITY_NAMES[label].lower()}."
-        )
+            distribution = self._mass(index, p_correct)
         return BackendReply(
             raw=format_veracity_target(label, explanation),
             label=VERACITY_NAMES[label],
             explanation=explanation,
-            distribution=self._mass(index, p_correct),
+            distribution=distribution,
         )
 
     def complete(self, task: str, prompt: str) -> BackendReply:
@@ -273,9 +263,10 @@ class HttpAnnotator:
     """JSON-over-HTTP annotation backend.
 
     POST {endpoint}/annotate with {"task", "prompt"} and expects
-    {"label", "explanation"?, "distribution"?}. Transport failures, timeouts,
-    and 5xx responses are retried twice with a short backoff; 4xx responses
-    fail immediately. POST {endpoint}/finetune with {"task", "examples"} (and
+    {"label", "explanation"?, "distribution"?}; the reply's fields are
+    passed on as received and checked by the parser. Requests go through
+    claimsift.transport.post_json (three attempts; 4xx fails at once).
+    POST {endpoint}/finetune with {"task", "examples"} (and
     an "origin" tag for warm-up corpora) returns a job token.
     """
 
@@ -290,46 +281,16 @@ class HttpAnnotator:
         self._session = session or requests.Session()
 
     def _post(self, route: str, body: dict) -> dict:
-        url = self.config.endpoint.rstrip("/") + route
-        last_error: Exception | None = None
-        for attempt in range(3):
-            if attempt:
-                time.sleep(0.05 * attempt)
-            try:
-                resp = self._session.post(url, json=body, timeout=self.config.timeout)
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                last_error = exc
-                continue
-            if resp.status_code >= 500:
-                last_error = AnnotatorError(
-                    f"{url} returned {resp.status_code}"
-                )
-                continue
-            if resp.status_code >= 400:
-                raise AnnotatorError(
-                    f"{url} rejected the request with {resp.status_code}"
-                )
-            try:
-                data = resp.json()
-            except ValueError:
-                last_error = AnnotatorError(f"{url} returned a non-JSON body")
-                continue
-            if not isinstance(data, dict):
-                last_error = AnnotatorError(f"{url} returned a non-object body")
-                continue
-            return data
-        raise AnnotatorError(f"{url} failed after retries: {last_error}")
+        return post_json(self._session, self.config.endpoint.rstrip("/") + route,
+                         body, self.config.timeout, AnnotatorError)
 
     def complete(self, task: str, prompt: str) -> BackendReply:
         data = self._post("/annotate", {"task": task, "prompt": prompt})
-        distribution = data.get("distribution")
-        if distribution is not None:
-            distribution = np.asarray(distribution, dtype=np.float64)
         return BackendReply(
             raw=json.dumps(data),
             label=data.get("label"),
             explanation=data.get("explanation"),
-            distribution=distribution,
+            distribution=data.get("distribution"),
         )
 
     def finetune(self, task: str, examples: list[dict], origin: str = "selected") -> str:
@@ -352,10 +313,11 @@ def make_backend(config: BackendConfig, rng: np.random.Generator | int = 0):
     )
 
 
-def _validated_distribution(
-    distribution: np.ndarray, label_index: int, raw: str
-) -> np.ndarray:
-    arr = np.asarray(distribution, dtype=np.float64)
+def _validated_distribution(distribution, label_index: int, raw: str) -> np.ndarray:
+    try:
+        arr = np.asarray(distribution, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ParseError("distribution must be 4 finite values", raw=raw) from None
     if arr.shape != (4,) or not np.isfinite(arr).all():
         raise ParseError("distribution must be 4 finite values", raw=raw)
     if arr.min() < -1e-9 or abs(float(arr.sum()) - 1.0) > 1e-6:
@@ -365,58 +327,56 @@ def _validated_distribution(
     return np.maximum(arr, 0.0)  # np.clip(arr, 0.0, None), without its dispatch
 
 
-def _reply_alpha(backend) -> float:
-    return getattr(backend, "smoothing_alpha", 0.1)
+# Per task: the label normalizer, the free-text parser and the label order.
+_TASKS = {
+    TASK_STANCE: (normalize_stance, parse_stance_response, STANCE_INDEX),
+    TASK_VERACITY: (normalize_veracity, parse_veracity_response, VERACITY_INDEX),
+}
 
 
-def _stance_from_reply(reply: BackendReply, alpha: float) -> StanceAnnotation:
+def _from_reply(task: str, reply: BackendReply, alpha: float) -> Annotation:
+    """The task's annotation of a backend reply; ParseError when it has none.
+
+    A structured label wins over the raw text, a given explanation over the
+    parsed one, and a missing distribution becomes a smoothed one-hot.
+    """
+    normalize, parse, index = _TASKS[task]
+    for name, value in (("label", reply.label), ("explanation", reply.explanation)):
+        if value is not None and not isinstance(value, str):
+            raise ParseError(f"{task} {name} must be a string, got {value!r}",
+                             raw=reply.raw)
     if reply.label is not None:
-        label = normalize_stance(reply.label)
+        label = normalize(reply.label)
         if label is None:
-            raise ParseError(f"unknown stance label {reply.label!r}", raw=reply.raw)
-        explanation = reply.explanation if reply.explanation is not None else ""
+            raise ParseError(f"unknown {task} label {reply.label!r}", raw=reply.raw)
+        explanation = ""
     else:
-        label, explanation = parse_stance_response(reply.raw)
-        if reply.explanation is not None:
-            explanation = reply.explanation
-    index = STANCE_INDEX[label]
+        label, explanation = parse(reply.raw)
+    if reply.explanation is not None:
+        explanation = reply.explanation
     if reply.distribution is not None:
-        distribution = _validated_distribution(reply.distribution, index, reply.raw)
+        distribution = _validated_distribution(reply.distribution, index[label], reply.raw)
     else:
-        distribution = smoothed_one_hot(index, alpha)
-    return StanceAnnotation(label, distribution, explanation, reply.raw)
+        distribution = smoothed_one_hot(index[label], alpha)
+    return Annotation(label, distribution, explanation, reply.raw)
 
 
-def _veracity_from_reply(reply: BackendReply, alpha: float) -> VeracityAnnotation:
-    if reply.label is not None:
-        label = normalize_veracity(reply.label)
-        if label is None:
-            raise ParseError(f"unknown veracity label {reply.label!r}", raw=reply.raw)
-        explanation = reply.explanation if reply.explanation is not None else ""
-    else:
-        label, explanation = parse_veracity_response(reply.raw)
-        if reply.explanation is not None:
-            explanation = reply.explanation
-    index = VERACITY_INDEX[label]
-    if reply.distribution is not None:
-        distribution = _validated_distribution(reply.distribution, index, reply.raw)
-    else:
-        distribution = smoothed_one_hot(index, alpha)
-    return VeracityAnnotation(label, distribution, explanation, reply.raw)
+def _annotate(backend, task: str, prompt: str) -> Annotation:
+    """Ask the backend to annotate a prompt; an unparseable reply is asked
+    for once more before its ParseError is raised."""
+    alpha = getattr(backend, "smoothing_alpha", 0.1)
+    for attempt in range(2):
+        reply = backend.complete(task, prompt)
+        try:
+            return _from_reply(task, reply, alpha)
+        except ParseError:
+            if attempt:
+                raise
 
 
 def annotate_post(backend, claim: Claim, post: Post) -> StanceAnnotation:
     """Stance-annotate one post. Retries an unparseable reply once."""
-    prompt = build_stance_prompt(claim, post)
-    alpha = _reply_alpha(backend)
-    last: ParseError | None = None
-    for _ in range(2):
-        reply = backend.complete(TASK_STANCE, prompt)
-        try:
-            return _stance_from_reply(reply, alpha)
-        except ParseError as exc:
-            last = exc
-    raise last
+    return _annotate(backend, TASK_STANCE, build_stance_prompt(claim, post))
 
 
 def annotate_claim(
@@ -424,15 +384,7 @@ def annotate_claim(
 ) -> VeracityAnnotation:
     """Veracity-annotate a claim given its retained, stance-labeled posts."""
     prompt = build_veracity_prompt(claim, [(p, a.label) for p, a in retained])
-    alpha = _reply_alpha(backend)
-    last: ParseError | None = None
-    for _ in range(2):
-        reply = backend.complete(TASK_VERACITY, prompt)
-        try:
-            return _veracity_from_reply(reply, alpha)
-        except ParseError as exc:
-            last = exc
-    raise last
+    return _annotate(backend, TASK_VERACITY, prompt)
 
 
 def fine_tune(backend, examples: Sequence[FineTuneExample]) -> str | None:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .annotators import export_finetune_set, make_backend
 from .config import RunConfig, load_config, resolve_config, save_config
-from .corpus import SynthConfig, generate_synthetic, load_dataset, save_dataset
+from .corpus import (SynthConfig, generate_synthetic, load_dataset, read_jsonl,
+                     save_dataset)
 from .engine import Trainer, load_run_state_payload
 from .errors import (
     CheckpointError,
@@ -23,6 +24,7 @@ from .errors import (
     ConfigError,
     DatasetError,
 )
+from .labels import STANCE_NAMES
 from .metrics import evaluate
 from .policy import load_checkpoint, save_checkpoint
 from .state import build_embedder, pack_post_text
@@ -67,24 +69,20 @@ def cmd_train(args) -> int:
     trainer = Trainer(config, dataset, sd, rv, embedder)
     save_config(config, out / "config.resolved.json")
 
-    with (out / "run_log.jsonl").open("w", encoding="utf-8") as log:
-        trainer.set_event_sink(
-            lambda event: log.write(json.dumps(event) + "\n")
+    def on_epoch(report) -> None:
+        save_checkpoint(trainer.params, trainer.optimizer,
+                        out / f"policy_epoch_{report.epoch:03d}.ckpt")
+        print(
+            f"epoch {report.epoch}: claims={report.claims_processed} "
+            f"posts={report.posts_annotated} retained={report.posts_retained} "
+            f"mean_claim_reward={report.mean_claim_reward:+.3f} "
+            f"mean_post_reward={report.mean_post_reward:+.3f}"
+            + (" [terminated]" if report.terminated else "")
         )
-        trainer.pretrain()
-        while not trainer.terminated and trainer.epoch_index < config.max_epochs:
-            report = trainer.run_epoch()
-            save_checkpoint(
-                trainer.params, trainer.optimizer,
-                out / f"policy_epoch_{report.epoch:03d}.ckpt",
-            )
-            print(
-                f"epoch {report.epoch}: claims={report.claims_processed} "
-                f"posts={report.posts_annotated} retained={report.posts_retained} "
-                f"mean_claim_reward={report.mean_claim_reward:+.3f} "
-                f"mean_post_reward={report.mean_post_reward:+.3f}"
-                + (" [terminated]" if report.terminated else "")
-            )
+
+    with (out / "run_log.jsonl").open("w", encoding="utf-8") as log:
+        trainer.set_event_sink(lambda event: log.write(json.dumps(event) + "\n"))
+        trainer.train(on_epoch=on_epoch)
         trainer.set_event_sink(None)
 
     save_checkpoint(trainer.params, trainer.optimizer, out / "policy.ckpt")
@@ -172,13 +170,16 @@ def cmd_export_embeddings(args) -> int:
         raise ConfigError(f"run directory has no annotations.jsonl: {run_dir}")
     embedder = build_embedder(config.embed_backend, config.embed_dim)
     out_path = Path(args.out) if args.out else run_dir / "embeddings.jsonl"
-    count = 0
-    with annotations_path.open("r", encoding="utf-8") as src, \
-            out_path.open("w", encoding="utf-8") as dst:
-        for line in src:
-            if not line.strip():
-                continue
-            record = json.loads(line)
+    records = []  # all are checked before the output file is opened
+    for line_no, record in read_jsonl(annotations_path):
+        if not all(isinstance(record.get(key), str) for key in
+                   ("post_id", "post_text", "stance", "explanation")) \
+                or record["stance"] not in STANCE_NAMES:
+            raise DatasetError("annotation record needs 'post_id', 'post_text', "
+                               "'explanation' and a stance label", line=line_no)
+        records.append(record)
+    with out_path.open("w", encoding="utf-8") as dst:
+        for record in records:
             vector = embedder.embed(
                 pack_post_text(
                     record["post_text"], record["stance"], record["explanation"]
@@ -194,8 +195,7 @@ def cmd_export_embeddings(args) -> int:
                 )
                 + "\n"
             )
-            count += 1
-    print(f"wrote {count} embedding records to {out_path}")
+    print(f"wrote {len(records)} embedding records to {out_path}")
     return 0
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .annotators import BackendConfig
@@ -34,9 +34,7 @@ class RunConfig:
     max_posts: int = 30
     learning_rate: float = 5e-5
     warmup_fraction: float = 0.1
-    batch_size: int = 4
     max_epochs: int = 50
-    smoothing_alpha: float = 0.1
     centered_rewards: bool = True
     incremental_veracity: bool = False
     use_baseline: bool = False
@@ -68,12 +66,8 @@ class RunConfig:
             raise ConfigError("learning_rate: must be > 0")
         if not 0.0 <= self.warmup_fraction <= 1.0:
             raise ConfigError("warmup_fraction: must be in [0, 1]")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size: must be >= 1")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs: must be >= 1")
-        if not 0.0 <= self.smoothing_alpha < 1.0:
-            raise ConfigError("smoothing_alpha: must be in [0, 1)")
         if not 0.0 <= self.baseline_momentum < 1.0:
             raise ConfigError("baseline_momentum: must be in [0, 1)")
         if self.buffer_window is not None and self.buffer_window < 1:
@@ -83,15 +77,7 @@ class RunConfig:
         self.embed_backend.validate("embed_backend")
 
     def to_dict(self) -> dict:
-        out = {
-            name: getattr(self, name)
-            for name in self.__dataclass_fields__
-            if name not in ("sd_backend", "rv_backend", "embed_backend")
-        }
-        out["sd_backend"] = self.sd_backend.to_dict()
-        out["rv_backend"] = self.rv_backend.to_dict()
-        out["embed_backend"] = self.embed_backend.to_dict()
-        return out
+        return asdict(self)  # the backend configs become nested dicts
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":

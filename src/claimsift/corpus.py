@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -158,20 +159,13 @@ def _parse_claim(record: dict, line: int) -> Claim:
     return Claim(claim_id=claim_id, text=text, veracity=veracity, posts=tuple(posts))
 
 
-def load_dataset(path: str | Path, fmt: str = "jsonl") -> Dataset:
-    """Load a JSONL corpus, validating every record.
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
+    """(line number, record) for each non-blank line of a JSONL file.
 
-    Raises DatasetError with the offending line number on malformed input.
-    An empty file yields an empty Dataset.
+    Malformed JSON, or a line that is not a JSON object, raises DatasetError
+    with its line number.
     """
-    if fmt != "jsonl":
-        raise DatasetError(f"unsupported format {fmt!r}")
-    path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"dataset file not found: {path}")
-    claims: list[Claim] = []
-    seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -181,13 +175,26 @@ def load_dataset(path: str | Path, fmt: str = "jsonl") -> Dataset:
                 raise DatasetError(f"malformed JSON ({exc.msg})", line=line_no) from exc
             if not isinstance(record, dict):
                 raise DatasetError("record is not an object", line=line_no)
-            claim = _parse_claim(record, line_no)
-            if claim.claim_id in seen_ids:
-                raise DatasetError(
-                    f"duplicate claim_id {claim.claim_id!r}", line=line_no
-                )
-            seen_ids.add(claim.claim_id)
-            claims.append(claim)
+            yield line_no, record
+
+
+def load_dataset(path: str | Path) -> Dataset:
+    """Load a JSONL corpus, validating every record.
+
+    Raises DatasetError with the offending line number on malformed input.
+    An empty file yields an empty Dataset.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DatasetError(f"dataset file not found: {path}")
+    claims: list[Claim] = []
+    seen_ids: set[str] = set()
+    for line_no, record in read_jsonl(path):
+        claim = _parse_claim(record, line_no)
+        if claim.claim_id in seen_ids:
+            raise DatasetError(f"duplicate claim_id {claim.claim_id!r}", line=line_no)
+        seen_ids.add(claim.claim_id)
+        claims.append(claim)
     return Dataset(name=path.stem, claims=tuple(claims))
 
 

@@ -15,7 +15,6 @@ a single checksummed file, so a killed run resumes bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 import zlib
@@ -38,7 +37,7 @@ from .annotators import (
     format_veracity_target,
 )
 from .config import RunConfig
-from .corpus import Claim, Dataset, mask_nonseed_labels, split_seeds
+from .corpus import Claim, Dataset, mask_nonseed_labels, read_jsonl, split_seeds
 from .errors import (
     AnnotatorError,
     CheckpointError,
@@ -73,7 +72,7 @@ from .reward import (
 )
 from .runstate import read_run_state, write_run_state
 from .selection import ClaimSampler, PostSampler, TerminationTracker
-from .state import ContextAccumulator, build_state, pack_claim_text, pack_post_text
+from .state import ContextAccumulator, build_state, decide_post, pack_claim_text
 
 logger = logging.getLogger(__name__)
 
@@ -138,22 +137,10 @@ def _load_prompt_target_jsonl(path: str | Path) -> list[dict]:
     if not path.exists():
         raise ConfigError(f"sd_pretrain_path: file not found: {path}")
     records = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"malformed JSON ({exc.msg})", line=line_no)
-            if not isinstance(record, dict) or "prompt" not in record \
-                    or "target" not in record:
-                raise DatasetError(
-                    "warm-up record needs 'prompt' and 'target'", line=line_no
-                )
-            records.append(
-                {"prompt": str(record["prompt"]), "target": str(record["target"])}
-            )
+    for line_no, record in read_jsonl(path):
+        if "prompt" not in record or "target" not in record:
+            raise DatasetError("warm-up record needs 'prompt' and 'target'", line=line_no)
+        records.append({"prompt": str(record["prompt"]), "target": str(record["target"])})
     return records
 
 
@@ -341,8 +328,6 @@ class Trainer:
         self.optimizer = OptimizerState(
             learning_rate=config.learning_rate,
             warmup_fraction=config.warmup_fraction,
-            batch_size=config.batch_size,
-            max_epochs=config.max_epochs,
             planned_updates=config.max_epochs * max(1, len(self._claims)),
         )
         self.baseline = (
@@ -468,24 +453,14 @@ class Trainer:
             post = claim.posts[index]
             try:
                 annotation = annotate_post(self.sd, claim, post)
-                state = build_state(
-                    claim_vec,
-                    post_context.mean(),
-                    self.embedder.embed(annotation.explanation),
-                )
-                step = sample_action(self.params, state, self._action_rng, LEVEL_POST)
-                if step.action == RETAIN:
-                    context_vec = self.embedder.embed(
-                        pack_post_text(post.text, annotation.label,
-                                       annotation.explanation)
-                    )
+                step = decide_post(self.params, self._action_rng, self.embedder,
+                                   claim_vec, post_context, post.text, annotation)
             except (ParseError, AnnotatorError, EmbedError) as exc:
                 failures += 1
                 logger.warning("skipping post %s: %s", post.post_id, exc)
                 continue
             if step.action == RETAIN:
                 retained_pairs.append((post, annotation))
-                post_context.add(context_vec)
                 if is_seed and truth is not None:
                     self.references.update(truth, annotation.distribution)
                 if config.incremental_veracity:
@@ -528,35 +503,24 @@ class Trainer:
             )
             return None, failures
 
-        if truth is not None:
-            outcome = labeled_claim_reward(
-                verdict.distribution, truth, config.centered_rewards
-            )
-            claim_step.reward = outcome.value
-            if not config.incremental_veracity:
+        if truth is None and not config.incremental_veracity:
+            # each sub-step is scored on the retained posts up to it
+            post_cosines = []
+            for _post, annotation, step in annotated:
+                if step.action == RETAIN:
+                    retained_stance.add(annotation.distribution)
+                sub = self._claim_outcome(verdict, truth, retained_stance)
+                step.reward = sub.value
+                post_cosines.append(sub.cosine)
+        outcome = self._claim_outcome(verdict, truth, retained_stance)
+        claim_step.reward = outcome.value
+
+        if not config.incremental_veracity:
+            if truth is not None:
                 # terminal credit: each sub-step inherits the claim's reward
                 for _post, _annotation, step in annotated:
                     step.reward = outcome.value
                 post_cosines = [outcome.cosine] * len(annotated)
-        else:
-            if not config.incremental_veracity:
-                post_cosines = []
-                for _post, annotation, step in annotated:
-                    if step.action == RETAIN:
-                        retained_stance.add(annotation.distribution)
-                    sub = unlabeled_claim_reward(
-                        retained_stance, verdict.label, self.references,
-                        config.centered_rewards,
-                    )
-                    step.reward = sub.value
-                    post_cosines.append(sub.cosine)
-            outcome = unlabeled_claim_reward(
-                retained_stance, verdict.label, self.references,
-                config.centered_rewards,
-            )
-            claim_step.reward = outcome.value
-
-        if not config.incremental_veracity:
             for _post, _annotation, step in annotated:
                 if post_tracker.observe(step.reward):
                     post_terminated = True
@@ -630,6 +594,11 @@ class Trainer:
                 "incremental veracity call failed on %s: %s", claim.claim_id, exc
             )
             return None
+        return self._claim_outcome(verdict, truth, retained_stance)
+
+    def _claim_outcome(self, verdict, truth, retained_stance):
+        """A verdict's reward: against the truth on a labeled claim, else
+        against the mean stance of the retained posts."""
         if truth is not None:
             return labeled_claim_reward(
                 verdict.distribution, truth, self.config.centered_rewards
@@ -695,19 +664,12 @@ class Trainer:
         acc["claim_reward_sum"] += trajectory.claim_step.reward
         acc["post_reward_sum"] += sum(s.reward for s in trajectory.post_steps)
         acc["post_terminations"] += int(trajectory.post_terminated)
-        for step, cosine in zip(trajectory.post_steps, trajectory.post_cosines):
+        for step, cosine in (*zip(trajectory.post_steps, trajectory.post_cosines),
+                             (trajectory.claim_step, trajectory.claim_cosine)):
             self._emit(
                 claim_id=claim_id, level=step.level, action=step.action,
                 reward=step.reward, cosine=cosine, p_retain=step.p_retain,
             )
-        self._emit(
-            claim_id=claim_id,
-            level=trajectory.claim_step.level,
-            action=trajectory.claim_step.action,
-            reward=trajectory.claim_step.reward,
-            cosine=trajectory.claim_cosine,
-            p_retain=trajectory.claim_step.p_retain,
-        )
         acc["wall"] += time.perf_counter() - t0
 
     def _epoch_has_work(self) -> bool:
@@ -769,13 +731,20 @@ class Trainer:
             return None
         return self._finish_epoch()
 
-    def train(self) -> list[EpochReport]:
-        """Warm-up once, then epochs until max_epochs or early termination."""
+    def train(
+        self, on_epoch: Callable[[EpochReport], None] | None = None
+    ) -> list[EpochReport]:
+        """Warm-up once, then epochs until max_epochs or early termination.
+
+        `on_epoch`, when given, receives each finished epoch's report.
+        """
         self.pretrain()
         while not self.terminated and (
             self._epoch_active or self.epoch_index < self.config.max_epochs
         ):
-            self.run_epoch()
+            report = self.run_epoch()
+            if on_epoch is not None:
+                on_epoch(report)
         return self.reports
 
     # ------------------------------------------------------------ persistence

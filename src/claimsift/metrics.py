@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -20,8 +20,8 @@ from .annotators import annotate_claim, annotate_post
 from .corpus import Claim, Dataset
 from .errors import AnnotatorError, EmptyEvaluation, ParseError
 from .labels import STANCES, VERACITIES
-from .policy import LEVEL_POST, PolicyParams, RETAIN, sample_action
-from .state import ContextAccumulator, build_state, pack_post_text
+from .policy import PolicyParams, RETAIN
+from .state import ContextAccumulator, decide_post
 
 
 class ConfusionMatrix:
@@ -91,16 +91,7 @@ class TaskMetrics:
     confusion: list
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "n_instances": self.n_instances,
-            "n_scored": self.n_scored,
-            "abstentions": self.abstentions,
-            "micro_f1": self.micro_f1,
-            "macro_f1": self.macro_f1,
-            "per_class": self.per_class,
-            "confusion": self.confusion,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -109,10 +100,7 @@ class EvalReport:
     veracity: TaskMetrics | None
 
     def to_dict(self) -> dict:
-        return {
-            "stance": self.stance.to_dict() if self.stance else None,
-            "veracity": self.veracity.to_dict() if self.veracity else None,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -170,10 +158,11 @@ def evaluate(
     Stance is scored over every post carrying a gold stance. Veracity is
     scored per claim; when a policy is given (with its embedder), posts are
     filtered through retain/discard decisions and the veracity backend sees
-    only the retained ones. The decisions use training's state and policy,
-    but the walk differs: every annotated post of the thread is decided in
-    chronological order, with no epsilon-greedy sampling, no `max_posts`
-    cap and no post-level termination.
+    only the retained ones. Each decision is training's own step,
+    `claimsift.state.decide_post`. What differs from training is the walk:
+    every annotated post of the thread is decided in chronological order
+    (no epsilon-greedy post order), with no `max_posts` cap and no
+    post-level termination.
     """
     if len(dataset) == 0:
         raise EmptyEvaluation("dataset has no claims")
@@ -212,19 +201,10 @@ def evaluate(
             context = ContextAccumulator(embedder.d)
             retained = []
             for post, annotation in annotated:
-                state = build_state(
-                    claim_vec, context.mean(), embedder.embed(annotation.explanation)
-                )
-                step = sample_action(params, state, rng, LEVEL_POST)
+                step = decide_post(params, rng, embedder, claim_vec, context,
+                                   post.text, annotation)
                 if step.action == RETAIN:
                     retained.append((post, annotation))
-                    context.add(
-                        embedder.embed(
-                            pack_post_text(
-                                post.text, annotation.label, annotation.explanation
-                            )
-                        )
-                    )
         if claim.veracity is not None:
             veracity_instances += 1
             try:

@@ -387,8 +387,6 @@ class OptimizerState:
 
     learning_rate: float = 5e-5
     warmup_fraction: float = 0.1
-    batch_size: int = 4
-    max_epochs: int = 50
     planned_updates: int = 0  # 0 means unknown: no warm-up scaling
     beta1: float = 0.9
     beta2: float = 0.999
@@ -463,8 +461,8 @@ def reinforce_update(
 
 
 _MAGIC = b"CSPOLICY"
-_VERSION = 1
-_HEAD = struct.Struct("<8sIIIQQII5d")  # magic, version, dims, counters, hypers
+_VERSION = 2
+_HEAD = struct.Struct("<8sIIIQQ5d")  # magic, version, dims, counters, hypers
 
 
 def save_checkpoint(
@@ -480,8 +478,6 @@ def save_checkpoint(
         params.hidden_dim,
         optimizer.step,
         optimizer.planned_updates,
-        optimizer.batch_size,
-        optimizer.max_epochs,
         optimizer.learning_rate,
         optimizer.warmup_fraction,
         optimizer.beta1,
@@ -506,8 +502,7 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, OptimizerState]:
         raise CheckpointError("not a policy checkpoint (bad magic)")
     (
         _magic, version, state_dim, hidden_dim, step, planned_updates,
-        batch_size, max_epochs, learning_rate, warmup_fraction,
-        beta1, beta2, eps,
+        learning_rate, warmup_fraction, beta1, beta2, eps,
     ) = _HEAD.unpack_from(blob)
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
@@ -531,8 +526,6 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, OptimizerState]:
     optimizer = OptimizerState(
         learning_rate=learning_rate,
         warmup_fraction=warmup_fraction,
-        batch_size=batch_size,
-        max_epochs=max_epochs,
         planned_updates=planned_updates,
         beta1=beta1,
         beta2=beta2,

@@ -54,12 +54,13 @@ def centered_cosine(p, q, centered: bool = True) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
+def _sign(cos: float) -> int:
+    return 0 if abs(cos) < _EPS else (1 if cos > 0.0 else -1)
+
+
 def sign_similarity(p, q, centered: bool = True) -> int:
     """Sign of the (centered) cosine: -1, 0, or +1, with a 1e-12 dead zone."""
-    cos = centered_cosine(p, q, centered=centered)
-    if abs(cos) < _EPS:
-        return 0
-    return 1 if cos > 0.0 else -1
+    return _sign(centered_cosine(p, q, centered=centered))
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,7 @@ def labeled_claim_reward(
         raise RewardError(f"unknown veracity label {truth_label!r}")
     target = one_hot(truth_label, "veracity")
     cos = centered_cosine(predicted_distribution, target, centered=centered)
-    value = 0 if abs(cos) < _EPS else (1 if cos > 0.0 else -1)
-    return RewardOutcome(value=value, cosine=cos, branch="labeled")
+    return RewardOutcome(value=_sign(cos), cosine=cos, branch="labeled")
 
 
 class ReferenceStanceStats:
@@ -169,5 +169,4 @@ def unlabeled_claim_reward(
     if reference is None:
         return RewardOutcome(value=0, cosine=0.0, branch="cold")
     cos = centered_cosine(selected.mean(), reference, centered=centered)
-    value = 0 if abs(cos) < _EPS else (1 if cos > 0.0 else -1)
-    return RewardOutcome(value=value, cosine=cos, branch="unlabeled")
+    return RewardOutcome(value=_sign(cos), cosine=cos, branch="unlabeled")

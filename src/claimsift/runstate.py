@@ -28,7 +28,7 @@ import numpy as np
 from .errors import CheckpointError
 
 MAGIC = b"CSFTRUN\x01"
-VERSION = 2
+VERSION = 3
 _HEAD = struct.Struct("<8sIQ")
 _U64 = struct.Struct("<Q")
 _CRC = struct.Struct("<I")

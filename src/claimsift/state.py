@@ -8,7 +8,6 @@ embeddings, and the embedding of the annotator's explanation.
 from __future__ import annotations
 
 import functools
-import time
 import zlib
 from dataclasses import dataclass
 
@@ -17,6 +16,8 @@ import requests
 
 from .errors import ConfigError, EmbedError, StateError
 from .labels import STANCE_NAMES, VERACITY_NAMES
+from .policy import LEVEL_POST, RETAIN, PolicyParams, Step, sample_action
+from .transport import post_json
 
 
 @dataclass
@@ -97,36 +98,18 @@ class ServiceEmbedder:
         self._session = session or requests.Session()
 
     def embed(self, text: str) -> np.ndarray:
-        url = self.endpoint.rstrip("/") + "/embed"
-        last_error: Exception | None = None
-        for attempt in range(3):
-            if attempt:
-                time.sleep(0.05 * attempt)
-            try:
-                resp = self._session.post(
-                    url, json={"text": text}, timeout=self.timeout
-                )
-            except (requests.ConnectionError, requests.Timeout) as exc:
-                last_error = exc
-                continue
-            if resp.status_code >= 500:
-                last_error = EmbedError(f"{url} returned {resp.status_code}")
-                continue
-            if resp.status_code >= 400:
-                raise EmbedError(f"{url} rejected the request with {resp.status_code}")
-            try:
-                vector = resp.json().get("vector")
-            except ValueError:
-                last_error = EmbedError(f"{url} returned a non-JSON body")
-                continue
-            arr = np.asarray(vector, dtype=np.float64)
-            if arr.shape != (self.d,) or not np.all(np.isfinite(arr)):
-                raise EmbedError(
-                    f"embedding service returned a malformed vector "
-                    f"(expected {self.d} finite values)"
-                )
-            return arr
-        raise EmbedError(f"{url} failed after retries: {last_error}")
+        data = post_json(self._session, self.endpoint.rstrip("/") + "/embed",
+                         {"text": text}, self.timeout, EmbedError)
+        try:
+            arr = np.asarray(data.get("vector"), dtype=np.float64)
+            if arr.shape == (self.d,) and np.isfinite(arr).all():
+                return arr
+        except (TypeError, ValueError):
+            pass
+        raise EmbedError(
+            f"embedding service returned a malformed vector "
+            f"(expected {self.d} finite values)"
+        )
 
 
 def build_embedder(config: EmbedConfig, d: int):
@@ -185,6 +168,24 @@ def build_state(
             if not np.isfinite(arr).all():
                 raise StateError(f"{name} vector contains non-finite values")
     return state
+
+
+def decide_post(params: PolicyParams, rng: np.random.Generator, embedder,
+                claim_vec: np.ndarray, context: ContextAccumulator,
+                post_text: str, annotation) -> Step:
+    """One post's retain/discard decision, as training and evaluation make it.
+
+    The state is the claim vector, the context's running mean and the
+    embedding of the stance annotation's explanation. On retain, the
+    embedding of the packed post text is added to `context`; an EmbedError
+    leaves `context` as it was.
+    """
+    state = build_state(claim_vec, context.mean(), embedder.embed(annotation.explanation))
+    step = sample_action(params, state, rng, LEVEL_POST)
+    if step.action == RETAIN:
+        context.add(embedder.embed(
+            pack_post_text(post_text, annotation.label, annotation.explanation)))
+    return step
 
 
 def pack_post_text(post_text: str, stance_label: str, explanation: str) -> str:

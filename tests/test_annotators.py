@@ -249,11 +249,13 @@ def test_http_retries_5xx_then_succeeds(scripted_server):
 
 
 def test_http_non_json_body_is_retried(scripted_server):
-    scripted_server.script("/annotate", payload="<html>oops</html>")
-    scripted_server.script("/annotate", payload={"label": "Comment"})
-    ann = annotate_post(_http(scripted_server), CLAIM, CLAIM.posts[0])
-    assert ann.label == "C"
-    assert len(scripted_server.calls("/annotate")) == 2
+    # a body that is not JSON, then one that is JSON but not an object
+    for n, body in enumerate(("<html>oops</html>", '["Support"]'), start=1):
+        scripted_server.script("/annotate", payload=body)
+        scripted_server.script("/annotate", payload={"label": "Comment"})
+        ann = annotate_post(_http(scripted_server), CLAIM, CLAIM.posts[0])
+        assert ann.label == "C"
+        assert len(scripted_server.calls("/annotate")) == 2 * n
 
 
 def test_http_gives_up_after_three_attempts(scripted_server):
@@ -308,19 +310,34 @@ def test_annotate_claim_over_http(scripted_server):
     assert "Post 1 (Stance: Deny): saw it myself" in body["prompt"]
 
 
-@pytest.mark.parametrize("dist,fragment", [
-    ([0.5, 0.5], "4 finite values"),
-    ([0.5, 0.5, 0.25, -0.25], "probability simplex"),
-    ([0.4, 0.4, 0.1, 0.2], "probability simplex"),
-    ([0.1, 0.7, 0.1, 0.1], "argmax disagrees"),
+@pytest.mark.parametrize("fields,fragment", [
+    pytest.param({"distribution": [0.5, 0.5]}, "4 finite values",
+                 id="dist0-4 finite values"),
+    pytest.param({"distribution": [0.5, 0.5, 0.25, -0.25]}, "probability simplex",
+                 id="dist1-probability simplex"),
+    pytest.param({"distribution": [0.4, 0.4, 0.1, 0.2]}, "probability simplex",
+                 id="dist2-probability simplex"),
+    pytest.param({"distribution": [0.1, 0.7, 0.1, 0.1]}, "argmax disagrees",
+                 id="dist3-argmax disagrees"),
+    pytest.param({"distribution": ["a", "b", "c", "d"]}, "4 finite values",
+                 id="dist-not-numeric"),
+    pytest.param({"distribution": {"S": 1.0}}, "4 finite values",
+                 id="dist-object"),
+    pytest.param({"label": 5}, "stance label must be a string", id="label-number"),
+    pytest.param({"label": ["Support"]}, "stance label must be a string",
+                 id="label-list"),
+    pytest.param({"explanation": 7}, "stance explanation must be a string",
+                 id="explanation-number"),
 ])
-def test_http_distribution_validation(scripted_server, dist, fragment):
+def test_http_distribution_validation(scripted_server, fields, fragment):
+    """A reply field of the wrong type or shape is a ParseError, retried once."""
     scripted_server.script(
-        "/annotate", payload={"label": "Support", "distribution": dist}, repeat=2
+        "/annotate", payload={"label": "Support", **fields}, repeat=2
     )
     with pytest.raises(ParseError) as err:
         annotate_post(_http(scripted_server), CLAIM, CLAIM.posts[0])
     assert fragment in str(err.value)
+    assert len(scripted_server.calls("/annotate")) == 2
 
 
 # -------------------------------------------------------- fine-tuning

@@ -231,6 +231,30 @@ def test_export_embeddings_needs_annotations(tmp_path, capsys):
     assert "has no annotations.jsonl" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_line,message", [
+    ("{oops", "line 2: malformed JSON"),
+    ('["a", "list"]', "line 2: record is not an object"),
+    ('{"post_id": "p", "stance": "S", "explanation": "e"}', "line 2: annotation record needs"),
+    ('{"post_id": "p", "post_text": "t", "explanation": "e"}', "line 2: annotation record needs"),
+    ('{"post_id": "p", "post_text": "t", "stance": "S"}', "line 2: annotation record needs"),
+    ('{"post_id": "p", "post_text": "t", "stance": "X", "explanation": "e"}',
+     "line 2: annotation record needs"),
+], ids=["malformed-json", "not-an-object", "no-post-text", "no-stance",
+        "no-explanation", "unknown-stance"])
+def test_export_embeddings_rejects_malformed_annotations(trained_run, tmp_path, capsys,
+                                                         bad_line, message):
+    _, out = trained_run
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    shutil.copy(out / "config.resolved.json", run_dir)
+    first = (out / "annotations.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    (run_dir / "annotations.jsonl").write_text(f"{first}\n{bad_line}\n", encoding="utf-8")
+    rc = main(["export-embeddings", "--run-dir", str(run_dir)])
+    assert rc == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (run_dir / "embeddings.jsonl").exists()
+
+
 def test_export_finetune_reexports_from_run_state(trained_run, tmp_path, capsys):
     _, out = trained_run
     dest = tmp_path / "ft"

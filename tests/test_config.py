@@ -42,9 +42,11 @@ def test_defaults_validate():
     ({"max_posts": 0}, "max_posts: must be >= 1"),
     ({"learning_rate": 0.0}, "learning_rate: must be > 0"),
     ({"warmup_fraction": 2.0}, "warmup_fraction: must be in [0, 1]"),
-    ({"batch_size": 0}, "batch_size: must be >= 1"),
+    ({"sd_backend": BackendConfig(smoothing_alpha=1.0)},
+     "sd_backend.smoothing_alpha: must be in [0, 1)"),
     ({"max_epochs": 0}, "max_epochs: must be >= 1"),
-    ({"smoothing_alpha": 1.0}, "smoothing_alpha: must be in [0, 1)"),
+    ({"rv_backend": BackendConfig(smoothing_alpha=-0.1)},
+     "rv_backend.smoothing_alpha: must be in [0, 1)"),
     ({"baseline_momentum": 1.0}, "baseline_momentum: must be in [0, 1)"),
     ({"buffer_window": 0}, "buffer_window: must be >= 1 or null"),
     ({"sd_backend": BackendConfig(kind="http")}, "sd_backend.endpoint"),
@@ -133,7 +135,7 @@ def test_apply_overrides_skips_none_and_reaches_backends():
 
 def test_resolve_config_precedence(tmp_path):
     path = tmp_path / "run.json"
-    save_config(RunConfig(epsilon=0.1, batch_size=7, rng_seed=3), path)
+    save_config(RunConfig(epsilon=0.1, max_posts=7, rng_seed=3), path)
     env = {"SD_ENDPOINT": "http://env-sd"}
     out = resolve_config(
         path,
@@ -141,7 +143,7 @@ def test_resolve_config_precedence(tmp_path):
         env=env,
     )
     assert out.epsilon == 0.8  # flag beats file
-    assert out.batch_size == 7  # file beats default
+    assert out.max_posts == 7  # file beats default
     assert out.rng_seed == 3
     assert out.sd_backend.endpoint == "http://env-sd"  # env fills the gap
 

@@ -162,11 +162,6 @@ def test_load_skips_blank_lines_and_accepts_empty_file(tmp_path):
     assert len(load_dataset(empty)) == 0
 
 
-def test_load_rejects_unknown_format(tmp_path):
-    with pytest.raises(DatasetError, match="unsupported format"):
-        load_dataset(tmp_path / "x.csv", fmt="csv")
-
-
 def test_load_rejects_missing_file(tmp_path):
     with pytest.raises(DatasetError, match="dataset file not found"):
         load_dataset(tmp_path / "absent.jsonl")

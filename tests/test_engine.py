@@ -21,7 +21,7 @@ from claimsift.errors import (
     EmbedError,
 )
 from claimsift.policy import PolicyParams
-from claimsift.state import HashedEmbedder
+from claimsift.state import HashedEmbedder, ServiceEmbedder
 
 # stance-given-veracity rows that put all mass on the modal stance, so a
 # perfectly accurate oracle yields a +1 reward on every labeled claim
@@ -344,6 +344,40 @@ def test_stance_failures_are_counted_per_post():
     # claims still complete: the veracity oracle answers over an empty set
     assert report.claims_processed == n_claims
     assert all(t.post_steps == () for t in trainer.buffer)
+
+
+def test_wrong_typed_http_replies_are_counted_and_skipped(scripted_server):
+    """JSON replies of the wrong type cost their claim or post, are counted
+    in annotator_failures, and the run goes on."""
+    dataset = generate_synthetic(SynthConfig(n_claims=3, posts_per_claim=3, rng_seed=1))
+    config = RunConfig(embed_dim=16, hidden_dim=8, max_epochs=1, learning_rate=1e-3)
+    oracle, hashed = OracleAnnotator(rng=0), HashedEmbedder(config.embed_dim)
+
+    def annotate(body):
+        reply = oracle.complete(body["task"], body["prompt"])
+        return 200, {"label": reply.label, "explanation": reply.explanation,
+                     "distribution": reply.distribution.tolist()}
+
+    scripted_server.set_default("/annotate", annotate)
+    scripted_server.set_default(
+        "/embed", lambda body: (200, {"vector": hashed.embed(body["text"]).tolist()}))
+    # The first claim's embedding gets a list body three times, the second
+    # claim's a vector of strings: both claims are aborted. Then each of
+    # the third claim's first two posts gets two replies of the wrong type.
+    scripted_server.script("/embed", payload=[1, 2], repeat=3)
+    scripted_server.script("/embed", payload={"vector": "abc"})
+    for payload in ({"label": 5}, {"label": ["Support"]},
+                    {"label": "Support", "distribution": ["a", "b", "c", "d"]},
+                    {"label": "Support", "explanation": 7}):
+        scripted_server.script("/annotate", payload=payload)
+    http = BackendConfig(kind="http", endpoint=scripted_server.url, timeout=2.0)
+    trainer = Trainer(config, dataset, HttpAnnotator(http), OracleAnnotator(rng=1),
+                      ServiceEmbedder(scripted_server.url, config.embed_dim, timeout=2.0))
+    report = trainer.run_epoch()
+    assert report.claims_aborted == 2
+    assert report.claims_processed == 1
+    assert report.annotator_failures == 4
+    assert report.posts_annotated == 1
 
 
 class FlakyEmbedder(HashedEmbedder):

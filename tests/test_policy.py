@@ -33,7 +33,7 @@ from claimsift.policy import (
     save_checkpoint,
 )
 
-_HEAD_SIZE = struct.calcsize("<8sIIIQQII5d")
+_HEAD_SIZE = struct.calcsize("<8sIIIQQ5d")
 
 
 def _random_trajectories(rng, state_dim, n_claims, max_posts=3):
@@ -512,10 +512,7 @@ def test_warmup_schedule():
 def _trained_pair(seed=3):
     rng = np.random.default_rng(seed)
     params = init_params(6, 4, rng)
-    opt = OptimizerState(
-        learning_rate=0.02, warmup_fraction=0.2, batch_size=2,
-        max_epochs=9, planned_updates=40,
-    )
+    opt = OptimizerState(learning_rate=0.02, warmup_fraction=0.2, planned_updates=40)
     trajs = _random_trajectories(rng, 6, n_claims=3)
     reinforce_update(params, opt, trajs)
     reinforce_update(params, opt, trajs)
@@ -534,7 +531,7 @@ def test_checkpoint_round_trip(tmp_path):
     np.testing.assert_array_equal(opt2.m_w2, opt.m_w2)
     np.testing.assert_array_equal(opt2.v_w2, opt.v_w2)
     assert opt2.step == 2
-    assert (opt2.planned_updates, opt2.batch_size, opt2.max_epochs) == (40, 2, 9)
+    assert opt2.planned_updates == 40
     for name in ("learning_rate", "warmup_fraction", "beta1", "beta2", "eps"):
         assert getattr(opt2, name) == getattr(opt, name)
 
@@ -578,9 +575,9 @@ def test_checkpoint_error_classes(tmp_path):
 
     version = tmp_path / "version.ckpt"
     mutated = bytearray(blob)
-    mutated[8] = 2  # little-endian version word
+    mutated[8] = 3  # little-endian version word
     version.write_bytes(bytes(mutated))
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 3"):
         load_checkpoint(version)
 
     corrupt = tmp_path / "corrupt.ckpt"
@@ -589,6 +586,22 @@ def test_checkpoint_error_classes(tmp_path):
     corrupt.write_bytes(bytes(mutated))
     with pytest.raises(CheckpointError, match="checksum mismatch"):
         load_checkpoint(corrupt)
+
+
+def test_version_1_checkpoint_is_rejected(tmp_path):
+    """The version-1 layout also stored batch_size and max_epochs."""
+    params, opt = _trained_pair()
+    head = struct.pack(
+        "<8sIIIQQII5d", b"CSPOLICY", 1, params.state_dim, params.hidden_dim,
+        opt.step, opt.planned_updates, 2, 9, opt.learning_rate,
+        opt.warmup_fraction, opt.beta1, opt.beta2, opt.eps,
+    )
+    body = head + b"".join(a.astype("<f8").tobytes() for a in (
+        params.w1, params.w2, opt.m_w1, opt.v_w1, opt.m_w2, opt.v_w2))
+    path = tmp_path / "v1.ckpt"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
 
 
 class _FailingZlib:

@@ -208,8 +208,20 @@ def test_every_truncation_and_byte_flip_is_rejected(tmp_path):
             load_run_state_payload(damaged)
 
 
+def test_version_2_run_state_is_rejected(tmp_path):
+    """A current file relabelled as version 2, whose manifest also held
+    batch_size, smoothing_alpha and the optimizer's batch_size and
+    max_epochs, fails on its version alone."""
+    path, blob = _small_state(tmp_path)
+    body = bytearray(blob[:-4])
+    struct.pack_into("<I", body, len(runstate.MAGIC), 2)
+    path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+    with pytest.raises(CheckpointError, match="unsupported run-state version 2"):
+        load_run_state_payload(path)
+
+
 def _framed(manifest: dict, data: bytes = b"") -> bytes:
-    """A version-2 file with a valid checksum around any manifest and data."""
+    """A current-version file with a valid checksum around any manifest and data."""
     text = json.dumps(manifest).encode("utf-8")
     body = struct.pack("<Q", len(text)) + text
     body += bytes(-(20 + len(body)) % 8) + data

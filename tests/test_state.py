@@ -124,21 +124,30 @@ def test_service_embedder_4xx_fails_immediately(scripted_server):
 
 
 def test_service_embedder_non_json_is_retried_then_fails(scripted_server):
-    scripted_server.script("/embed", payload="plain text", repeat=3)
     emb = ServiceEmbedder(scripted_server.url, 2, timeout=2.0)
-    with pytest.raises(EmbedError) as err:
-        emb.embed("x")
-    assert "failed after retries" in str(err.value)
-    assert len(scripted_server.calls("/embed")) == 3
+    # a body that is not JSON, then one that is JSON but not an object
+    for body, reason in (("plain text", "non-JSON body"), ("[1, 2]", "non-object body")):
+        before = len(scripted_server.calls("/embed"))
+        scripted_server.script("/embed", payload=body, repeat=3)
+        with pytest.raises(EmbedError) as err:
+            emb.embed("x")
+        assert "failed after retries" in str(err.value)
+        assert reason in str(err.value)
+        assert len(scripted_server.calls("/embed")) - before == 3
 
 
 def test_service_embedder_rejects_malformed_vector(scripted_server):
-    scripted_server.script("/embed", payload={"vector": [1.0, 2.0]})
     emb = ServiceEmbedder(scripted_server.url, 3, timeout=2.0)
-    with pytest.raises(EmbedError) as err:
-        emb.embed("x")
-    assert "malformed vector" in str(err.value)
-    assert "expected 3 finite values" in str(err.value)
+    vectors = ([1.0, 2.0], "abc", ["a", "b", "c"], [1.0, [2.0], 3.0],
+               {"x": 1.0}, None, [1.0, float("nan"), 2.0])
+    for vector in vectors:
+        scripted_server.script("/embed", payload={"vector": vector})
+        with pytest.raises(EmbedError) as err:
+            emb.embed("x")
+        assert "malformed vector" in str(err.value)
+        assert "expected 3 finite values" in str(err.value)
+    # a malformed vector is an answer, not a transport failure: no retry
+    assert len(scripted_server.calls("/embed")) == len(vectors)
 
 
 def test_service_embedder_constructor_errors():
