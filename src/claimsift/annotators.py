@@ -13,8 +13,7 @@ import json
 import logging
 import re
 from dataclasses import asdict, dataclass
-from pathlib import Path
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 import requests
@@ -407,22 +406,19 @@ def fine_tune(backend, examples: Sequence[FineTuneExample]) -> str | None:
         return None
 
 
-def export_finetune_set(
-    examples: Sequence[FineTuneExample], path: str | Path
-) -> int:
-    """Write fine-tune examples as JSONL; returns the record count."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for example in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "prompt": example.prompt,
-                        "target": example.target,
-                        "label_origin": example.label_origin,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
+def export_finetune_set(examples: Sequence[FineTuneExample], fh: TextIO) -> int:
+    """Write fine-tune examples as JSONL lines to the open text file `fh`;
+    returns the record count."""
+    for example in examples:
+        fh.write(
+            json.dumps(
+                {
+                    "prompt": example.prompt,
+                    "target": example.target,
+                    "label_origin": example.label_origin,
+                },
+                ensure_ascii=False,
             )
+            + "\n"
+        )
     return len(examples)

@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Subcommands: train, evaluate, synth, export-embeddings, export-finetune.
-All outputs land under the given output directory with stable filenames.
+Subcommands: train, evaluate, synth, export-embeddings. All outputs land
+under the given output directory with stable filenames. `train` appends each
+epoch's annotation records and fine-tune examples to the run directory as
+the epoch ends, so the trainer holds no more than one epoch of them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .annotators import export_finetune_set, make_backend
 from .config import RunConfig, load_config, resolve_config, save_config
 from .corpus import (SynthConfig, generate_synthetic, load_dataset, read_jsonl,
                      save_dataset)
-from .engine import Trainer, load_run_state_payload
+from .engine import Trainer
 from .errors import (
     CheckpointError,
     ClaimsiftError,
@@ -69,18 +71,30 @@ def cmd_train(args) -> int:
     trainer = Trainer(config, dataset, sd, rv, embedder)
     save_config(config, out / "config.resolved.json")
 
-    def on_epoch(report) -> None:
-        save_checkpoint(trainer.params, trainer.optimizer,
-                        out / f"policy_epoch_{report.epoch:03d}.ckpt")
-        print(
-            f"epoch {report.epoch}: claims={report.claims_processed} "
-            f"posts={report.posts_annotated} retained={report.posts_retained} "
-            f"mean_claim_reward={report.mean_claim_reward:+.3f} "
-            f"mean_post_reward={report.mean_post_reward:+.3f}"
-            + (" [terminated]" if report.terminated else "")
-        )
+    with (
+        (out / "run_log.jsonl").open("w", encoding="utf-8") as log,
+        (out / "annotations.jsonl").open("w", encoding="utf-8") as annotations,
+        (out / "finetune_stance.jsonl").open("w", encoding="utf-8") as ft_stance,
+        (out / "finetune_veracity.jsonl").open("w", encoding="utf-8") as ft_veracity,
+    ):
+        def on_epoch(report) -> None:
+            # the trainer drops these records when the next epoch begins
+            for record in trainer.annotation_records:
+                annotations.write(json.dumps(record, ensure_ascii=False) + "\n")
+            export_finetune_set(trainer.finetune_stance, ft_stance)
+            export_finetune_set(trainer.finetune_veracity, ft_veracity)
+            for fh in (log, annotations, ft_stance, ft_veracity):
+                fh.flush()
+            save_checkpoint(trainer.params, trainer.optimizer,
+                            out / f"policy_epoch_{report.epoch:03d}.ckpt")
+            print(
+                f"epoch {report.epoch}: claims={report.claims_processed} "
+                f"posts={report.posts_annotated} retained={report.posts_retained} "
+                f"mean_claim_reward={report.mean_claim_reward:+.3f} "
+                f"mean_post_reward={report.mean_post_reward:+.3f}"
+                + (" [terminated]" if report.terminated else "")
+            )
 
-    with (out / "run_log.jsonl").open("w", encoding="utf-8") as log:
         trainer.set_event_sink(lambda event: log.write(json.dumps(event) + "\n"))
         trainer.train(on_epoch=on_epoch)
         trainer.set_event_sink(None)
@@ -91,11 +105,6 @@ def cmd_train(args) -> int:
         json.dumps([r.to_dict() for r in trainer.reports], indent=2) + "\n",
         encoding="utf-8",
     )
-    with (out / "annotations.jsonl").open("w", encoding="utf-8") as fh:
-        for record in trainer.annotation_records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    export_finetune_set(trainer.finetune_stance, out / "finetune_stance.jsonl")
-    export_finetune_set(trainer.finetune_veracity, out / "finetune_veracity.jsonl")
     print(f"run artifacts written to {out}")
     return 0
 
@@ -199,24 +208,6 @@ def cmd_export_embeddings(args) -> int:
     return 0
 
 
-def cmd_export_finetune(args) -> int:
-    run_dir = Path(args.run_dir)
-    payload = load_run_state_payload(run_dir / "run_state.ckpt")
-    out_dir = Path(args.out_dir) if args.out_dir else run_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    n_stance = export_finetune_set(
-        payload["finetune_stance"], out_dir / "finetune_stance.jsonl"
-    )
-    n_veracity = export_finetune_set(
-        payload["finetune_veracity"], out_dir / "finetune_veracity.jsonl"
-    )
-    print(
-        f"wrote {n_stance} stance and {n_veracity} veracity fine-tune "
-        f"records to {out_dir}"
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="claimsift",
@@ -271,14 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     emb.add_argument("--run-dir", required=True, dest="run_dir")
     emb.add_argument("--out", help="output JSONL (default: run dir)")
     emb.set_defaults(func=cmd_export_embeddings)
-
-    ft = sub.add_parser(
-        "export-finetune",
-        help="re-export the selected fine-tune records of a run",
-    )
-    ft.add_argument("--run-dir", required=True, dest="run_dir")
-    ft.add_argument("--out-dir", dest="out_dir", help="default: run dir")
-    ft.set_defaults(func=cmd_export_finetune)
 
     return parser
 

@@ -8,9 +8,11 @@ is veracity-annotated over the retained posts, hybrid rewards are assigned,
 and one policy ascent step runs over a trailing trajectory window. Training
 halts early once claim-level rewards stay at +1 for a configured run length.
 
-The full mutable state of a run (policy, optimizer, reward references,
-contexts, rng streams, trajectory buffer, mid-epoch progress) serializes to
-a single checksummed file, so a killed run resumes bit-for-bit.
+What a run needs to go on (policy, optimizer, reward references, contexts,
+rng streams, the trajectory window, mid-epoch progress and the current
+epoch's records) serializes to a single checksummed file, so a saved run
+resumes bit-for-bit. Earlier epochs' annotation records and fine-tune
+examples are output, handed over as each epoch ends, not kept.
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ import numpy as np
 
 from .annotators import (
     FineTuneExample,
-    StanceAnnotation,
     TASK_STANCE,
     TASK_VERACITY,
-    VeracityAnnotation,
     annotate_claim,
     annotate_post,
     fine_tune,
@@ -78,22 +78,22 @@ logger = logging.getLogger(__name__)
 
 _MOMENTS = ("m_w1", "v_w1", "m_w2", "v_w2")
 # columns of the run state's per-step float block, one row per step
-_STEP_VALUES = ("retain", "logprob", "p_retain", "reward", "cosine")
+_STEP_VALUES = ("retain", "logprob", "p_retain", "reward")
 # annotation records are saved as rows of these fields, not repeating keys
 _RECORD_FIELDS = ("epoch", "claim_id", "post_id", "post_text", "stance",
                   "explanation", "retained")
+_EXAMPLE_LISTS = ("finetune_stance", "finetune_veracity",
+                  "_epoch_ft_stance", "_epoch_ft_veracity")
+# what a run state that does not hold together raises while it is decoded
+_MALFORMED = (KeyError, IndexError, TypeError, ValueError, ConfigError)
 
 
 @dataclass
 class Trajectory:
-    """Everything one claim contributed to learning."""
+    """What one claim step hands to the update and the decision events."""
 
-    claim_id: str
-    seed: bool
     claim_step: Step
     post_steps: tuple[Step, ...]
-    retained_posts: tuple[tuple[str, StanceAnnotation], ...]
-    veracity: VeracityAnnotation
     reward_branch: str
     claim_cosine: float
     post_cosines: tuple[float, ...]
@@ -144,141 +144,22 @@ def _load_prompt_target_jsonl(path: str | Path) -> list[dict]:
     return records
 
 
-def load_run_state_payload(path: str | Path) -> dict:
-    """Read, verify and decode a run-state file into the objects of a run."""
-    state, arrays = read_run_state(path)
-    try:
-        return _decode_run_state(state, arrays)
-    except (KeyError, IndexError, TypeError, ValueError, ConfigError) as exc:
-        raise CheckpointError(f"malformed run state: {exc!r}") from None
-
-
 def _rng(state: dict) -> np.random.Generator:
     rng = np.random.default_rng()
     rng.bit_generator.state = state
     return rng
 
 
-def _array(arrays: dict, name: str, shape: tuple[int, ...],
-           copy: bool = True) -> np.ndarray:
-    """The named array, checked for shape. The arrays are views of the one
-    buffer the file was read into, and a view kept for the rest of the run
-    would keep all of it, so only the step states, which the replay table
-    adopts, and arrays read once are not copied out."""
+def _array(arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The named array, checked for shape."""
     arr = arrays[name]
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    return arr.copy() if copy else arr
+    return arr
 
 
 def _example_rows(examples: list[FineTuneExample]) -> list[tuple]:
     return [(e.task, e.prompt, e.target, e.label_origin) for e in examples]
-
-
-def _decode_run_state(state: dict, arrays: dict) -> dict:
-    """Inverse of Trainer.save_run_state's encoding."""
-    config = RunConfig.from_dict(state["config"])
-    d, h = config.embed_dim, config.hidden_dim
-    optimizer = OptimizerState(**state["optimizer"])
-    if "m_w1" in arrays:  # Adam moments exist once the first update ran
-        for name in _MOMENTS:
-            setattr(optimizer, name,
-                    _array(arrays, name, (h, 3 * d) if name.endswith("w1") else (h,)))
-    baseline = state["baseline"]
-    if baseline is not None:
-        claim, post = baseline
-        baseline = RewardBaseline(claim=MovingBaseline(**claim),
-                                  post=MovingBaseline(**post))
-    references = ReferenceStanceStats()
-    sums = _array(arrays, "reference_sums", (len(VERACITIES), 4))
-    references._sums = dict(zip(VERACITIES, sums))
-    references._counts = dict(zip(VERACITIES, state["reference_counts"]))
-    claim_context = ContextAccumulator(d)
-    claim_context._sum = _array(arrays, "claim_context_sum", (d,))
-    claim_context.count = state["claim_context_count"]
-    claim_tracker = TerminationTracker(state["claim_tracker"]["n"])
-    claim_tracker.current_run = state["claim_tracker"]["current_run"]
-    claim_tracker.fired = state["claim_tracker"]["fired"]
-    sampler_rng = _rng(state["sampler_rng"])
-    epoch_sampler = state["epoch_sampler"]
-    if epoch_sampler is not None:
-        sampler = ClaimSampler(epoch_sampler["seeds"], epoch_sampler["pool"],
-                               epoch_sampler["epsilon"], sampler_rng)
-        sampler.last_branch = epoch_sampler["last_branch"]
-        epoch_sampler = sampler
-
-    trajectories = state["buffer"]
-    n_rows = sum(1 + t["posts"] for t in trajectories)
-    n_retained = sum(len(t["retained_posts"]) for t in trajectories)
-    step_states = _array(arrays, "step_state", (n_rows, 3 * d), copy=False)
-    rows = zip(
-        step_states,
-        _array(arrays, "step_values", (n_rows, len(_STEP_VALUES)),
-               copy=False).tolist(),
-    )
-    stance = iter(_array(arrays, "retained_stance", (n_retained, 4)))
-    veracity = iter(_array(arrays, "veracity", (len(trajectories), 4)))
-
-    def step(level: str) -> tuple[Step, float]:
-        step_state, (retain, logprob, p_retain, reward, cosine) = next(rows)
-        return Step(step_state, RETAIN if retain else DISCARD, logprob, level,
-                    p_retain, int(reward)), cosine
-
-    buffer = []
-    for t in trajectories:
-        claim_step, claim_cosine = step(LEVEL_CLAIM)
-        posts = [step(LEVEL_POST) for _ in range(t["posts"])]
-        label, explanation, raw = t["veracity"]
-        buffer.append(Trajectory(
-            claim_id=t["claim_id"],
-            seed=t["seed"],
-            claim_step=claim_step,
-            post_steps=tuple(post_step for post_step, _cosine in posts),
-            retained_posts=tuple(
-                (post_id, StanceAnnotation(label, next(stance), explanation, raw))
-                for post_id, label, explanation, raw in t["retained_posts"]
-            ),
-            veracity=VeracityAnnotation(label, next(veracity), explanation, raw),
-            reward_branch=t["reward_branch"],
-            claim_cosine=claim_cosine,
-            post_cosines=tuple(cosine for _step, cosine in posts),
-            post_terminated=t["post_terminated"],
-        ))
-
-    def examples(key: str) -> list[FineTuneExample]:
-        return [FineTuneExample(*e) for e in state[key]]
-
-    return {
-        "config": config,
-        "fingerprint": tuple(state["fingerprint"]),
-        "seed_ids": frozenset(state["seed_ids"]),
-        "params": PolicyParams(w1=_array(arrays, "w1", (h, 3 * d)),
-                               w2=_array(arrays, "w2", (h,))),
-        "optimizer": optimizer,
-        "baseline": baseline,
-        "references": references,
-        "claim_context": claim_context,
-        "claim_tracker": claim_tracker,
-        "action_rng": _rng(state["action_rng"]),
-        "sampler_rng": sampler_rng,
-        "buffer": buffer,
-        "replay": ReplayTable.adopt(
-            step_states, [(t.claim_step, t.post_steps) for t in buffer]),
-        "reports": [EpochReport(**r) for r in state["reports"]],
-        "annotation_records": [dict(zip(_RECORD_FIELDS, row))
-                               for row in state["annotation_records"]],
-        "finetune_stance": examples("finetune_stance"),
-        "finetune_veracity": examples("finetune_veracity"),
-        "epoch_ft_stance": examples("epoch_ft_stance"),
-        "epoch_ft_veracity": examples("epoch_ft_veracity"),
-        "epoch_index": state["epoch_index"],
-        "epoch_active": state["epoch_active"],
-        "epoch_sampler": epoch_sampler,
-        "acc": state["acc"],
-        "terminated": state["terminated"],
-        "pretrained": state["pretrained"],
-        "backend_states": state["backend_states"],
-    }
 
 
 class Trainer:
@@ -343,13 +224,14 @@ class Trainer:
         self._action_rng = np.random.default_rng((config.rng_seed, 1))
         self._sampler_rng = np.random.default_rng((config.rng_seed, 3))
 
-        self.buffer: list[Trajectory] = []
-        # the buffer's steps as rows for the update; it holds their states
-        self._replay = ReplayTable(np.empty((0, 3 * config.embed_dim)))
+        # the trajectory window the update replays, as rows holding its states
+        self.buffer = ReplayTable(np.empty((0, 3 * config.embed_dim)))
         self.reports: list[EpochReport] = []
+        # the current epoch's records and, once it has ended, its fine-tune examples
         self.annotation_records: list[dict] = []
         self.finetune_stance: list[FineTuneExample] = []
         self.finetune_veracity: list[FineTuneExample] = []
+        # this epoch's fine-tune examples so far, sent to the backends at its end
         self._epoch_ft_stance: list[FineTuneExample] = []
         self._epoch_ft_veracity: list[FineTuneExample] = []
         self.epoch_index = 0
@@ -571,14 +453,8 @@ class Trainer:
             )
 
         trajectory = Trajectory(
-            claim_id=claim.claim_id,
-            seed=is_seed,
             claim_step=claim_step,
             post_steps=tuple(step for _p, _a, step in annotated),
-            retained_posts=tuple(
-                (post.post_id, annotation) for post, annotation in retained_pairs
-            ),
-            veracity=verdict,
             reward_branch=outcome.branch,
             claim_cosine=outcome.cosine,
             post_cosines=tuple(post_cosines),
@@ -630,8 +506,9 @@ class Trainer:
             "post_terminations": 0,
             "wall": 0.0,
         }
-        self._epoch_ft_stance = []
-        self._epoch_ft_veracity = []
+        self.annotation_records = []
+        self.finetune_stance = []
+        self.finetune_veracity = []
         self._epoch_active = True
 
     def _step_claim(self) -> None:
@@ -645,14 +522,12 @@ class Trainer:
             acc["claims_aborted"] += 1
             acc["wall"] += time.perf_counter() - t0
             return
-        self.buffer.append(trajectory)
-        self._replay.append(trajectory.claim_step, trajectory.post_steps)
+        self.buffer.append(trajectory.claim_step, trajectory.post_steps)
         if self.config.buffer_window is not None:
             # the update reads only the trailing window, so nothing older is kept
             del self.buffer[:-self.config.buffer_window]
-            self._replay.trim(self.config.buffer_window)
         self.claim_tracker.observe(trajectory.claim_step.reward)
-        reinforce_update(self.params, self.optimizer, self._replay,
+        reinforce_update(self.params, self.optimizer, self.buffer,
                          baseline=self.baseline)
         acc["policy_updates"] += 1
         acc["claims_processed"] += 1
@@ -684,8 +559,8 @@ class Trainer:
         self._epoch_active = False
         fine_tune(self.sd, self._epoch_ft_stance)
         fine_tune(self.rv, self._epoch_ft_veracity)
-        self.finetune_stance.extend(self._epoch_ft_stance)
-        self.finetune_veracity.extend(self._epoch_ft_veracity)
+        self.finetune_stance, self._epoch_ft_stance = self._epoch_ft_stance, []
+        self.finetune_veracity, self._epoch_ft_veracity = self._epoch_ft_veracity, []
         if self.claim_tracker.fired:
             self.terminated = True
         posts = acc["posts_annotated"]
@@ -702,15 +577,13 @@ class Trainer:
             mean_post_reward=(acc["post_reward_sum"] / posts) if posts else 0.0,
             policy_updates=acc["policy_updates"],
             annotator_failures=acc["annotator_failures"],
-            finetune_stance_examples=len(self._epoch_ft_stance),
-            finetune_veracity_examples=len(self._epoch_ft_veracity),
+            finetune_stance_examples=len(self.finetune_stance),
+            finetune_veracity_examples=len(self.finetune_veracity),
             post_terminations=acc["post_terminations"],
             terminated=self.terminated,
             wall_time_s=acc["wall"],
         )
         self.reports.append(report)
-        self._epoch_ft_stance = []
-        self._epoch_ft_veracity = []
         return report
 
     def run_epoch(self, limit: int | None = None) -> EpochReport | None:
@@ -736,7 +609,9 @@ class Trainer:
     ) -> list[EpochReport]:
         """Warm-up once, then epochs until max_epochs or early termination.
 
-        `on_epoch`, when given, receives each finished epoch's report.
+        `on_epoch`, when given, receives each finished epoch's report, while
+        `annotation_records` and the fine-tune lists still hold that epoch's
+        output; the next epoch empties them.
         """
         self.pretrain()
         while not self.terminated and (
@@ -750,7 +625,7 @@ class Trainer:
     # ------------------------------------------------------------ persistence
 
     def save_run_state(self, path: str | Path) -> None:
-        """Atomically write the complete run state (see claimsift.runstate).
+        """Atomically write what resume needs (see claimsift.runstate).
 
         Numbers that come in arrays (parameters, optimizer moments, sums,
         step states and per-step values) are stored as raw arrays; all
@@ -758,8 +633,8 @@ class Trainer:
         """
         optimizer, sampler = self.optimizer, self._epoch_sampler
         tracker = self.claim_tracker
-        steps = [s for t in self.buffer for s in (t.claim_step, *t.post_steps)]
-        cosines = [c for t in self.buffer for c in (t.claim_cosine, *t.post_cosines)]
+        steps = [s for claim_step, post_steps in self.buffer
+                 for s in (claim_step, *post_steps)]
         state = {
             "config": self.config.to_dict(),
             "fingerprint": list(self._fingerprint),
@@ -775,27 +650,11 @@ class Trainer:
                               "fired": tracker.fired},
             "action_rng": self._action_rng.bit_generator.state,
             "sampler_rng": self._sampler_rng.bit_generator.state,
-            "buffer": [
-                {
-                    "claim_id": t.claim_id,
-                    "seed": t.seed,
-                    "posts": len(t.post_steps),
-                    "retained_posts": [[post_id, a.label, a.explanation, a.raw]
-                                       for post_id, a in t.retained_posts],
-                    "veracity": [t.veracity.label, t.veracity.explanation,
-                                 t.veracity.raw],
-                    "reward_branch": t.reward_branch,
-                    "post_terminated": t.post_terminated,
-                }
-                for t in self.buffer
-            ],
+            "post_counts": [len(post_steps) for _claim_step, post_steps in self.buffer],
             "reports": [r.to_dict() for r in self.reports],
             "annotation_records": [[r[k] for k in _RECORD_FIELDS]
                                    for r in self.annotation_records],
-            "finetune_stance": _example_rows(self.finetune_stance),
-            "finetune_veracity": _example_rows(self.finetune_veracity),
-            "epoch_ft_stance": _example_rows(self._epoch_ft_stance),
-            "epoch_ft_veracity": _example_rows(self._epoch_ft_veracity),
+            **{key: _example_rows(getattr(self, key)) for key in _EXAMPLE_LISTS},
             "epoch_index": self.epoch_index,
             "epoch_active": self._epoch_active,
             "epoch_sampler": None if sampler is None else {
@@ -817,19 +676,11 @@ class Trainer:
                 [self.references._sums[v] for v in VERACITIES]
             ),
             "claim_context_sum": self.claim_context._sum,
-            "step_state": self._replay.states,
+            "step_state": self.buffer.states,
             "step_values": np.array(
-                [(s.action == RETAIN, s.logprob, s.p_retain, s.reward, cosine)
-                 for s, cosine in zip(steps, cosines)],
+                [(s.action == RETAIN, s.logprob, s.p_retain, s.reward) for s in steps],
                 dtype=np.float64,
             ).reshape(-1, len(_STEP_VALUES)),
-            "retained_stance": np.array(
-                [a.distribution for t in self.buffer for _id, a in t.retained_posts],
-                dtype=np.float64,
-            ).reshape(-1, 4),
-            "veracity": np.array(
-                [t.veracity.distribution for t in self.buffer], dtype=np.float64
-            ).reshape(-1, 4),
         }
         if optimizer.m_w1 is not None:
             arrays.update({name: getattr(optimizer, name) for name in _MOMENTS})
@@ -839,42 +690,79 @@ class Trainer:
     def from_run_state(
         cls, path: str | Path, dataset: Dataset, sd_backend, rv_backend, embedder
     ) -> "Trainer":
-        """Rebuild a Trainer mid-run; backends get their saved rng state back."""
-        payload = load_run_state_payload(path)
-        if payload["fingerprint"] != _dataset_fingerprint(dataset):
-            raise CheckpointError("run state was saved for a different dataset")
-        trainer = cls(
-            payload["config"], dataset, sd_backend, rv_backend, embedder,
-            seeds=payload["seed_ids"],
-        )
-        trainer.params = payload["params"]
-        trainer.optimizer = payload["optimizer"]
-        trainer.baseline = payload["baseline"]
-        trainer.references = payload["references"]
-        trainer.claim_context = payload["claim_context"]
-        trainer.claim_tracker = payload["claim_tracker"]
-        trainer._action_rng = payload["action_rng"]
-        trainer._sampler_rng = payload["sampler_rng"]
-        trainer.buffer = payload["buffer"]
-        trainer._replay = payload["replay"]
-        trainer.reports = payload["reports"]
-        trainer.annotation_records = payload["annotation_records"]
-        trainer.finetune_stance = payload["finetune_stance"]
-        trainer.finetune_veracity = payload["finetune_veracity"]
-        trainer._epoch_ft_stance = payload["epoch_ft_stance"]
-        trainer._epoch_ft_veracity = payload["epoch_ft_veracity"]
-        trainer.epoch_index = payload["epoch_index"]
-        trainer._epoch_active = payload["epoch_active"]
-        trainer._epoch_sampler = payload["epoch_sampler"]
-        trainer._acc = payload["acc"]
-        trainer.terminated = payload["terminated"]
-        trainer._pretrained = payload["pretrained"]
-        states = payload["backend_states"]
+        """Rebuild a Trainer from a file `save_run_state` wrote, mid-epoch or
+        not; the backends get their saved rng states back. A damaged or
+        malformed file raises CheckpointError."""
+        state, arrays = read_run_state(path)
         try:
-            for backend, state in ((sd_backend, states["sd"]),
-                                   (rv_backend, states["rv"])):
-                if state is not None and hasattr(backend, "set_state"):
-                    backend.set_state(state)
-        except (KeyError, TypeError, ValueError) as exc:
+            config = RunConfig.from_dict(state["config"])
+            fingerprint, seeds = tuple(state["fingerprint"]), frozenset(state["seed_ids"])
+        except _MALFORMED as exc:
+            raise CheckpointError(f"malformed run state: {exc!r}") from None
+        if fingerprint != _dataset_fingerprint(dataset):
+            raise CheckpointError("run state was saved for a different dataset")
+        trainer = cls(config, dataset, sd_backend, rv_backend, embedder, seeds=seeds)
+        d, h = config.embed_dim, config.hidden_dim
+        try:
+            trainer.params = PolicyParams(w1=_array(arrays, "w1", (h, 3 * d)),
+                                          w2=_array(arrays, "w2", (h,)))
+            trainer.optimizer = OptimizerState(**state["optimizer"])
+            if "m_w1" in arrays:  # Adam moments exist once the first update ran
+                for name in _MOMENTS:
+                    setattr(trainer.optimizer, name, _array(
+                        arrays, name, (h, 3 * d) if name.endswith("w1") else (h,)))
+            baseline = state["baseline"]
+            if baseline is not None:
+                claim, post = baseline
+                baseline = RewardBaseline(claim=MovingBaseline(**claim),
+                                          post=MovingBaseline(**post))
+            trainer.baseline = baseline
+            sums = _array(arrays, "reference_sums", (len(VERACITIES), 4))
+            trainer.references._sums = dict(zip(VERACITIES, sums))
+            trainer.references._counts = dict(zip(VERACITIES, state["reference_counts"]))
+            trainer.claim_context._sum = _array(arrays, "claim_context_sum", (d,))
+            trainer.claim_context.count = state["claim_context_count"]
+            tracker = trainer.claim_tracker = TerminationTracker(state["claim_tracker"]["n"])
+            tracker.current_run = state["claim_tracker"]["current_run"]
+            tracker.fired = state["claim_tracker"]["fired"]
+            trainer._action_rng = _rng(state["action_rng"])
+            trainer._sampler_rng = _rng(state["sampler_rng"])
+            sampler = state["epoch_sampler"]
+            if sampler is not None:
+                trainer._epoch_sampler = ClaimSampler(
+                    sampler["seeds"], sampler["pool"], sampler["epsilon"],
+                    trainer._sampler_rng)
+                trainer._epoch_sampler.last_branch = sampler["last_branch"]
+
+            post_counts = state["post_counts"]
+            n_rows = sum(1 + n for n in post_counts)
+            step_states = _array(arrays, "step_state", (n_rows, 3 * d))
+            rows = zip(step_states, _array(
+                arrays, "step_values", (n_rows, len(_STEP_VALUES))).tolist())
+
+            def step(level: str) -> Step:
+                step_state, (retain, logprob, p_retain, reward) = next(rows)
+                return Step(step_state, RETAIN if retain else DISCARD, logprob, level,
+                            p_retain, int(reward))
+
+            trainer.buffer = ReplayTable.adopt(step_states, [
+                (step(LEVEL_CLAIM), tuple(step(LEVEL_POST) for _ in range(n)))
+                for n in post_counts
+            ])
+            trainer.reports = [EpochReport(**r) for r in state["reports"]]
+            trainer.annotation_records = [dict(zip(_RECORD_FIELDS, row))
+                                          for row in state["annotation_records"]]
+            for key in _EXAMPLE_LISTS:
+                setattr(trainer, key, [FineTuneExample(*e) for e in state[key]])
+            trainer.epoch_index = state["epoch_index"]
+            trainer._epoch_active = state["epoch_active"]
+            trainer._acc = state["acc"]
+            trainer.terminated = state["terminated"]
+            trainer._pretrained = state["pretrained"]
+            for backend, backend_state in ((sd_backend, state["backend_states"]["sd"]),
+                                           (rv_backend, state["backend_states"]["rv"])):
+                if backend_state is not None and hasattr(backend, "set_state"):
+                    backend.set_state(backend_state)
+        except _MALFORMED as exc:
             raise CheckpointError(f"malformed run state: {exc!r}") from None
         return trainer

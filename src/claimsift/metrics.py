@@ -18,7 +18,7 @@ import numpy as np
 
 from .annotators import annotate_claim, annotate_post
 from .corpus import Claim, Dataset
-from .errors import AnnotatorError, EmptyEvaluation, ParseError
+from .errors import AnnotatorError, EmbedError, EmptyEvaluation, ParseError
 from .labels import STANCES, VERACITIES
 from .policy import PolicyParams, RETAIN
 from .state import ContextAccumulator, decide_post
@@ -144,6 +144,25 @@ def _annotate_thread(sd_backend, claim: Claim, max_in_flight: int) -> list:
     return [one(post) for post in claim.posts]
 
 
+def _retained_by_policy(params: PolicyParams, rng: np.random.Generator, embedder,
+                        claim: Claim, annotated: list) -> list:
+    """The annotated posts the policy retains, decided in thread order. A
+    post whose embedding fails is skipped, as in training; a failed claim
+    embedding raises EmbedError."""
+    claim_vec = embedder.embed(claim.text)
+    context = ContextAccumulator(embedder.d)
+    retained = []
+    for post, annotation in annotated:
+        try:
+            step = decide_post(params, rng, embedder, claim_vec, context,
+                               post.text, annotation)
+        except EmbedError:
+            continue
+        if step.action == RETAIN:
+            retained.append((post, annotation))
+    return retained
+
+
 def evaluate(
     dataset: Dataset,
     sd_backend,
@@ -162,7 +181,9 @@ def evaluate(
     `claimsift.state.decide_post`. What differs from training is the walk:
     every annotated post of the thread is decided in chronological order
     (no epsilon-greedy post order), with no `max_posts` cap and no
-    post-level termination.
+    post-level termination. A failed embedding is handled as in training:
+    a post whose embedding fails is skipped, and a claim whose embedding
+    fails abstains on veracity.
     """
     if len(dataset) == 0:
         raise EmptyEvaluation("dataset has no claims")
@@ -194,22 +215,19 @@ def evaluate(
             (post, ann) for post, ann in zip(claim.posts, annotations)
             if ann is not None
         ]
-        if params is None:
-            retained = annotated
-        else:
-            claim_vec = embedder.embed(claim.text)
-            context = ContextAccumulator(embedder.d)
-            retained = []
-            for post, annotation in annotated:
-                step = decide_post(params, rng, embedder, claim_vec, context,
-                                   post.text, annotation)
-                if step.action == RETAIN:
-                    retained.append((post, annotation))
+        try:
+            retained = annotated if params is None else _retained_by_policy(
+                params, rng, embedder, claim, annotated)
+        except EmbedError:
+            retained = None  # without a claim embedding there is no verdict
         if claim.veracity is not None:
             veracity_instances += 1
             try:
-                verdict = annotate_claim(rv_backend, claim, retained)
+                verdict = None if retained is None else annotate_claim(
+                    rv_backend, claim, retained)
             except (ParseError, AnnotatorError):
+                verdict = None
+            if verdict is None:
                 veracity_abstentions += 1
             else:
                 veracity_pairs.append((claim.veracity, verdict.label))

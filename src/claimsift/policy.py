@@ -140,8 +140,8 @@ class ReplayTable:
 
     `append` re-points the appended steps' states to views of their rows, so
     each state is held once; the views follow the rows when the table grows
-    or `trim` drops old trajectories, and a dropped step gets a copy of its
-    state back. Iterating yields the `(claim_step, post_steps)` pairs.
+    or `del table[:-keep]` drops old trajectories, and a dropped step gets a
+    copy of its state back. Iterating yields the `(claim_step, post_steps)` pairs.
     Two tables are equal when they hold the same rows.
     """
 
@@ -224,9 +224,12 @@ class ReplayTable:
         start = self._rows
         _point(self._extend([(claim_step, post_steps)]), self._states[start:])
 
-    def trim(self, keep: int) -> None:
-        """Keep only the newest `keep` trajectories."""
-        drop = len(self._pairs) - keep
+    def __delitem__(self, index: slice) -> None:
+        """Drop the oldest trajectories: `del table[:-keep]` keeps the newest
+        `keep`, as on a list. Only such leading slices can be deleted."""
+        if not isinstance(index, slice) or index.indices(len(self))[::2] != (0, 1):
+            raise TypeError("only a leading slice of a ReplayTable can be deleted")
+        drop = index.indices(len(self))[1]
         if drop <= 0:
             return
         dropped = _steps(self._pairs[:drop])

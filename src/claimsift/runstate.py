@@ -17,6 +17,7 @@ leaves the previous file in place.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -28,7 +29,7 @@ import numpy as np
 from .errors import CheckpointError
 
 MAGIC = b"CSFTRUN\x01"
-VERSION = 3
+VERSION = 4
 _HEAD = struct.Struct("<8sIQ")
 _U64 = struct.Struct("<Q")
 _CRC = struct.Struct("<I")
@@ -89,49 +90,89 @@ def write_checksummed(path: str | Path, chunks: Iterable) -> None:
 def read_run_state(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read and verify a run-state file: (state, name -> array).
 
-    The arrays are writable views into the one buffer the file was read
-    into; nothing is copied after the read.
+    The file is read front to back with a running checksum. Each array is
+    read into an allocation of its own, made only once every shape in the
+    manifest has been checked against the file size. A body that does not
+    hold together is still read to its end, so that damage is reported as a
+    checksum mismatch and only an intact file as malformed.
     """
     with open(path, "rb") as fh:
-        blob = bytearray(os.fstat(fh.fileno()).st_size)
-        got = fh.readinto(blob)
-    if got != len(blob) or len(blob) < _HEAD.size + _U64.size + _CRC.size:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEAD.size + _U64.size + _CRC.size:
+            raise CheckpointError("truncated run-state file")
+        reader = _Reader(fh)
+        magic, version, body_len = _HEAD.unpack(reader.read(_HEAD.size))
+        if magic != MAGIC:
+            raise CheckpointError("not a run-state file (bad magic)")
+        if version != VERSION:
+            raise CheckpointError(f"unsupported run-state version {version}")
+        end = _HEAD.size + body_len
+        if size != end + _CRC.size:
+            raise CheckpointError("truncated run-state file")
+        try:
+            result, problem = _read_body(reader, end), None
+        except (ValueError, TypeError, KeyError, RecursionError) as exc:
+            result, problem = None, exc
+        while reader.offset < end:
+            reader.read(min(end - reader.offset, 1 << 20))
+        stored = fh.read(_CRC.size)
+    if len(stored) != _CRC.size:
         raise CheckpointError("truncated run-state file")
-    magic, version, body_len = _HEAD.unpack_from(blob)
-    if magic != MAGIC:
-        raise CheckpointError("not a run-state file (bad magic)")
-    if version != VERSION:
-        raise CheckpointError(f"unsupported run-state version {version}")
-    end = _HEAD.size + body_len
-    if len(blob) != end + _CRC.size:
-        raise CheckpointError("truncated run-state file")
-    (stored_crc,) = _CRC.unpack_from(blob, end)
-    if zlib.crc32(memoryview(blob)[:end]) & 0xFFFFFFFF != stored_crc:
+    if reader.crc != _CRC.unpack(stored)[0]:
         raise CheckpointError("run-state checksum mismatch")
-    try:
-        return _parse_body(blob, end)
-    except (ValueError, TypeError, KeyError, RecursionError) as exc:
-        raise CheckpointError(f"malformed run-state manifest: {exc}") from None
+    if problem is not None:
+        raise CheckpointError(f"malformed run-state manifest: {problem}") from None
+    return result
 
 
-def _parse_body(blob: bytearray, end: int) -> tuple[dict, dict[str, np.ndarray]]:
-    (manifest_len,) = _U64.unpack_from(blob, _HEAD.size)
-    offset = _HEAD.size + _U64.size + manifest_len
+class _Reader:
+    """Reads a file front to back, keeping the offset and the crc32 of all
+    bytes read."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.offset = 0
+        self.crc = 0
+
+    def read(self, n: int) -> bytes:
+        data = self._fh.read(n)
+        self._add(data, n)
+        return data
+
+    def read_into(self, array: np.ndarray) -> None:
+        self._add(array, self._fh.readinto(array))
+
+    def _add(self, data, n: int) -> None:
+        """Count `data`, which the read made `n` bytes long unless the file
+        ended early."""
+        if n != memoryview(data).nbytes:
+            raise CheckpointError("truncated run-state file")
+        self.crc = zlib.crc32(data, self.crc)
+        self.offset += n
+
+
+def _read_body(reader: _Reader, end: int) -> tuple[dict, dict[str, np.ndarray]]:
+    (manifest_len,) = _U64.unpack(reader.read(_U64.size))
+    offset = reader.offset + manifest_len
     if offset > end:
         raise ValueError("manifest runs past the body")
-    manifest = json.loads(blob[_HEAD.size + _U64.size:offset])
-    arrays = {}
+    manifest = json.loads(reader.read(manifest_len))
+    layout = {}  # name -> (padding before, dtype, shape), all checked first
     for name, dtype, shape in manifest["arrays"]:
         dtype = _DTYPES[dtype]
-        if not isinstance(name, str) or name in arrays or not all(
+        if not isinstance(name, str) or name in layout or not all(
                 type(n) is int and n >= 0 for n in shape):
             raise ValueError(f"bad array entry {name!r}")
-        offset += _pad(offset)
-        count = int(np.prod(shape, dtype=object))
-        if offset + count * dtype.itemsize > end:
+        padding = _pad(offset)
+        offset += padding + math.prod(shape) * dtype.itemsize
+        if offset > end:
             raise ValueError(f"array {name!r} runs past the body")
-        arrays[name] = np.frombuffer(blob, dtype, count, offset).reshape(shape)
-        offset += count * dtype.itemsize
+        layout[name] = (padding, dtype, shape)
     if offset + _pad(offset) != end:
         raise ValueError("body length does not match the arrays")
+    arrays = {}
+    for name, (padding, dtype, shape) in layout.items():
+        reader.read(padding)
+        arrays[name] = np.empty(shape, dtype)
+        reader.read_into(arrays[name])
     return manifest["state"], arrays

@@ -401,7 +401,8 @@ def test_export_finetune_set_round_trips(tmp_path):
         FineTuneExample("veracity", "p2", "t2", "human"),
     ]
     out = tmp_path / "ft.jsonl"
-    assert export_finetune_set(examples, out) == 2
+    with out.open("w", encoding="utf-8") as fh:
+        assert export_finetune_set(examples, fh) == 2
     lines = out.read_text(encoding="utf-8").splitlines()
     assert [json.loads(line) for line in lines] == [
         {"prompt": "p1", "target": "t1", "label_origin": "machine"},

@@ -12,6 +12,7 @@ import pytest
 from claimsift.cli import main
 from claimsift.config import RunConfig, save_config
 from claimsift.corpus import SynthConfig, generate_synthetic, load_dataset, save_dataset
+from claimsift.engine import Trainer
 
 TRAIN_FLAGS = [
     "--max-epochs", "2", "--embed-dim", "16", "--hidden-dim", "4",
@@ -146,6 +147,40 @@ def test_train_is_deterministic_apart_from_timing(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+def test_train_writes_each_epochs_records_as_it_ends(tmp_path, monkeypatch):
+    """When epoch 2 begins, the run directory already holds epoch 1's
+    decision events, annotation records and fine-tune examples, and the
+    final files continue them."""
+    data = tmp_path / "corpus.jsonl"
+    _write_corpus(data)
+    out = tmp_path / "run"
+    names = ("run_log.jsonl", "annotations.jsonl", "finetune_stance.jsonl",
+             "finetune_veracity.jsonl")
+    after_epoch_1 = {}
+    begin = Trainer._begin_epoch
+
+    def spy(self):
+        if self.epoch_index == 1:
+            after_epoch_1.update(
+                {name: (out / name).read_text(encoding="utf-8") for name in names})
+        begin(self)
+
+    monkeypatch.setattr(Trainer, "_begin_epoch", spy)
+    assert main(["train", "--dataset", str(data), "--out", str(out)] + TRAIN_FLAGS) == 0
+    first = json.loads((out / "epoch_reports.json").read_text(encoding="utf-8"))[0]
+    lines = {name: text.splitlines() for name, text in after_epoch_1.items()}
+    events = [json.loads(line) for line in lines["run_log.jsonl"]]
+    assert len(events) == first["posts_annotated"] + first["claims_processed"]
+    records = [json.loads(line) for line in lines["annotations.jsonl"]]
+    assert len(records) == first["posts_annotated"] > 0
+    assert {e["epoch"] for e in events} == {r["epoch"] for r in records} == {1}
+    assert len(lines["finetune_stance.jsonl"]) == first["finetune_stance_examples"] > 0
+    assert len(lines["finetune_veracity.jsonl"]) == first["finetune_veracity_examples"]
+    for name, text in after_epoch_1.items():
+        final = (out / name).read_text(encoding="utf-8")
+        assert final.startswith(text) and len(final) > len(text), name
+
+
 def test_train_requires_dataset_and_out(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path)]) == 2
     assert "dataset: required" in capsys.readouterr().err
@@ -253,18 +288,6 @@ def test_export_embeddings_rejects_malformed_annotations(trained_run, tmp_path, 
     assert rc == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (run_dir / "embeddings.jsonl").exists()
-
-
-def test_export_finetune_reexports_from_run_state(trained_run, tmp_path, capsys):
-    _, out = trained_run
-    dest = tmp_path / "ft"
-    rc = main(["export-finetune", "--run-dir", str(out), "--out-dir", str(dest)])
-    assert rc == 0
-    assert "fine-tune" in capsys.readouterr().out
-    for name in ("finetune_stance.jsonl", "finetune_veracity.jsonl"):
-        original = (out / name).read_text(encoding="utf-8")
-        reexport = (dest / name).read_text(encoding="utf-8")
-        assert reexport == original
 
 
 # ------------------------------------------------------------ entry point

@@ -12,7 +12,7 @@ from claimsift import engine
 from claimsift.annotators import BackendConfig, HttpAnnotator, OracleAnnotator
 from claimsift.config import RunConfig
 from claimsift.corpus import SynthConfig, generate_synthetic
-from claimsift.engine import Trainer, load_run_state_payload
+from claimsift.engine import Trainer
 from claimsift.errors import (
     AnnotatorError,
     CheckpointError,
@@ -20,7 +20,8 @@ from claimsift.errors import (
     DatasetError,
     EmbedError,
 )
-from claimsift.policy import PolicyParams
+from claimsift.metrics import evaluate
+from claimsift.policy import PolicyParams, init_params
 from claimsift.state import HashedEmbedder, ServiceEmbedder
 
 # stance-given-veracity rows that put all mass on the modal stance, so a
@@ -53,6 +54,21 @@ def _constant_policy(trainer, logit):
     trainer.params = PolicyParams(
         w1=np.ones((hidden, state_dim)), w2=np.full(hidden, float(logit))
     )
+
+
+def _spy_trajectories(monkeypatch) -> list:
+    """Every trajectory `_process_claim` hands to the claim step, in order."""
+    seen = []
+    process = Trainer._process_claim
+
+    def spy(self, claim):
+        trajectory, failures = process(self, claim)
+        if trajectory is not None:
+            seen.append(trajectory)
+        return trajectory, failures
+
+    monkeypatch.setattr(Trainer, "_process_claim", spy)
+    return seen
 
 
 class FailingBackend:
@@ -88,7 +104,7 @@ def test_max_posts_caps_subsampling():
     trainer = _make_trainer(max_posts=2)
     report = trainer.run_epoch()
     assert report.posts_annotated == len(trainer._claims) * 2
-    assert all(len(t.post_steps) == 2 for t in trainer.buffer)
+    assert all(len(post_steps) == 2 for _claim_step, post_steps in trainer.buffer)
 
 
 def test_run_epoch_limit_pauses_and_resumes():
@@ -127,17 +143,18 @@ def test_trailing_window_selection(monkeypatch):
         for k, seen in enumerate(windows):
             start = 0 if window is None else max(0, k + 1 - window)
             assert seen == newest[start:k + 1]
-        assert [id(t.claim_step) for t in trainer.buffer] == windows[-1]
+        assert [id(claim_step) for claim_step, _posts in trainer.buffer] == windows[-1]
 
 
 def _buffered_steps(trainer):
-    return [s for t in trainer.buffer for s in (t.claim_step, *t.post_steps)]
+    return [s for claim_step, post_steps in trainer.buffer
+            for s in (claim_step, *post_steps)]
 
 
 def test_each_buffered_state_is_held_once_by_the_replay_table(tmp_path):
-    """With no window, every buffered step's state is a row of the replay
-    table, before and after a resume; with a window of 2 the table holds
-    exactly the rows of the trailing trajectories."""
+    """With no window, every buffered step's state is a row of the buffer's
+    replay table, before and after a resume; with a window of 2 the table
+    holds exactly the rows of the trailing trajectories."""
     trainer = _make_trainer(buffer_window=None)
     trainer.run_epoch()
     assert trainer.run_epoch(limit=2) is None
@@ -149,26 +166,24 @@ def test_each_buffered_state_is_held_once_by_the_replay_table(tmp_path):
     )
     for run in (trainer, resumed):
         steps = _buffered_steps(run)
-        rows = run._replay.states
-        assert len(run.buffer) == len(trainer._claims) + 2 == len(run._replay)
+        rows = run.buffer.states
+        assert len(run.buffer) == len(trainer._claims) + 2
         assert len(steps) == len(rows)
         for row, step in zip(rows, steps):
             assert np.shares_memory(step.state, rows)
             assert step.state.tobytes() == row.tobytes()
     resumed.run_epoch()  # the adopted block grows like any other
-    assert all(np.shares_memory(s.state, resumed._replay.states)
+    assert all(np.shares_memory(s.state, resumed.buffer.states)
                for s in _buffered_steps(resumed))
 
     windowed = _make_trainer(buffer_window=2)
-    for _ in range(5):
+    for k in range(5):
         windowed.run_epoch(limit=1)
         steps = _buffered_steps(windowed)
-        assert len(windowed.buffer) == len(windowed._replay) <= 2
-        assert [claim for claim, _posts in windowed._replay] == \
-            [t.claim_step for t in windowed.buffer]
-        assert windowed._replay.states.tobytes() == \
+        assert len(windowed.buffer) == min(k + 1, 2)
+        assert windowed.buffer.states.tobytes() == \
             np.stack([s.state for s in steps]).tobytes()
-        assert all(np.shares_memory(s.state, windowed._replay.states) for s in steps)
+        assert all(np.shares_memory(s.state, windowed.buffer.states) for s in steps)
 
 
 def test_event_stream_schema():
@@ -203,10 +218,12 @@ def test_nonseed_labels_are_masked():
             assert claim_id not in trainer.truth
 
 
-def test_terminal_credit_broadcasts_claim_reward():
+def test_terminal_credit_broadcasts_claim_reward(monkeypatch):
+    trajectories = _spy_trajectories(monkeypatch)
     trainer = _make_trainer(seed_fraction=1.0)
     trainer.run_epoch()
-    for trajectory in trainer.buffer:
+    assert len(trajectories) == len(trainer._claims)
+    for trajectory in trajectories:
         assert trajectory.reward_branch == "labeled"
         assert len(trajectory.post_cosines) == len(trajectory.post_steps)
         for step, cosine in zip(trajectory.post_steps, trajectory.post_cosines):
@@ -245,7 +262,7 @@ def test_full_retention_collects_examples_with_origins():
     assert all(e.label_origin == "machine" for e in trainer.finetune_stance)
     # reference stance statistics only ever see seed-claim posts
     seed_posts = sum(
-        len(t.post_steps) for t in trainer.buffer if t.seed
+        r["claim_id"] in trainer.seed_ids for r in trainer.annotation_records
     )
     assert sum(trainer.references.snapshot().values()) == seed_posts
 
@@ -291,7 +308,8 @@ def test_claim_level_termination_halts_training():
         trainer.run_epoch()
 
 
-def test_incremental_rewards_terminate_post_loops():
+def test_incremental_rewards_terminate_post_loops(monkeypatch):
+    trajectories = _spy_trajectories(monkeypatch)
     dataset = generate_synthetic(SynthConfig(
         n_claims=4, posts_per_claim=6, noise_post_fraction=0.0,
         stance_given_veracity=PEAKED_STANCES, rng_seed=2,
@@ -313,7 +331,8 @@ def test_incremental_rewards_terminate_post_loops():
     report = trainer.run_epoch()
     assert report.claims_processed == 4
     assert report.post_terminations == 4
-    for trajectory in trainer.buffer:
+    assert len(trajectories) == 4
+    for trajectory in trajectories:
         assert trajectory.post_terminated
         assert len(trajectory.post_steps) == 2  # halted by the run of +1s
         assert all(s.reward == 1 for s in trajectory.post_steps)
@@ -331,7 +350,7 @@ def test_veracity_failure_aborts_claims():
     assert report.policy_updates == 0
     assert report.annotator_failures == n_claims
     assert report.mean_claim_reward == 0.0
-    assert trainer.buffer == []
+    assert len(trainer.buffer) == 0
 
 
 def test_stance_failures_are_counted_per_post():
@@ -343,7 +362,7 @@ def test_stance_failures_are_counted_per_post():
     assert report.posts_annotated == 0
     # claims still complete: the veracity oracle answers over an empty set
     assert report.claims_processed == n_claims
-    assert all(t.post_steps == () for t in trainer.buffer)
+    assert all(post_steps == () for _claim_step, post_steps in trainer.buffer)
 
 
 def test_wrong_typed_http_replies_are_counted_and_skipped(scripted_server):
@@ -416,6 +435,21 @@ def test_embed_failures_are_counted_and_skipped():
         assert report.claims_processed + report.claims_aborted == 10
         assert report.claims_aborted == aborted
         assert report.annotator_failures == 1
+
+
+@pytest.mark.parametrize("fail_at, abstentions", [(1, 1), (5, 0)])
+def test_evaluate_handles_embed_failures_as_training_does(fail_at, abstentions):
+    """In this evaluation, embedding call 1 is the first claim and 5 a
+    retained post's context: a failed claim embedding is a veracity
+    abstention, a failed post embedding skips the post."""
+    dataset = generate_synthetic(SynthConfig(n_claims=4, posts_per_claim=3, rng_seed=1))
+    params = init_params(48, 8, np.random.default_rng(0))
+    report = evaluate(dataset, OracleAnnotator(rng=1), OracleAnnotator(rng=2),
+                      embedder=FlakyEmbedder(16, fail_at), params=params)
+    assert report.veracity.n_instances == 4
+    assert report.veracity.abstentions == abstentions
+    assert report.veracity.n_scored == 4 - abstentions
+    assert report.stance.abstentions == 0
 
 
 def test_embedder_width_must_match_config():
@@ -610,34 +644,39 @@ def test_run_state_error_classes(tmp_path):
     trainer = _fresh_trainer(RunConfig(embed_dim=8, hidden_dim=4), dataset)
     good = tmp_path / "good.state"
     trainer.save_run_state(good)
-    load_run_state_payload(good)  # sanity: the pristine file verifies
+
+    def load_run_state(path):
+        return Trainer.from_run_state(path, dataset, OracleAnnotator(rng=0),
+                                      OracleAnnotator(rng=0), HashedEmbedder(8))
+
+    load_run_state(good)  # sanity: the pristine file verifies
     blob = good.read_bytes()
 
     short = tmp_path / "short.state"
     short.write_bytes(blob[:10])
     with pytest.raises(CheckpointError, match="truncated run-state file"):
-        load_run_state_payload(short)
+        load_run_state(short)
 
     clipped = tmp_path / "clipped.state"
     clipped.write_bytes(blob[:-2])
     with pytest.raises(CheckpointError, match="truncated run-state file"):
-        load_run_state_payload(clipped)
+        load_run_state(clipped)
 
     magic = tmp_path / "magic.state"
     magic.write_bytes(b"NOTMAGIC" + blob[8:])
     with pytest.raises(CheckpointError, match="not a run-state file"):
-        load_run_state_payload(magic)
+        load_run_state(magic)
 
     version = tmp_path / "version.state"
     mutated = bytearray(blob)
     mutated[8] = 9
     version.write_bytes(bytes(mutated))
     with pytest.raises(CheckpointError, match="unsupported run-state version 9"):
-        load_run_state_payload(version)
+        load_run_state(version)
 
     corrupt = tmp_path / "corrupt.state"
     mutated = bytearray(blob)
     mutated[25] ^= 0xFF
     corrupt.write_bytes(bytes(mutated))
     with pytest.raises(CheckpointError, match="run-state checksum mismatch"):
-        load_run_state_payload(corrupt)
+        load_run_state(corrupt)

@@ -250,9 +250,9 @@ _step = st.tuples(st.lists(_finite, min_size=3, max_size=3), st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_replay_table_matches_stacked_reference(window, trajectories, shifts, seed):
-    """Built by appends and trims, the table gives bitwise the gradients and
-    objective of re-stacking the trailing window, and holds each buffered
-    state once."""
+    """Built by appends and leading deletes, the table gives bitwise the
+    gradients and objective of re-stacking the trailing window, and holds
+    each buffered state once."""
     params = init_params(3, 2, np.random.default_rng(seed))
 
     def steps(level, spec):
@@ -272,7 +272,7 @@ def test_replay_table_matches_stacked_reference(window, trajectories, shifts, se
         if window is not None:
             dropped += held[:-window]
             del held[:-window], reference[:-window]
-            table.trim(window)
+            del table[:-window]
 
         assert [pair[0] for pair in table] == [claim for claim, _posts in held]
         assert table == ReplayTable.of(reference)
@@ -292,6 +292,20 @@ def test_replay_table_matches_stacked_reference(window, trajectories, shifts, se
     for claim, posts in dropped:
         for step in (claim, *posts):
             assert not np.shares_memory(step.state, table.states)
+
+
+def test_replay_table_deletes_only_leading_slices():
+    table = ReplayTable(np.empty((0, 2)))
+    for reward in (1, -1, 0):
+        table.append(Step(np.full(2, reward), RETAIN, 0.0, LEVEL_CLAIM, 0.5, reward), ())
+    for index in (0, slice(1, None), slice(None, None, 2)):
+        with pytest.raises(TypeError, match="leading slice"):
+            del table[index]
+    del table[:-5]
+    assert len(table) == 3
+    del table[:-1]
+    assert [claim.reward for claim, _posts in table] == [0]
+    assert table.states.tolist() == [[0.0, 0.0]]
 
 
 def test_replay_table_rejects_unrewarded_steps_without_changing():

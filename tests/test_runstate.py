@@ -18,12 +18,11 @@ from hypothesis.extra.numpy import arrays
 
 from claimsift import engine, runstate
 from claimsift.annotators import OracleAnnotator
-from claimsift.cli import main
 from claimsift.config import RunConfig
 from claimsift.corpus import SynthConfig, generate_synthetic
-from claimsift.engine import Trainer, load_run_state_payload
+from claimsift.engine import Trainer
 from claimsift.errors import CheckpointError
-from claimsift.policy import PolicyParams
+from claimsift.policy import PolicyParams, ReplayTable
 from claimsift.state import HashedEmbedder
 
 D, H = 4, 3
@@ -41,16 +40,18 @@ def _trainer(config=None, dataset=DATASET):
     )
 
 
-def _resume(path, dataset=DATASET):
+def _resume(path, dataset=DATASET, embed_dim=D):
     return Trainer.from_run_state(
         path, dataset, OracleAnnotator(rng=0), OracleAnnotator(rng=0),
-        HashedEmbedder(D),
+        HashedEmbedder(embed_dim),
     )
 
 
 def _plain(value):
     """A comparable form of a run's state: arrays as (dtype, shape, bytes),
     so NaN payloads and signed zeros count."""
+    if isinstance(value, ReplayTable):  # its rows, and the steps they hold
+        return ("ReplayTable", value, _plain(list(value)))
     if isinstance(value, np.ndarray):
         return ("array", value.dtype.str, value.shape, value.tobytes())
     if isinstance(value, np.random.Generator):
@@ -155,6 +156,9 @@ def _reachable_arrays(value, seen=None):
 
 
 def test_resumed_trainer_keeps_no_view_of_the_file_buffer(tmp_path, monkeypatch):
+    """Each array of the file is read into an allocation of its own. The
+    replay table adopts the step-state block without a copy, and once the
+    table outgrows it nothing reachable shares memory with it."""
     config = RunConfig(embed_dim=D, hidden_dim=H, max_epochs=2, learning_rate=1e-3,
                        rng_seed=9, buffer_window=None, seed_fraction=0.5)
     trainer = _trainer(config)
@@ -170,22 +174,22 @@ def test_resumed_trainer_keeps_no_view_of_the_file_buffer(tmp_path, monkeypatch)
 
     monkeypatch.setattr(engine, "read_run_state", read)
     resumed = _resume(path)
-    root = loaded[0]["w1"]
-    while isinstance(root, np.ndarray):
-        root = root.base
-    file_buffer = np.frombuffer(root, np.uint8)
-    assert np.shares_memory(resumed._replay.states, file_buffer)  # adopted
+    read_arrays = list(loaded[0].values())
+    assert all(a.flags.owndata for a in read_arrays)
+    block = loaded[0]["step_state"]
+    assert resumed.buffer.states.base is block  # adopted
     resumed.run_epoch(limit=1)  # one more claim step outgrows the adopted block
     assert len(resumed.buffer) == 4
-    shared = [a.shape for a in _reachable_arrays(resumed)
-              if np.shares_memory(a, file_buffer)]
+    shared = [a.shape for a in _reachable_arrays(resumed) if np.shares_memory(a, block)]
     assert shared == []
+
+
+SMALL_DATASET = generate_synthetic(SynthConfig(n_claims=2, posts_per_claim=2, rng_seed=5))
 
 
 def _small_state(tmp_path):
     config = RunConfig(embed_dim=2, hidden_dim=1, max_posts=1, learning_rate=1e-3)
-    dataset = generate_synthetic(SynthConfig(n_claims=2, posts_per_claim=2, rng_seed=5))
-    trainer = _trainer(config, dataset)
+    trainer = _trainer(config, SMALL_DATASET)
     trainer.run_epoch(limit=1)
     path = tmp_path / "run.state"
     trainer.save_run_state(path)
@@ -194,30 +198,62 @@ def _small_state(tmp_path):
 
 def test_every_truncation_and_byte_flip_is_rejected(tmp_path):
     path, blob = _small_state(tmp_path)
-    load_run_state_payload(path)  # the pristine file loads
+    _resume(path, SMALL_DATASET, 2)  # the pristine file loads
     damaged = tmp_path / "damaged.state"
     for n in range(len(blob)):
         damaged.write_bytes(blob[:n])
         with pytest.raises(CheckpointError):
-            load_run_state_payload(damaged)
+            _resume(damaged, SMALL_DATASET, 2)
     for i in range(len(blob)):
         flipped = bytearray(blob)
         flipped[i] ^= 0xFF
         damaged.write_bytes(flipped)
         with pytest.raises(CheckpointError):
-            load_run_state_payload(damaged)
+            _resume(damaged, SMALL_DATASET, 2)
 
 
-def test_version_2_run_state_is_rejected(tmp_path):
-    """A current file relabelled as version 2, whose manifest also held
-    batch_size, smoothing_alpha and the optimizer's batch_size and
-    max_epochs, fails on its version alone."""
+@pytest.mark.parametrize("version", [2, 3])
+def test_older_run_state_version_is_rejected(tmp_path, version):
+    """A current file relabelled as an older version fails on its version
+    alone. Version 2 manifests also held batch_size, smoothing_alpha and the
+    optimizer's batch_size and max_epochs; version 3 held the whole run's
+    annotation records and fine-tune examples and each buffered trajectory's
+    labels."""
     path, blob = _small_state(tmp_path)
     body = bytearray(blob[:-4])
-    struct.pack_into("<I", body, len(runstate.MAGIC), 2)
+    struct.pack_into("<I", body, len(runstate.MAGIC), version)
     path.write_bytes(bytes(body) + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
-    with pytest.raises(CheckpointError, match="unsupported run-state version 2"):
-        load_run_state_payload(path)
+    with pytest.raises(CheckpointError, match=f"unsupported run-state version {version}"):
+        _resume(path, SMALL_DATASET, 2)
+
+
+def test_run_state_holds_one_window_and_the_current_epochs_records(tmp_path):
+    """Saved inside epoch 3 and at its end, the run state holds the trailing
+    window and epoch 3's annotation records and fine-tune examples only."""
+    config = RunConfig(embed_dim=D, hidden_dim=H, max_epochs=3, learning_rate=1e-3,
+                       rng_seed=9, buffer_window=1)
+    trainer = _trainer(config)
+    trainer.run_epoch()
+    trainer.run_epoch()
+    path = tmp_path / "run.state"
+    for limit in (3, None):
+        trainer.run_epoch(limit=limit)
+        trainer.save_run_state(path)
+        state, _arrays = runstate.read_run_state(path)
+        records = state["annotation_records"]
+        assert {row[0] for row in records} == {3}
+        assert len(records) == trainer._acc["posts_annotated"]
+        examples = sum(len(state[key]) for key in (
+            "finetune_stance", "finetune_veracity", "_epoch_ft_stance",
+            "_epoch_ft_veracity"))
+        if limit is None:  # the epoch has ended and sent its examples on
+            report = trainer.reports[-1]
+            epoch_examples = (report.finetune_stance_examples
+                              + report.finetune_veracity_examples)
+        else:
+            epoch_examples = len(trainer._epoch_ft_stance) + len(trainer._epoch_ft_veracity)
+        assert examples == epoch_examples
+        assert len(state["post_counts"]) == 1
 
 
 def _framed(manifest: dict, data: bytes = b"") -> bytes:
@@ -255,7 +291,7 @@ def test_crafted_states_are_rejected(tmp_path, blob):
     path = tmp_path / "crafted.state"
     path.write_bytes(blob)
     with pytest.raises(CheckpointError, match="malformed run state"):
-        load_run_state_payload(path)
+        _resume(path)
 
 
 class _MakesDirectory:
@@ -268,7 +304,7 @@ class _MakesDirectory:
         return (os.mkdir, (self.path,))
 
 
-def test_version_1_pickle_is_never_loaded(tmp_path, capsys):
+def test_version_1_pickle_is_never_loaded(tmp_path):
     probe = tmp_path / "probe"
     pickle.loads(pickle.dumps(_MakesDirectory(probe)))
     assert probe.is_dir()  # the payload below is live
@@ -283,8 +319,6 @@ def test_version_1_pickle_is_never_loaded(tmp_path, capsys):
     )
     with pytest.raises(CheckpointError, match="unsupported run-state version 1"):
         _resume(run_dir / "run_state.ckpt")
-    assert main(["export-finetune", "--run-dir", str(run_dir)]) == 2
-    assert "unsupported run-state version 1" in capsys.readouterr().err
     assert not marker.exists()
 
 
