@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import time
 import zlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -48,16 +48,15 @@ from .errors import (
 )
 from .labels import VERACITIES
 from .policy import (
-    DISCARD,
     LEVEL_CLAIM,
-    LEVEL_POST,
     MovingBaseline,
     OptimizerState,
     RewardBaseline,
-    PolicyParams,
     RETAIN,
     ReplayTable,
     Step,
+    decode_policy,
+    encode_policy,
     init_params,
     reinforce_update,
     sample_action,
@@ -76,9 +75,8 @@ from .state import ContextAccumulator, build_state, decide_post, pack_claim_text
 
 logger = logging.getLogger(__name__)
 
-_MOMENTS = ("m_w1", "v_w1", "m_w2", "v_w2")
 # columns of the run state's per-step float block, one row per step
-_STEP_VALUES = ("retain", "logprob", "p_retain", "reward")
+_STEP_VALUES = ("retain", "reward")
 # annotation records are saved as rows of these fields, not repeating keys
 _RECORD_FIELDS = ("epoch", "claim_id", "post_id", "post_text", "stance",
                   "explanation", "retained")
@@ -631,16 +629,13 @@ class Trainer:
         step states and per-step values) are stored as raw arrays; all
         else goes into the JSON manifest.
         """
-        optimizer, sampler = self.optimizer, self._epoch_sampler
-        tracker = self.claim_tracker
-        steps = [s for claim_step, post_steps in self.buffer
-                 for s in (claim_step, *post_steps)]
+        settings, policy_arrays = encode_policy(self.params, self.optimizer)
+        sampler, tracker = self._epoch_sampler, self.claim_tracker
         state = {
             "config": self.config.to_dict(),
             "fingerprint": list(self._fingerprint),
             "seed_ids": sorted(self.seed_ids),
-            "optimizer": {f.name: getattr(optimizer, f.name) for f in fields(optimizer)
-                          if f.name not in _MOMENTS},
+            "optimizer": settings,
             "baseline": None if self.baseline is None else [
                 asdict(self.baseline.claim), asdict(self.baseline.post)
             ],
@@ -650,7 +645,7 @@ class Trainer:
                               "fired": tracker.fired},
             "action_rng": self._action_rng.bit_generator.state,
             "sampler_rng": self._sampler_rng.bit_generator.state,
-            "post_counts": [len(post_steps) for _claim_step, post_steps in self.buffer],
+            "post_counts": [len(post_rewards) for _reward, post_rewards in self.buffer],
             "reports": [r.to_dict() for r in self.reports],
             "annotation_records": [[r[k] for k in _RECORD_FIELDS]
                                    for r in self.annotation_records],
@@ -670,20 +665,14 @@ class Trainer:
             },
         }
         arrays = {
-            "w1": self.params.w1,
-            "w2": self.params.w2,
+            **policy_arrays,
             "reference_sums": np.stack(
                 [self.references._sums[v] for v in VERACITIES]
             ),
             "claim_context_sum": self.claim_context._sum,
             "step_state": self.buffer.states,
-            "step_values": np.array(
-                [(s.action == RETAIN, s.logprob, s.p_retain, s.reward) for s in steps],
-                dtype=np.float64,
-            ).reshape(-1, len(_STEP_VALUES)),
+            "step_values": np.column_stack((self.buffer.retain, self.buffer.reward)),
         }
-        if optimizer.m_w1 is not None:
-            arrays.update({name: getattr(optimizer, name) for name in _MOMENTS})
         write_run_state(path, state, arrays)
 
     @classmethod
@@ -704,13 +693,8 @@ class Trainer:
         trainer = cls(config, dataset, sd_backend, rv_backend, embedder, seeds=seeds)
         d, h = config.embed_dim, config.hidden_dim
         try:
-            trainer.params = PolicyParams(w1=_array(arrays, "w1", (h, 3 * d)),
-                                          w2=_array(arrays, "w2", (h,)))
-            trainer.optimizer = OptimizerState(**state["optimizer"])
-            if "m_w1" in arrays:  # Adam moments exist once the first update ran
-                for name in _MOMENTS:
-                    setattr(trainer.optimizer, name, _array(
-                        arrays, name, (h, 3 * d) if name.endswith("w1") else (h,)))
+            _array(arrays, "w1", (h, 3 * d))  # the policy must fit the config
+            trainer.params, trainer.optimizer = decode_policy(state["optimizer"], arrays)
             baseline = state["baseline"]
             if baseline is not None:
                 claim, post = baseline
@@ -736,19 +720,11 @@ class Trainer:
 
             post_counts = state["post_counts"]
             n_rows = sum(1 + n for n in post_counts)
-            step_states = _array(arrays, "step_state", (n_rows, 3 * d))
-            rows = zip(step_states, _array(
-                arrays, "step_values", (n_rows, len(_STEP_VALUES))).tolist())
-
-            def step(level: str) -> Step:
-                step_state, (retain, logprob, p_retain, reward) = next(rows)
-                return Step(step_state, RETAIN if retain else DISCARD, logprob, level,
-                            p_retain, int(reward))
-
-            trainer.buffer = ReplayTable.adopt(step_states, [
-                (step(LEVEL_CLAIM), tuple(step(LEVEL_POST) for _ in range(n)))
-                for n in post_counts
-            ])
+            retain, reward = _array(arrays, "step_values",
+                                    (n_rows, len(_STEP_VALUES))).T
+            trainer.buffer = ReplayTable.adopt(
+                _array(arrays, "step_state", (n_rows, 3 * d)), retain != 0, reward,
+                post_counts)
             trainer.reports = [EpochReport(**r) for r in state["reports"]]
             trainer.annotation_records = [dict(zip(_RECORD_FIELDS, row))
                                           for row in state["annotation_records"]]

@@ -11,17 +11,15 @@ produce log(0).
 
 from __future__ import annotations
 
-import struct
-import zlib
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CheckpointError, PolicyError
-from .runstate import write_checksummed
+from .runstate import read_run_state, write_run_state
 
 logger = logging.getLogger(__name__)
 
@@ -130,23 +128,23 @@ Trajectory = tuple[Step, Sequence[Step]]
 
 
 class ReplayTable:
-    """The steps of a trajectory window as rows, in the objective's order.
+    """The rows of a trajectory window, in the objective's order.
 
     Each trajectory adds its claim step's row, then one row per post step.
     Beside one `(rows, state_dim)` block of states, every row keeps its
     retain flag, its reward, whether it is a claim row, and the post count
     of its trajectory, so the objective and its gradients read the window
-    without re-stacking it. Storage grows by doubling.
+    without re-stacking it. The table also keeps each trajectory's first
+    row. Storage grows by doubling.
 
-    `append` re-points the appended steps' states to views of their rows, so
-    each state is held once; the views follow the rows when the table grows
-    or `del table[:-keep]` drops old trajectories, and a dropped step gets a
-    copy of its state back. Iterating yields the `(claim_step, post_steps)` pairs.
-    Two tables are equal when they hold the same rows.
+    The table holds no `Step`: `append` copies a trajectory's rows, and
+    iterating yields each trajectory's `(claim reward, post rewards)`, the
+    post rewards as a view of the reward column that holds until the table
+    next changes. Two tables are equal when they hold the same rows.
     """
 
     _COLUMNS = ("_states", "_retain", "_reward", "_claim", "_posts")
-    __slots__ = (*_COLUMNS, "_rows", "_pairs")
+    __slots__ = (*_COLUMNS, "_rows", "_starts")
 
     def __init__(self, storage: np.ndarray):
         """An empty table whose rows go into `storage`, a float64
@@ -157,41 +155,45 @@ class ReplayTable:
         self._claim = np.empty(len(storage), dtype=bool)
         self._posts = np.empty(len(storage), dtype=np.int64)
         self._rows = 0
-        self._pairs: list[Trajectory] = []
+        self._starts: list[int] = []
 
     @classmethod
     def of(cls, trajectories: Sequence[Trajectory]) -> "ReplayTable":
-        """A table of copies of the trajectories' rows; their steps are left
-        as they are."""
+        """A table of copies of the trajectories' rows."""
         rows = sum(1 + len(post_steps) for _claim_step, post_steps in trajectories)
         state_dim = np.shape(trajectories[0][0].state)[0] if trajectories else 0
         table = cls(np.empty((rows, state_dim)))
-        table._extend(trajectories)
+        for claim_step, post_steps in trajectories:
+            table.append(claim_step, post_steps)
         return table
 
     @classmethod
-    def adopt(cls, states: np.ndarray,
-              trajectories: Sequence[Trajectory]) -> "ReplayTable":
-        """A table that takes `states`, which holds the rows of the steps of
-        `trajectories` in order, as its storage without copying it."""
+    def adopt(cls, states: np.ndarray, retain: np.ndarray, reward: np.ndarray,
+              post_counts: Sequence[int]) -> "ReplayTable":
+        """A table of the rows in `states`, `retain` and `reward`, trajectory
+        by trajectory with `post_counts` post rows each. It takes `states` as
+        its storage without copying it."""
         table = cls(states)
-        _point(table._extend(trajectories, states_written=True), table._states)
+        table._write(0, retain, reward, post_counts)
         return table
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._starts)
 
     def __iter__(self):
-        return iter(self._pairs)
+        return map(self._trajectory, self._starts)
 
-    def __getitem__(self, index: int) -> Trajectory:
-        return self._pairs[index]
+    def __getitem__(self, index: int) -> tuple[float, np.ndarray]:
+        return self._trajectory(self._starts[index])
+
+    def _trajectory(self, start: int) -> tuple[float, np.ndarray]:
+        return self._reward[start], self._reward[start + 1:start + 1 + self._posts[start]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ReplayTable):
             return NotImplemented
         n = self._rows
-        return n == other._rows and len(self) == len(other) and all(
+        return n == other._rows and all(
             getattr(self, name)[:n].tobytes() == getattr(other, name)[:n].tobytes()
             for name in self._COLUMNS
         )
@@ -204,6 +206,10 @@ class ReplayTable:
     @property
     def retain(self) -> np.ndarray:
         return self._retain[:self._rows]
+
+    @property
+    def reward(self) -> np.ndarray:
+        return self._reward[:self._rows]
 
     def weights(self, claim_shift: float = 0.0, post_shift: float = 0.0) -> np.ndarray:
         """Per-row objective weights.
@@ -220,9 +226,33 @@ class ReplayTable:
         return (self._reward[:n] - shift) / t_t_prime
 
     def append(self, claim_step: Step, post_steps: Sequence[Step]) -> None:
-        """Add one trajectory's rows; its steps' states become views of them."""
-        start = self._rows
-        _point(self._extend([(claim_step, post_steps)]), self._states[start:])
+        """Add copies of one trajectory's rows. A step with no reward raises
+        PolicyError and leaves the table as it was."""
+        steps = (claim_step, *post_steps)
+        rewards = [step.reward for step in steps]
+        if None in rewards:
+            level = LEVEL_CLAIM if rewards[0] is None else LEVEL_POST
+            raise PolicyError(f"{level} step has no reward")
+        start, end = self._rows, self._rows + len(steps)
+        if end > len(self._states):
+            self._grow(max(end, 2 * len(self._states)))
+        self._states[start:end] = [step.state for step in steps]
+        self._write(start, [step.action == RETAIN for step in steps], rewards,
+                    [len(post_steps)])
+
+    def _write(self, start: int, retain, reward, post_counts: Sequence[int]) -> None:
+        """Fill all but the states of the rows from `start` on, trajectory by
+        trajectory with `post_counts` post rows each; they become the last rows."""
+        sizes = np.asarray(post_counts, dtype=np.int64) + 1
+        end = start + int(sizes.sum())
+        firsts = start + np.cumsum(sizes) - sizes
+        self._retain[start:end] = retain
+        self._reward[start:end] = reward
+        self._claim[start:end] = False
+        self._claim[firsts] = True
+        self._posts[start:end] = np.repeat(sizes - 1, sizes)
+        self._starts += firsts.tolist()
+        self._rows = end
 
     def __delitem__(self, index: slice) -> None:
         """Drop the oldest trajectories: `del table[:-keep]` keeps the newest
@@ -232,41 +262,13 @@ class ReplayTable:
         drop = index.indices(len(self))[1]
         if drop <= 0:
             return
-        dropped = _steps(self._pairs[:drop])
-        _point(dropped, self._states[:len(dropped)].copy())
-        n = self._rows - len(dropped)
+        cut = self._starts[drop] if drop < len(self) else self._rows
+        n = self._rows - cut
         for name in self._COLUMNS:
             column = getattr(self, name)
-            column[:n] = column[len(dropped):self._rows]
-        del self._pairs[:drop]
+            column[:n] = column[cut:self._rows]
+        self._starts = [start - cut for start in self._starts[drop:]]
         self._rows = n
-        _point(_steps(self._pairs), self._states)
-
-    def _extend(self, pairs: Sequence[Trajectory],
-                states_written: bool = False) -> list[Step]:
-        """Write the rows of `pairs` after the last row; returns their steps."""
-        steps, claim, posts = [], [], []
-        for claim_step, post_steps in pairs:
-            steps.append(claim_step)
-            steps += post_steps
-            claim += [True] + [False] * len(post_steps)
-            posts += [len(post_steps)] * (1 + len(post_steps))
-        rewards = [step.reward for step in steps]
-        if None in rewards:
-            level = LEVEL_CLAIM if claim[rewards.index(None)] else LEVEL_POST
-            raise PolicyError(f"{level} step has no reward")
-        start, end = self._rows, self._rows + len(steps)
-        if end > len(self._states):
-            self._grow(max(end, 2 * len(self._states)))
-        if steps and not states_written:
-            self._states[start:end] = [step.state for step in steps]
-        self._retain[start:end] = [step.action == RETAIN for step in steps]
-        self._reward[start:end] = rewards
-        self._claim[start:end] = claim
-        self._posts[start:end] = posts
-        self._rows = end
-        self._pairs += pairs
-        return steps
 
     def _grow(self, capacity: int) -> None:
         n = self._rows
@@ -275,18 +277,6 @@ class ReplayTable:
             new = np.empty((capacity, *old.shape[1:]), dtype=old.dtype)
             new[:n] = old[:n]
             setattr(self, name, new)
-        _point(_steps(self._pairs), self._states)
-
-
-def _point(steps: list[Step], rows: np.ndarray) -> None:
-    """Make each step's state the row of `rows` at its position."""
-    for step, row in zip(steps, rows):
-        step.state = row
-
-
-def _steps(pairs: Sequence[Trajectory]) -> list[Step]:
-    return [step for claim_step, post_steps in pairs
-            for step in (claim_step, *post_steps)]
 
 
 def _table(trajectories: ReplayTable | Sequence[Trajectory]) -> ReplayTable:
@@ -374,13 +364,10 @@ class RewardBaseline:
     claim: MovingBaseline = field(default_factory=MovingBaseline)
     post: MovingBaseline = field(default_factory=MovingBaseline)
 
-    def observe(self, trajectory: Trajectory) -> None:
+    def observe(self, claim_reward: float, post_rewards: Sequence[float]) -> None:
         """Fold the newest trajectory's rewards into the running averages."""
-        claim_step, post_steps = trajectory
-        if claim_step.reward is not None:
-            self.claim.update(float(claim_step.reward))
-        post_rewards = [s.reward for s in post_steps if s.reward is not None]
-        if post_rewards:
+        self.claim.update(float(claim_reward))
+        if len(post_rewards):
             self.post.update(float(np.mean(post_rewards)))
 
 
@@ -431,13 +418,14 @@ def reinforce_update(
     """
     if not trajectories:
         return
+    table = _table(trajectories)
     claim_shift = post_shift = 0.0
     if baseline is not None:
         claim_shift = baseline.claim.get()
         post_shift = baseline.post.get()
-        baseline.observe(trajectories[-1])
+        baseline.observe(*table[-1])
     g_w1, g_w2 = gradients(
-        params, trajectories, claim_shift=claim_shift, post_shift=post_shift
+        params, table, claim_shift=claim_shift, post_shift=post_shift
     )
     if not (np.all(np.isfinite(g_w1)) and np.all(np.isfinite(g_w2))):
         logger.warning("skipping policy update: non-finite gradient")
@@ -463,80 +451,56 @@ def reinforce_update(
         w += np.divide(np.multiply(a, lr, out=a), b, out=a)  # lr m_hat / (...)
 
 
-_MAGIC = b"CSPOLICY"
-_VERSION = 2
-_HEAD = struct.Struct("<8sIIIQQ5d")  # magic, version, dims, counters, hypers
+_MOMENTS = ("m_w1", "v_w1", "m_w2", "v_w2")
+
+
+def encode_policy(
+    params: PolicyParams, optimizer: OptimizerState
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """The optimizer's settings and counters (JSON-able), and the arrays
+    `w1`, `w2` and, once the first update has made them, the Adam moments."""
+    settings = {f.name: getattr(optimizer, f.name) for f in fields(optimizer)
+                if f.name not in _MOMENTS}
+    arrays = {"w1": params.w1, "w2": params.w2}
+    if optimizer.m_w1 is not None:
+        arrays.update({name: getattr(optimizer, name) for name in _MOMENTS})
+    return settings, arrays
+
+
+def decode_policy(
+    settings: dict, arrays: dict[str, np.ndarray]
+) -> tuple[PolicyParams, OptimizerState]:
+    """Inverse of `encode_policy`, taking the arrays without copying them.
+    Arrays that disagree in shape raise ValueError; a missing entry raises
+    KeyError or TypeError."""
+    w1, w2 = arrays["w1"], arrays["w2"]
+    if w1.ndim != 2 or w2.shape != w1.shape[:1]:
+        raise ValueError(f"w1 has shape {w1.shape} and w2 {w2.shape}")
+    optimizer = OptimizerState(**settings)
+    if "m_w1" in arrays:
+        for name in _MOMENTS:
+            expected = (w1 if name.endswith("w1") else w2).shape
+            if arrays[name].shape != expected:
+                raise ValueError(f"{name} has shape {arrays[name].shape}, "
+                                 f"expected {expected}")
+            setattr(optimizer, name, arrays[name])
+    return PolicyParams(w1=w1, w2=w2), optimizer
 
 
 def save_checkpoint(
     params: PolicyParams, optimizer: OptimizerState, path: str | Path
 ) -> None:
-    """Atomically write policy and optimizer state as a checksummed
-    little-endian blob (see claimsift.runstate.write_checksummed)."""
-    optimizer.ensure_moments(params)
-    head = _HEAD.pack(
-        _MAGIC,
-        _VERSION,
-        params.state_dim,
-        params.hidden_dim,
-        optimizer.step,
-        optimizer.planned_updates,
-        optimizer.learning_rate,
-        optimizer.warmup_fraction,
-        optimizer.beta1,
-        optimizer.beta2,
-        optimizer.eps,
-    )
-    arrays = (
-        params.w1, params.w2,
-        optimizer.m_w1, optimizer.v_w1, optimizer.m_w2, optimizer.v_w2,
-    )
-    write_checksummed(path, (
-        head, *(np.ascontiguousarray(a, dtype="<f8").data for a in arrays)
-    ))
+    """Atomically write the policy and its optimizer as a run-state file
+    (see claimsift.runstate) whose manifest state is {"optimizer": {...}}."""
+    settings, arrays = encode_policy(params, optimizer)
+    write_run_state(path, {"optimizer": settings}, arrays)
 
 
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, OptimizerState]:
-    """Read a checkpoint, verifying magic, version, length, and checksum."""
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEAD.size + 4:
-        raise CheckpointError("truncated checkpoint file")
-    if blob[:8] != _MAGIC:
-        raise CheckpointError("not a policy checkpoint (bad magic)")
-    (
-        _magic, version, state_dim, hidden_dim, step, planned_updates,
-        learning_rate, warmup_fraction, beta1, beta2, eps,
-    ) = _HEAD.unpack_from(blob)
-    if version != _VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    n_w1 = hidden_dim * state_dim
-    n_w2 = hidden_dim
-    expected = _HEAD.size + 8 * (3 * n_w1 + 3 * n_w2) + 4
-    if len(blob) != expected:
-        raise CheckpointError("truncated checkpoint file")
-    (stored_crc,) = struct.unpack_from("<I", blob, expected - 4)
-    if (zlib.crc32(blob[: expected - 4]) & 0xFFFFFFFF) != stored_crc:
-        raise CheckpointError("checkpoint checksum mismatch")
-    offset = _HEAD.size
-    out = []
-    for count in (n_w1, n_w2, n_w1, n_w1, n_w2, n_w2):
-        out.append(np.frombuffer(blob, dtype="<f8", count=count, offset=offset).copy())
-        offset += 8 * count
-    w1, w2, m_w1, v_w1, m_w2, v_w2 = out
-    params = PolicyParams(
-        w1=w1.reshape(hidden_dim, state_dim), w2=w2,
-    )
-    optimizer = OptimizerState(
-        learning_rate=learning_rate,
-        warmup_fraction=warmup_fraction,
-        planned_updates=planned_updates,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        step=step,
-        m_w1=m_w1.reshape(hidden_dim, state_dim),
-        v_w1=v_w1.reshape(hidden_dim, state_dim),
-        m_w2=m_w2,
-        v_w2=v_w2,
-    )
-    return params, optimizer
+    """Read a checkpoint. A damaged file, one of another format or version,
+    and one whose arrays or optimizer entry do not fit raise CheckpointError."""
+    state, arrays = read_run_state(path)
+    try:
+        return decode_policy(state["optimizer"], arrays)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed policy checkpoint: {exc!r}") from None

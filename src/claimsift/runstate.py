@@ -1,4 +1,5 @@
 """The run-state file: a JSON manifest followed by raw little-endian arrays.
+Run states and policy checkpoints are both written in it.
 
 Layout: magic (8 bytes), u32 version, u64 body length, body, u32 crc32 of
 everything before it. The body is a u64 manifest length, the UTF-8 JSON
@@ -22,14 +23,13 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from .errors import CheckpointError
 
 MAGIC = b"CSFTRUN\x01"
-VERSION = 4
+VERSION = 5
 _HEAD = struct.Struct("<8sIQ")
 _U64 = struct.Struct("<Q")
 _CRC = struct.Struct("<I")
@@ -43,7 +43,13 @@ def _pad(offset: int) -> int:
 
 def write_run_state(path: str | Path, state: dict, arrays: dict) -> None:
     """Atomically write `state` (JSON-able) and `arrays` (name -> float64
-    array) to `path`."""
+    array) to `path`.
+
+    The bytes go through one handle, with a running checksum, to a temporary
+    file in the target's directory, which is flushed, fsynced and renamed
+    over `path`; any error removes the temporary file and leaves the
+    previous `path` as it was.
+    """
     arrays = {name: np.ascontiguousarray(value, dtype="<f8")
               for name, value in arrays.items()}
     table = [[name, "<f8", list(value.shape)] for name, value in arrays.items()]
@@ -55,21 +61,11 @@ def write_run_state(path: str | Path, state: dict, arrays: dict) -> None:
     for value in arrays.values():
         layout.append((_pad(offset), value))
         offset += _pad(offset) + value.nbytes
-    body_len = offset - _HEAD.size
-    write_checksummed(path, (
-        _HEAD.pack(MAGIC, VERSION, body_len), _U64.pack(len(manifest)), manifest,
+    chunks = (
+        _HEAD.pack(MAGIC, VERSION, offset - _HEAD.size), _U64.pack(len(manifest)),
+        manifest,
         *(chunk for padding, value in layout for chunk in (_ZEROS[:padding], value.data)),
-    ))
-
-
-def write_checksummed(path: str | Path, chunks: Iterable) -> None:
-    """Atomically write `chunks` (bytes-like) to `path`, then the u32
-    little-endian crc32 of everything written before it.
-
-    The bytes go through one handle to a temporary file in the target's
-    directory, which is flushed, fsynced and renamed over `path`; any error
-    removes the temporary file and leaves the previous `path` as it was.
-    """
+    )
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from claimsift import runstate
 from claimsift.cli import main
 from claimsift.config import RunConfig, save_config
 from claimsift.corpus import SynthConfig, generate_synthetic, load_dataset, save_dataset
@@ -240,6 +241,28 @@ def test_evaluate_rejects_checkpoint_width_mismatch(trained_run, capsys):
                "--checkpoint", str(out / "policy.ckpt")])
     assert rc == 2
     assert "does not match embed_dim" in capsys.readouterr().err
+
+
+def test_evaluate_rejects_checkpoints_that_do_not_fit(trained_run, tmp_path, capsys):
+    """Arrays that disagree in shape, a missing optimizer entry and the
+    retired policy format are usage errors."""
+    data, out = trained_run
+    state, arrays = runstate.read_run_state(out / "policy.ckpt")
+    bad = tmp_path / "bad.ckpt"
+    for bad_state, bad_arrays in (
+        (state, {**arrays, "w2": arrays["w2"][:-1]}),
+        ({}, arrays),
+    ):
+        runstate.write_run_state(bad, bad_state, bad_arrays)
+        rc = main(["evaluate", "--config", str(out / "config.resolved.json"),
+                   "--dataset", str(data), "--checkpoint", str(bad)])
+        assert rc == 2
+        assert "malformed policy checkpoint" in capsys.readouterr().err
+    bad.write_bytes(b"CSPOLICY" + bytes(100))
+    rc = main(["evaluate", "--config", str(out / "config.resolved.json"),
+               "--dataset", str(data), "--checkpoint", str(bad)])
+    assert rc == 2
+    assert "bad magic" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- export

@@ -125,13 +125,26 @@ def test_train_runs_to_max_epochs():
     assert trainer._pretrained
 
 
+def _trajectory_rows(table):
+    """Each trajectory's rows in a replay table: its claim reward, its post
+    rewards and the bytes of its state rows."""
+    rows, start = [], 0
+    for claim_reward, post_rewards in table:
+        end = start + 1 + len(post_rewards)
+        rows.append((float(claim_reward), tuple(post_rewards.tolist()),
+                     table.states[start:end].tobytes()))
+        start = end
+    assert start == len(table.states)
+    return rows
+
+
 def test_trailing_window_selection(monkeypatch):
     """Each update sees the trailing window; the buffer keeps nothing older."""
     windows = []
     update = engine.reinforce_update
 
     def spy(params, optimizer, trajectories, baseline=None):
-        windows.append([id(claim_step) for claim_step, _posts in trajectories])
+        windows.append(_trajectory_rows(trajectories))
         update(params, optimizer, trajectories, baseline=baseline)
 
     monkeypatch.setattr(engine, "reinforce_update", spy)
@@ -140,21 +153,30 @@ def test_trailing_window_selection(monkeypatch):
         trainer = _make_trainer(buffer_window=window)
         trainer.run_epoch(limit=4)
         newest = [seen[-1] for seen in windows]
+        assert len(set(newest)) == 4  # each update appended a trajectory of its own
         for k, seen in enumerate(windows):
             start = 0 if window is None else max(0, k + 1 - window)
             assert seen == newest[start:k + 1]
-        assert [id(claim_step) for claim_step, _posts in trainer.buffer] == windows[-1]
+        assert _trajectory_rows(trainer.buffer) == windows[-1]
 
 
-def _buffered_steps(trainer):
-    return [s for claim_step, post_steps in trainer.buffer
-            for s in (claim_step, *post_steps)]
+def test_replay_table_holds_the_rows_of_the_buffered_steps(monkeypatch, tmp_path):
+    """With no window, the buffer's replay table holds a copy of each
+    buffered step's state, action and reward, before and after a resume and
+    once the adopted block has grown; with a window of 2 it holds exactly
+    the rows of the trailing trajectories."""
+    trajectories = _spy_trajectories(monkeypatch)
 
+    def expected_rows(window):
+        steps = [s for t in trajectories[-window:]
+                 for s in (t.claim_step, *t.post_steps)]
+        return (np.stack([s.state for s in steps]).tobytes(),
+                [s.action == "retain" for s in steps], [s.reward for s in steps])
 
-def test_each_buffered_state_is_held_once_by_the_replay_table(tmp_path):
-    """With no window, every buffered step's state is a row of the buffer's
-    replay table, before and after a resume; with a window of 2 the table
-    holds exactly the rows of the trailing trajectories."""
+    def rows(run):
+        return (run.buffer.states.tobytes(), run.buffer.retain.tolist(),
+                run.buffer.reward.tolist())
+
     trainer = _make_trainer(buffer_window=None)
     trainer.run_epoch()
     assert trainer.run_epoch(limit=2) is None
@@ -164,26 +186,22 @@ def test_each_buffered_state_is_held_once_by_the_replay_table(tmp_path):
         path, generate_synthetic(SynthConfig(n_claims=6, posts_per_claim=4, rng_seed=1)),
         OracleAnnotator(rng=0), OracleAnnotator(rng=0), HashedEmbedder(16),
     )
+    n_claims = len(trainer._claims)
     for run in (trainer, resumed):
-        steps = _buffered_steps(run)
-        rows = run.buffer.states
-        assert len(run.buffer) == len(trainer._claims) + 2
-        assert len(steps) == len(rows)
-        for row, step in zip(rows, steps):
-            assert np.shares_memory(step.state, rows)
-            assert step.state.tobytes() == row.tobytes()
+        assert len(run.buffer) == n_claims + 2
+        assert rows(run) == expected_rows(n_claims + 2)
+    trainer.run_epoch()
+    assert len(trainer.buffer) == 2 * n_claims
+    assert rows(trainer) == expected_rows(2 * n_claims)
     resumed.run_epoch()  # the adopted block grows like any other
-    assert all(np.shares_memory(s.state, resumed.buffer.states)
-               for s in _buffered_steps(resumed))
+    assert rows(resumed) == rows(trainer)
 
+    trajectories.clear()
     windowed = _make_trainer(buffer_window=2)
     for k in range(5):
         windowed.run_epoch(limit=1)
-        steps = _buffered_steps(windowed)
         assert len(windowed.buffer) == min(k + 1, 2)
-        assert windowed.buffer.states.tobytes() == \
-            np.stack([s.state for s in steps]).tobytes()
-        assert all(np.shares_memory(s.state, windowed.buffer.states) for s in steps)
+        assert rows(windowed) == expected_rows(2)
 
 
 def test_event_stream_schema():
@@ -362,7 +380,9 @@ def test_stance_failures_are_counted_per_post():
     assert report.posts_annotated == 0
     # claims still complete: the veracity oracle answers over an empty set
     assert report.claims_processed == n_claims
-    assert all(post_steps == () for _claim_step, post_steps in trainer.buffer)
+    assert [len(post_rewards) for _reward, post_rewards in trainer.buffer] == \
+        [0] * n_claims
+    assert len(trainer.buffer.states) == n_claims  # one claim row each
 
 
 def test_wrong_typed_http_replies_are_counted_and_skipped(scripted_server):

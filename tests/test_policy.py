@@ -33,9 +33,6 @@ from claimsift.policy import (
     save_checkpoint,
 )
 
-_HEAD_SIZE = struct.calcsize("<8sIIIQQ5d")
-
-
 def _random_trajectories(rng, state_dim, n_claims, max_posts=3):
     trajs = []
     for _ in range(n_claims):
@@ -250,9 +247,9 @@ _step = st.tuples(st.lists(_finite, min_size=3, max_size=3), st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_replay_table_matches_stacked_reference(window, trajectories, shifts, seed):
-    """Built by appends and leading deletes, the table gives bitwise the
-    gradients and objective of re-stacking the trailing window, and holds
-    each buffered state once."""
+    """Built by appends and leading deletes, the table holds copies of the
+    trailing window's rows and gives bitwise the gradients and objective of
+    re-stacking that window."""
     params = init_params(3, 2, np.random.default_rng(seed))
 
     def steps(level, spec):
@@ -262,50 +259,52 @@ def test_replay_table_matches_stacked_reference(window, trajectories, shifts, se
                 Step(np.array(state), action, 0.0, level, 0.5, reward))
 
     table = ReplayTable(np.empty((0, 3)))
-    held, reference, dropped = [], [], []
+    reference = []
     for claim_spec, post_specs in trajectories:
         claim, claim_ref = steps(LEVEL_CLAIM, claim_spec)
         posts = [steps(LEVEL_POST, spec) for spec in post_specs]
-        held.append((claim, tuple(step for step, _ref in posts)))
+        table.append(claim, [step for step, _ref in posts])
+        for step in (claim, *(step for step, _ref in posts)):
+            step.state[:] = np.nan  # the table holds copies
         reference.append((claim_ref, [ref for _step, ref in posts]))
-        table.append(*held[-1])
         if window is not None:
-            dropped += held[:-window]
-            del held[:-window], reference[:-window]
+            del reference[:-window]
             del table[:-window]
 
-        assert [pair[0] for pair in table] == [claim for claim, _posts in held]
+        assert [(claim_reward, post_rewards.tolist()) for claim_reward, post_rewards
+                in table] == [(claim.reward, [s.reward for s in posts])
+                              for claim, posts in reference]
         assert table == ReplayTable.of(reference)
-        for (claim, posts), (claim_ref, posts_ref) in zip(held, reference):
-            for step, ref in zip((claim, *posts), (claim_ref, *posts_ref)):
-                assert np.shares_memory(step.state, table.states)
-                assert step.state.tobytes() == ref.state.tobytes()
         for got, want in zip(gradients(params, table, *shifts),
                              _reference_gradients(params, reference, *shifts)):
             assert got.tobytes() == want.tobytes()
         got = objective(params, table)
         assert np.float64(got).tobytes() == \
             np.float64(_reference_objective(params, reference)).tobytes()
-        assert objective(params, held) == got  # the plain-list path
-
-    # trimmed steps got their states back as copies of their own
-    for claim, posts in dropped:
-        for step in (claim, *posts):
-            assert not np.shares_memory(step.state, table.states)
+        assert objective(params, reference) == got  # the plain-list path
 
 
 def test_replay_table_deletes_only_leading_slices():
     table = ReplayTable(np.empty((0, 2)))
     for reward in (1, -1, 0):
-        table.append(Step(np.full(2, reward), RETAIN, 0.0, LEVEL_CLAIM, 0.5, reward), ())
+        posts = [Step(np.full(2, 10 * reward + k), DISCARD, 0.0, LEVEL_POST, 0.5, k)
+                 for k in range(1 - reward)]
+        table.append(Step(np.full(2, reward), RETAIN, 0.0, LEVEL_CLAIM, 0.5, reward),
+                     posts)
     for index in (0, slice(1, None), slice(None, None, 2)):
         with pytest.raises(TypeError, match="leading slice"):
             del table[index]
     del table[:-5]
-    assert len(table) == 3
+    assert len(table) == 3 and len(table.states) == 1 + 3 + 2
+    del table[:-2]
+    assert [(claim_reward, post_rewards.tolist()) for claim_reward, post_rewards
+            in table] == [(-1, [0, 1]), (0, [0])]
+    assert table.states[:, 0].tolist() == [-1, -10, -9, 0, 0]
+    assert table.retain.tolist() == [True, False, False, True, False]
     del table[:-1]
-    assert [claim.reward for claim, _posts in table] == [0]
-    assert table.states.tolist() == [[0.0, 0.0]]
+    assert [claim_reward for claim_reward, _posts in table] == [0]
+    assert table.states.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert table.reward.tolist() == [0, 0]
 
 
 def test_replay_table_rejects_unrewarded_steps_without_changing():
@@ -315,7 +314,7 @@ def test_replay_table_rejects_unrewarded_steps_without_changing():
     with pytest.raises(PolicyError, match="post step has no reward"):
         table.append(ok, [bare])
     assert len(table) == 0 and table.states.shape == (0, 2)
-    assert not np.shares_memory(ok.state, table.states)
+    assert table == ReplayTable(np.empty((0, 2)))
 
 
 def test_analytic_gradients_match_finite_differences():
@@ -381,18 +380,24 @@ def test_moving_baseline_math():
 
 def test_reward_baseline_tracks_levels_separately():
     base = RewardBaseline()
-    claim = Step(np.zeros(2), RETAIN, 0.0, LEVEL_CLAIM, 0.5, reward=1)
-    posts = [
+    table = ReplayTable(np.empty((0, 2)))
+    table.append(Step(np.zeros(2), RETAIN, 0.0, LEVEL_CLAIM, 0.5, reward=1), [
         Step(np.zeros(2), RETAIN, 0.0, LEVEL_POST, 0.5, reward=1),
         Step(np.zeros(2), DISCARD, 0.0, LEVEL_POST, 0.5, reward=0),
-    ]
-    base.observe((claim, posts))
+    ])
+    base.observe(*table[-1])
     assert base.claim.get() == 1.0
     assert base.post.get() == 0.5
-    # unrewarded steps are skipped rather than counted as zeros
+    # a claim with no posts leaves the post level as it was
+    base.observe(-1, [])
+    assert base.claim.get() == pytest.approx(0.9 - 0.1)
+    assert base.post.get() == 0.5
+    # an unrewarded step is rejected before the baseline sees its window
+    params = init_params(2, 1, np.random.default_rng(0))
     unrewarded = Step(np.zeros(2), RETAIN, 0.0, LEVEL_CLAIM, 0.5, reward=None)
-    base.observe((unrewarded, []))
-    assert base.claim.get() == 1.0
+    with pytest.raises(PolicyError, match="claim step has no reward"):
+        reinforce_update(params, OptimizerState(), [(unrewarded, [])], baseline=base)
+    assert base.claim.get() == pytest.approx(0.9 - 0.1)
     assert base.post.get() == 0.5
 
 
@@ -566,6 +571,22 @@ def test_checkpoint_resume_continues_identically(tmp_path):
     assert opt2.step == opt.step
 
 
+def test_checkpoint_without_moments_round_trips(tmp_path):
+    """Before the first update there are no Adam moments to save; saving
+    does not make them."""
+    params = init_params(6, 4, np.random.default_rng(2))
+    opt = OptimizerState(learning_rate=0.02, planned_updates=40)
+    path = tmp_path / "policy.ckpt"
+    save_checkpoint(params, opt, path)
+    assert opt.m_w1 is None
+    _state, arrays = runstate.read_run_state(path)
+    assert sorted(arrays) == ["w1", "w2"]
+    params2, opt2 = load_checkpoint(path)
+    assert params2.w1.tobytes() == params.w1.tobytes()
+    assert params2.w2.tobytes() == params.w2.tobytes()
+    assert opt2 == opt
+
+
 def test_checkpoint_error_classes(tmp_path):
     params, opt = _trained_pair()
     good = tmp_path / "good.ckpt"
@@ -574,12 +595,12 @@ def test_checkpoint_error_classes(tmp_path):
 
     short = tmp_path / "short.ckpt"
     short.write_bytes(blob[:10])
-    with pytest.raises(CheckpointError, match="truncated checkpoint file"):
+    with pytest.raises(CheckpointError, match="truncated run-state file"):
         load_checkpoint(short)
 
     clipped = tmp_path / "clipped.ckpt"
     clipped.write_bytes(blob[:-3])
-    with pytest.raises(CheckpointError, match="truncated checkpoint file"):
+    with pytest.raises(CheckpointError, match="truncated run-state file"):
         load_checkpoint(clipped)
 
     magic = tmp_path / "magic.ckpt"
@@ -591,30 +612,74 @@ def test_checkpoint_error_classes(tmp_path):
     mutated = bytearray(blob)
     mutated[8] = 3  # little-endian version word
     version.write_bytes(bytes(mutated))
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 3"):
+    with pytest.raises(CheckpointError, match="unsupported run-state version 3"):
         load_checkpoint(version)
 
     corrupt = tmp_path / "corrupt.ckpt"
     mutated = bytearray(blob)
-    mutated[_HEAD_SIZE + (len(blob) - _HEAD_SIZE) // 2] ^= 0xFF
+    mutated[len(blob) // 2] ^= 0xFF
     corrupt.write_bytes(bytes(mutated))
     with pytest.raises(CheckpointError, match="checksum mismatch"):
         load_checkpoint(corrupt)
 
 
-def test_version_1_checkpoint_is_rejected(tmp_path):
-    """The version-1 layout also stored batch_size and max_epochs."""
-    params, opt = _trained_pair()
+def _old_policy_checkpoint(path, params, opt, version, head_format, *counters):
+    """A checkpoint in the retired `CSPOLICY` layout: header, six arrays, crc32."""
     head = struct.pack(
-        "<8sIIIQQII5d", b"CSPOLICY", 1, params.state_dim, params.hidden_dim,
-        opt.step, opt.planned_updates, 2, 9, opt.learning_rate,
+        head_format, b"CSPOLICY", version, params.state_dim, params.hidden_dim,
+        opt.step, opt.planned_updates, *counters, opt.learning_rate,
         opt.warmup_fraction, opt.beta1, opt.beta2, opt.eps,
     )
     body = head + b"".join(a.astype("<f8").tobytes() for a in (
         params.w1, params.w2, opt.m_w1, opt.v_w1, opt.m_w2, opt.v_w2))
-    path = tmp_path / "v1.ckpt"
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+
+
+def test_version_1_checkpoint_is_rejected(tmp_path):
+    """The version-1 layout also stored batch_size and max_epochs."""
+    params, opt = _trained_pair()
+    path = tmp_path / "v1.ckpt"
+    _old_policy_checkpoint(path, params, opt, 1, "<8sIIIQQII5d", 2, 9)
+    with pytest.raises(CheckpointError, match="bad magic"):
+        load_checkpoint(path)
+
+
+def test_cspolicy_version_2_checkpoint_is_rejected(tmp_path):
+    """Policy checkpoints had a header and checksum of their own up to
+    version 2; they are now run-state files."""
+    params, opt = _trained_pair()
+    path = tmp_path / "v2.ckpt"
+    _old_policy_checkpoint(path, params, opt, 2, "<8sIIIQQ5d")
+    with pytest.raises(CheckpointError, match="not a run-state file"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("case", [
+    "w2-shape", "w1-not-a-matrix", "moment-shape", "missing-moment", "no-optimizer",
+    "unknown-setting", "list-state",
+])
+def test_checkpoint_that_does_not_fit_is_rejected(tmp_path, case):
+    params, opt = _trained_pair()
+    state = {"optimizer": {"learning_rate": opt.learning_rate, "step": opt.step}}
+    arrays = {"w1": params.w1, "w2": params.w2, "m_w1": opt.m_w1, "v_w1": opt.v_w1,
+              "m_w2": opt.m_w2, "v_w2": opt.v_w2}
+    if case == "w2-shape":
+        arrays["w2"] = np.zeros(params.hidden_dim + 1)
+    elif case == "w1-not-a-matrix":
+        arrays["w1"] = params.w1.ravel()
+    elif case == "moment-shape":
+        arrays["v_w1"] = opt.v_w1.T
+    elif case == "missing-moment":
+        del arrays["m_w2"]
+    elif case == "no-optimizer":
+        state = {}
+    elif case == "unknown-setting":
+        state["optimizer"]["batch_size"] = 2
+    else:
+        state = [state]
+    path = tmp_path / "bad.ckpt"
+    runstate.write_run_state(path, state, arrays)
+    with pytest.raises(CheckpointError, match="malformed policy checkpoint"):
         load_checkpoint(path)
 
 

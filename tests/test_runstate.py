@@ -22,7 +22,7 @@ from claimsift.config import RunConfig
 from claimsift.corpus import SynthConfig, generate_synthetic
 from claimsift.engine import Trainer
 from claimsift.errors import CheckpointError
-from claimsift.policy import PolicyParams, ReplayTable
+from claimsift.policy import PolicyParams, ReplayTable, save_checkpoint
 from claimsift.state import HashedEmbedder
 
 D, H = 4, 3
@@ -50,7 +50,7 @@ def _resume(path, dataset=DATASET, embed_dim=D):
 def _plain(value):
     """A comparable form of a run's state: arrays as (dtype, shape, bytes),
     so NaN payloads and signed zeros count."""
-    if isinstance(value, ReplayTable):  # its rows, and the steps they hold
+    if isinstance(value, ReplayTable):  # its rows, and its rewards by trajectory
         return ("ReplayTable", value, _plain(list(value)))
     if isinstance(value, np.ndarray):
         return ("array", value.dtype.str, value.shape, value.tobytes())
@@ -212,13 +212,13 @@ def test_every_truncation_and_byte_flip_is_rejected(tmp_path):
             _resume(damaged, SMALL_DATASET, 2)
 
 
-@pytest.mark.parametrize("version", [2, 3])
+@pytest.mark.parametrize("version", [2, 3, 4])
 def test_older_run_state_version_is_rejected(tmp_path, version):
     """A current file relabelled as an older version fails on its version
     alone. Version 2 manifests also held batch_size, smoothing_alpha and the
     optimizer's batch_size and max_epochs; version 3 held the whole run's
     annotation records and fine-tune examples and each buffered trajectory's
-    labels."""
+    labels; version 4 held each buffered step's logprob and p_retain."""
     path, blob = _small_state(tmp_path)
     body = bytearray(blob[:-4])
     struct.pack_into("<I", body, len(runstate.MAGIC), version)
@@ -254,6 +254,20 @@ def test_run_state_holds_one_window_and_the_current_epochs_records(tmp_path):
             epoch_examples = len(trainer._epoch_ft_stance) + len(trainer._epoch_ft_veracity)
         assert examples == epoch_examples
         assert len(state["post_counts"]) == 1
+
+
+def test_policy_checkpoint_is_not_a_run_state(tmp_path):
+    """A policy checkpoint is written in the same container but holds no
+    run, so resuming from one fails as a malformed run state."""
+    trainer = _trainer()
+    trainer.run_epoch(limit=1)
+    path = tmp_path / "policy.ckpt"
+    save_checkpoint(trainer.params, trainer.optimizer, path)
+    state, arrays = runstate.read_run_state(path)
+    assert list(state) == ["optimizer"]
+    assert list(arrays) == ["w1", "w2", "m_w1", "v_w1", "m_w2", "v_w2"]
+    with pytest.raises(CheckpointError, match="malformed run state"):
+        _resume(path)
 
 
 def _framed(manifest: dict, data: bytes = b"") -> bytes:
