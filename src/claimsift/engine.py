@@ -9,10 +9,11 @@ and one policy ascent step runs over a trailing trajectory window. Training
 halts early once claim-level rewards stay at +1 for a configured run length.
 
 What a run needs to go on (policy, optimizer, reward references, contexts,
-rng streams, the trajectory window, mid-epoch progress and the current
-epoch's records) serializes to a single checksummed file, so a saved run
-resumes bit-for-bit. Earlier epochs' annotation records and fine-tune
-examples are output, handed over as each epoch ends, not kept.
+rng streams, the trajectory window and the epoch in progress, if any)
+serializes to a single checksummed file, so a saved run resumes
+bit-for-bit. An epoch's annotation records and fine-tune examples are
+output, handed over as it ends: a run state saved between epochs holds
+none of them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import logging
 import time
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -80,8 +81,11 @@ _STEP_VALUES = ("retain", "reward")
 # annotation records are saved as rows of these fields, not repeating keys
 _RECORD_FIELDS = ("epoch", "claim_id", "post_id", "post_text", "stance",
                   "explanation", "retained")
-_EXAMPLE_LISTS = ("finetune_stance", "finetune_veracity",
-                  "_epoch_ft_stance", "_epoch_ft_veracity")
+# an epoch's counters, summed over its claim steps into its report
+_COUNTERS = ("claims_processed", "claims_aborted", "claims_retained",
+             "posts_annotated", "posts_retained", "claim_reward_sum",
+             "post_reward_sum", "policy_updates", "annotator_failures",
+             "post_terminations")
 # what a run state that does not hold together raises while it is decoded
 _MALFORMED = (KeyError, IndexError, TypeError, ValueError, ConfigError)
 
@@ -96,6 +100,19 @@ class Trajectory:
     claim_cosine: float
     post_cosines: tuple[float, ...]
     post_terminated: bool = False
+
+
+@dataclass
+class _Epoch:
+    """The epoch in progress: its claim sampler, its counters (and the wall
+    time of its claim steps) and the fine-tune examples kept so far, which go
+    to the backends as it ends."""
+
+    sampler: ClaimSampler
+    counts: dict = field(default_factory=lambda: {
+        **dict.fromkeys(_COUNTERS, 0), "wall": 0.0})
+    stance: list[FineTuneExample] = field(default_factory=list)
+    veracity: list[FineTuneExample] = field(default_factory=list)
 
 
 @dataclass
@@ -229,16 +246,16 @@ class Trainer:
         self.annotation_records: list[dict] = []
         self.finetune_stance: list[FineTuneExample] = []
         self.finetune_veracity: list[FineTuneExample] = []
-        # this epoch's fine-tune examples so far, sent to the backends at its end
-        self._epoch_ft_stance: list[FineTuneExample] = []
-        self._epoch_ft_veracity: list[FineTuneExample] = []
         self.epoch_index = 0
-        self.terminated = False
         self._pretrained = False
-        self._epoch_active = False
-        self._epoch_sampler: ClaimSampler | None = None
-        self._acc: dict | None = None
+        self._epoch: _Epoch | None = None  # None between epochs
         self._event_sink: Callable[[dict], None] | None = None
+
+    @property
+    def terminated(self) -> bool:
+        """Whether early termination has ended training: the claim-level
+        tracker fired, and the epoch it fired in has ended."""
+        return self.claim_tracker.fired and self._epoch is None
 
     # ------------------------------------------------------------------ setup
 
@@ -306,8 +323,7 @@ class Trainer:
     def _process_claim(self, claim: Claim) -> tuple[Trajectory | None, int]:
         config = self.config
         failures = 0
-        truth = self.truth.get(claim.claim_id)
-        is_seed = claim.claim_id in self.seed_ids
+        truth = self.truth.get(claim.claim_id)  # a seed claim's trusted label
         try:
             claim_vec = self._claim_embedding(claim)
         except EmbedError as exc:
@@ -326,7 +342,6 @@ class Trainer:
         # veracity, else while the prefix rewards are assigned after the verdict.
         retained_stance = StanceMean()
         post_cosines: list[float] = []
-        post_terminated = False
 
         while len(annotated) < cap and sampler.remaining > 0:
             index = sampler.sample()
@@ -341,7 +356,7 @@ class Trainer:
                 continue
             if step.action == RETAIN:
                 retained_pairs.append((post, annotation))
-                if is_seed and truth is not None:
+                if truth is not None:
                     self.references.update(truth, annotation.distribution)
                 if config.incremental_veracity:
                     retained_stance.add(annotation.distribution)
@@ -358,7 +373,6 @@ class Trainer:
                     step.reward = outcome.value
                     post_cosines.append(outcome.cosine)
                 if post_tracker.observe(step.reward):
-                    post_terminated = True
                     break
 
         try:
@@ -383,33 +397,24 @@ class Trainer:
             )
             return None, failures
 
-        if truth is None and not config.incremental_veracity:
-            # each sub-step is scored on the retained posts up to it
-            post_cosines = []
+        if not config.incremental_veracity:
+            # each sub-step is scored on the retained posts up to it; a labeled
+            # claim's reward ignores them, so its sub-steps get the claim's
             for _post, annotation, step in annotated:
                 if step.action == RETAIN:
                     retained_stance.add(annotation.distribution)
                 sub = self._claim_outcome(verdict, truth, retained_stance)
                 step.reward = sub.value
                 post_cosines.append(sub.cosine)
+                post_tracker.observe(step.reward)
         outcome = self._claim_outcome(verdict, truth, retained_stance)
         claim_step.reward = outcome.value
 
-        if not config.incremental_veracity:
-            if truth is not None:
-                # terminal credit: each sub-step inherits the claim's reward
-                for _post, _annotation, step in annotated:
-                    step.reward = outcome.value
-                post_cosines = [outcome.cosine] * len(annotated)
-            for _post, _annotation, step in annotated:
-                if post_tracker.observe(step.reward):
-                    post_terminated = True
-                    break
-
+        epoch = self._epoch
         if claim_step.action == RETAIN:
             self.claim_context.add(context_vec)
             for post, annotation in retained_pairs:
-                self._epoch_ft_stance.append(
+                epoch.stance.append(
                     FineTuneExample(
                         task=TASK_STANCE,
                         prompt=build_stance_prompt(claim, post),
@@ -419,13 +424,13 @@ class Trainer:
                         label_origin="machine",
                     )
                 )
-            if is_seed and truth is not None:
+            if truth is not None:
                 target = format_veracity_target(truth, verdict.explanation)
                 origin = "human"
             else:
                 target = format_veracity_target(verdict.label, verdict.explanation)
                 origin = "machine"
-            self._epoch_ft_veracity.append(
+            epoch.veracity.append(
                 FineTuneExample(
                     task=TASK_VERACITY,
                     prompt=build_veracity_prompt(
@@ -456,7 +461,7 @@ class Trainer:
             reward_branch=outcome.branch,
             claim_cosine=outcome.cosine,
             post_cosines=tuple(post_cosines),
-            post_terminated=post_terminated,
+            post_terminated=post_tracker.fired,
         )
         return trajectory, failures
 
@@ -486,33 +491,19 @@ class Trainer:
 
     def _begin_epoch(self) -> None:
         self.epoch_index += 1
-        seed_list = sorted(cid for cid in self._claims if cid in self.seed_ids)
-        pool_list = sorted(cid for cid in self._claims if cid not in self.seed_ids)
-        self._epoch_sampler = ClaimSampler(
-            seed_list, pool_list, self.config.epsilon, self._sampler_rng
-        )
-        self._acc = {
-            "claims_processed": 0,
-            "claims_aborted": 0,
-            "claims_retained": 0,
-            "posts_annotated": 0,
-            "posts_retained": 0,
-            "claim_reward_sum": 0,
-            "post_reward_sum": 0,
-            "policy_updates": 0,
-            "annotator_failures": 0,
-            "post_terminations": 0,
-            "wall": 0.0,
-        }
+        self._epoch = _Epoch(ClaimSampler(
+            [cid for cid in self._claims if cid in self.seed_ids],
+            [cid for cid in self._claims if cid not in self.seed_ids],
+            self.config.epsilon, self._sampler_rng,
+        ))
         self.annotation_records = []
         self.finetune_stance = []
         self.finetune_veracity = []
-        self._epoch_active = True
 
     def _step_claim(self) -> None:
         t0 = time.perf_counter()
-        acc = self._acc
-        claim_id = self._epoch_sampler.sample()
+        acc = self._epoch.counts
+        claim_id = self._epoch.sampler.sample()
         claim = self._claims[claim_id]
         trajectory, failures = self._process_claim(claim)
         acc["annotator_failures"] += failures
@@ -525,9 +516,11 @@ class Trainer:
             # the update reads only the trailing window, so nothing older is kept
             del self.buffer[:-self.config.buffer_window]
         self.claim_tracker.observe(trajectory.claim_step.reward)
+        updates = self.optimizer.step
         reinforce_update(self.params, self.optimizer, self.buffer,
                          baseline=self.baseline)
-        acc["policy_updates"] += 1
+        # an update whose gradient was not finite is skipped, not counted
+        acc["policy_updates"] += self.optimizer.step - updates
         acc["claims_processed"] += 1
         acc["claims_retained"] += int(trajectory.claim_step.action == RETAIN)
         acc["posts_annotated"] += len(trajectory.post_steps)
@@ -546,21 +539,14 @@ class Trainer:
         acc["wall"] += time.perf_counter() - t0
 
     def _epoch_has_work(self) -> bool:
-        return (
-            self._epoch_active
-            and not self.claim_tracker.fired
-            and self._epoch_sampler.remaining > 0
-        )
+        return not self.claim_tracker.fired and self._epoch.sampler.remaining > 0
 
     def _finish_epoch(self) -> EpochReport:
-        acc = self._acc
-        self._epoch_active = False
-        fine_tune(self.sd, self._epoch_ft_stance)
-        fine_tune(self.rv, self._epoch_ft_veracity)
-        self.finetune_stance, self._epoch_ft_stance = self._epoch_ft_stance, []
-        self.finetune_veracity, self._epoch_ft_veracity = self._epoch_ft_veracity, []
-        if self.claim_tracker.fired:
-            self.terminated = True
+        epoch, self._epoch = self._epoch, None
+        fine_tune(self.sd, epoch.stance)
+        fine_tune(self.rv, epoch.veracity)
+        self.finetune_stance, self.finetune_veracity = epoch.stance, epoch.veracity
+        acc = epoch.counts
         posts = acc["posts_annotated"]
         claims = acc["claims_processed"]
         report = EpochReport(
@@ -575,8 +561,8 @@ class Trainer:
             mean_post_reward=(acc["post_reward_sum"] / posts) if posts else 0.0,
             policy_updates=acc["policy_updates"],
             annotator_failures=acc["annotator_failures"],
-            finetune_stance_examples=len(self.finetune_stance),
-            finetune_veracity_examples=len(self.finetune_veracity),
+            finetune_stance_examples=len(epoch.stance),
+            finetune_veracity_examples=len(epoch.veracity),
             post_terminations=acc["post_terminations"],
             terminated=self.terminated,
             wall_time_s=acc["wall"],
@@ -592,7 +578,7 @@ class Trainer:
         """
         if self.terminated:
             raise ConfigError("training already terminated; nothing to run")
-        if not self._epoch_active:
+        if self._epoch is None:
             self._begin_epoch()
         steps = 0
         while self._epoch_has_work() and (limit is None or steps < limit):
@@ -613,7 +599,7 @@ class Trainer:
         """
         self.pretrain()
         while not self.terminated and (
-            self._epoch_active or self.epoch_index < self.config.max_epochs
+            self._epoch is not None or self.epoch_index < self.config.max_epochs
         ):
             report = self.run_epoch()
             if on_epoch is not None:
@@ -627,10 +613,11 @@ class Trainer:
 
         Numbers that come in arrays (parameters, optimizer moments, sums,
         step states and per-step values) are stored as raw arrays; all
-        else goes into the JSON manifest.
+        else goes into the JSON manifest. The epoch in progress, `null`
+        between epochs, holds its records and fine-tune examples so far.
         """
         settings, policy_arrays = encode_policy(self.params, self.optimizer)
-        sampler, tracker = self._epoch_sampler, self.claim_tracker
+        epoch = self._epoch
         state = {
             "config": self.config.to_dict(),
             "fingerprint": list(self._fingerprint),
@@ -641,23 +628,22 @@ class Trainer:
             ],
             "reference_counts": [self.references.count(v) for v in VERACITIES],
             "claim_context_count": self.claim_context.count,
-            "claim_tracker": {"n": tracker.n, "current_run": tracker.current_run,
-                              "fired": tracker.fired},
+            "claim_tracker": {"current_run": self.claim_tracker.current_run,
+                              "fired": self.claim_tracker.fired},
             "action_rng": self._action_rng.bit_generator.state,
             "sampler_rng": self._sampler_rng.bit_generator.state,
             "post_counts": [len(post_rewards) for _reward, post_rewards in self.buffer],
             "reports": [r.to_dict() for r in self.reports],
-            "annotation_records": [[r[k] for k in _RECORD_FIELDS]
-                                   for r in self.annotation_records],
-            **{key: _example_rows(getattr(self, key)) for key in _EXAMPLE_LISTS},
             "epoch_index": self.epoch_index,
-            "epoch_active": self._epoch_active,
-            "epoch_sampler": None if sampler is None else {
-                "seeds": sampler._seeds, "pool": sampler._pool,
-                "epsilon": sampler.epsilon, "last_branch": sampler.last_branch,
+            "epoch": None if epoch is None else {
+                "seeds": epoch.sampler._seeds, "pool": epoch.sampler._pool,
+                "last_branch": epoch.sampler.last_branch,
+                "counts": epoch.counts,
+                "records": [[r[k] for k in _RECORD_FIELDS]
+                            for r in self.annotation_records],
+                "stance": _example_rows(epoch.stance),
+                "veracity": _example_rows(epoch.veracity),
             },
-            "acc": self._acc,
-            "terminated": self.terminated,
             "pretrained": self._pretrained,
             "backend_states": {
                 "sd": self.sd.get_state() if hasattr(self.sd, "get_state") else None,
@@ -706,17 +692,21 @@ class Trainer:
             trainer.references._counts = dict(zip(VERACITIES, state["reference_counts"]))
             trainer.claim_context._sum = _array(arrays, "claim_context_sum", (d,))
             trainer.claim_context.count = state["claim_context_count"]
-            tracker = trainer.claim_tracker = TerminationTracker(state["claim_tracker"]["n"])
-            tracker.current_run = state["claim_tracker"]["current_run"]
-            tracker.fired = state["claim_tracker"]["fired"]
+            trainer.claim_tracker.current_run = state["claim_tracker"]["current_run"]
+            trainer.claim_tracker.fired = state["claim_tracker"]["fired"]
             trainer._action_rng = _rng(state["action_rng"])
             trainer._sampler_rng = _rng(state["sampler_rng"])
-            sampler = state["epoch_sampler"]
-            if sampler is not None:
-                trainer._epoch_sampler = ClaimSampler(
-                    sampler["seeds"], sampler["pool"], sampler["epsilon"],
-                    trainer._sampler_rng)
-                trainer._epoch_sampler.last_branch = sampler["last_branch"]
+            epoch = state["epoch"]
+            if epoch is not None:
+                sampler = ClaimSampler(epoch["seeds"], epoch["pool"], config.epsilon,
+                                       trainer._sampler_rng)
+                sampler.last_branch = epoch["last_branch"]
+                trainer._epoch = _Epoch(
+                    sampler, {k: epoch["counts"][k] for k in (*_COUNTERS, "wall")},
+                    [FineTuneExample(*e) for e in epoch["stance"]],
+                    [FineTuneExample(*e) for e in epoch["veracity"]])
+                trainer.annotation_records = [dict(zip(_RECORD_FIELDS, row))
+                                              for row in epoch["records"]]
 
             post_counts = state["post_counts"]
             n_rows = sum(1 + n for n in post_counts)
@@ -726,14 +716,7 @@ class Trainer:
                 _array(arrays, "step_state", (n_rows, 3 * d)), retain != 0, reward,
                 post_counts)
             trainer.reports = [EpochReport(**r) for r in state["reports"]]
-            trainer.annotation_records = [dict(zip(_RECORD_FIELDS, row))
-                                          for row in state["annotation_records"]]
-            for key in _EXAMPLE_LISTS:
-                setattr(trainer, key, [FineTuneExample(*e) for e in state[key]])
             trainer.epoch_index = state["epoch_index"]
-            trainer._epoch_active = state["epoch_active"]
-            trainer._acc = state["acc"]
-            trainer.terminated = state["terminated"]
             trainer._pretrained = state["pretrained"]
             for backend, backend_state in ((sd_backend, state["backend_states"]["sd"]),
                                            (rv_backend, state["backend_states"]["rv"])):

@@ -8,7 +8,7 @@ import logging
 import numpy as np
 import pytest
 
-from claimsift import engine
+from claimsift import engine, policy
 from claimsift.annotators import BackendConfig, HttpAnnotator, OracleAnnotator
 from claimsift.config import RunConfig
 from claimsift.corpus import SynthConfig, generate_synthetic
@@ -100,6 +100,22 @@ def test_epoch_report_accounting():
     assert trainer.optimizer.step == n_claims
 
 
+def test_policy_updates_count_only_updates_that_stepped(monkeypatch):
+    """An update dropped for a non-finite gradient is not counted."""
+    gradients, calls = policy.gradients, []
+
+    def every_other_nan(params, table, **kwargs):
+        g_w1, g_w2 = gradients(params, table, **kwargs)
+        calls.append(None)
+        return (g_w1 * np.nan, g_w2) if len(calls) % 2 == 0 else (g_w1, g_w2)
+
+    monkeypatch.setattr(policy, "gradients", every_other_nan)
+    trainer = _make_trainer()
+    report = trainer.run_epoch()
+    assert report.claims_processed == len(calls) == 6
+    assert report.policy_updates == trainer.optimizer.step == 3
+
+
 def test_max_posts_caps_subsampling():
     trainer = _make_trainer(max_posts=2)
     report = trainer.run_epoch()
@@ -110,7 +126,7 @@ def test_max_posts_caps_subsampling():
 def test_run_epoch_limit_pauses_and_resumes():
     trainer = _make_trainer()
     assert trainer.run_epoch(limit=2) is None
-    assert trainer._epoch_active
+    assert trainer._epoch is not None
     report = trainer.run_epoch()
     assert report is not None
     assert report.claims_processed == len(trainer._claims)
@@ -299,7 +315,7 @@ def test_annotation_record_schema():
 
 # ------------------------------------------------------------ termination
 
-def test_claim_level_termination_halts_training():
+def test_claim_level_termination_halts_training(tmp_path):
     dataset = generate_synthetic(SynthConfig(
         n_claims=8, posts_per_claim=3, noise_post_fraction=0.0,
         stance_given_veracity=PEAKED_STANCES, rng_seed=7,
@@ -324,6 +340,18 @@ def test_claim_level_termination_halts_training():
     assert trainer.terminated
     with pytest.raises(ConfigError, match="already terminated"):
         trainer.run_epoch()
+
+    path = tmp_path / "run.state"
+    trainer.save_run_state(path)  # a trainer resumed from the end stays halted
+    resumed = Trainer.from_run_state(
+        path, dataset, OracleAnnotator(accuracy=1.0, rng=0),
+        OracleAnnotator(accuracy=1.0, rng=0), HashedEmbedder(16),
+    )
+    assert resumed.terminated
+    assert resumed.train() == resumed.reports
+    assert [r.to_dict() for r in resumed.reports] == [r.to_dict() for r in reports]
+    with pytest.raises(ConfigError, match="already terminated"):
+        resumed.run_epoch()
 
 
 def test_incremental_rewards_terminate_post_loops(monkeypatch):

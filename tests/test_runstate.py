@@ -128,10 +128,105 @@ def test_mid_epoch_trainer_round_trips_bit_exactly(tmp_path, config):
     trainer.run_epoch()
     resumed.run_epoch()
     for run in (trainer, resumed):
-        run._acc["wall"] = 0.0
         for report in run.reports:
             report.wall_time_s = 0.0
     assert _snapshot(resumed) == _snapshot(trainer)
+
+
+class _RecordingOracle(OracleAnnotator):
+    """An oracle backend that keeps the fine-tune requests it receives."""
+
+    def __init__(self, rng):
+        super().__init__(rng=rng)
+        self.finetunes = []
+
+    def finetune(self, task, examples, origin="selected"):
+        self.finetunes.append((task, examples, origin))
+        return super().finetune(task, examples, origin)
+
+
+def _without(items, key):
+    return [{k: v for k, v in item.items() if k != key} for item in items]
+
+
+@pytest.mark.parametrize("config", [
+    dict(use_baseline=True, buffer_window=None, seed_fraction=0.5),
+    dict(use_baseline=False, buffer_window=2, incremental_veracity=True),
+])
+def test_resume_from_an_epoch_boundary_matches_an_uninterrupted_run(tmp_path, config):
+    """Saved at the end of epoch 1, the run state holds no records or
+    examples, and epoch 2 of the resumed run is that of the whole run."""
+    config = RunConfig(embed_dim=D, hidden_dim=H, max_epochs=2, learning_rate=1e-3,
+                       rng_seed=9, **config)
+    whole = Trainer(
+        config, DATASET,
+        _RecordingOracle(np.random.default_rng((config.rng_seed, 10))),
+        _RecordingOracle(np.random.default_rng((config.rng_seed, 11))),
+        HashedEmbedder(D),
+    )
+    whole_events = []
+    whole.set_event_sink(whole_events.append)
+    whole.run_epoch()
+    path = tmp_path / "run.state"
+    whole.save_run_state(path)
+    epoch_1 = (whole.annotation_records, whole.finetune_stance, whole.finetune_veracity)
+    sent = len(whole.sd.finetunes), len(whole.rv.finetunes)
+    whole.run_epoch()
+
+    state, _arrays = runstate.read_run_state(path)
+    assert state["epoch"] is None
+    manifest = json.dumps(state)
+    assert epoch_1[0] and epoch_1[1] and epoch_1[2]
+    assert not any(r["post_text"] in manifest for r in epoch_1[0])
+    assert not any(e.prompt in manifest for e in (*epoch_1[1], *epoch_1[2]))
+
+    resumed = Trainer.from_run_state(path, DATASET, _RecordingOracle(0),
+                                     _RecordingOracle(0), HashedEmbedder(D))
+    assert resumed.annotation_records == resumed.finetune_stance == []
+    resumed_events = []
+    resumed.set_event_sink(resumed_events.append)
+    resumed.run_epoch()
+    for a, b in ((whole.params.w1, resumed.params.w1),
+                 (whole.params.w2, resumed.params.w2)):
+        assert a.tobytes() == b.tobytes()
+    assert _without(resumed_events, "ts") == _without(
+        [e for e in whole_events if e["epoch"] == 2], "ts")
+    assert _without([r.to_dict() for r in resumed.reports], "wall_time_s") == \
+        _without([r.to_dict() for r in whole.reports], "wall_time_s")
+    assert resumed.annotation_records == whole.annotation_records
+    assert resumed.finetune_stance == whole.finetune_stance
+    assert resumed.finetune_veracity == whole.finetune_veracity
+    assert resumed.sd.finetunes == whole.sd.finetunes[sent[0]:]
+    assert resumed.rv.finetunes == whole.rv.finetunes[sent[1]:]
+    assert resumed.sd.finetunes and resumed.rv.finetunes
+
+
+@pytest.mark.parametrize("limit", [2, None], ids=["mid-epoch", "boundary"])
+def test_run_state_in_the_older_epoch_layout_is_rejected(tmp_path, limit):
+    """A file of the same version that spreads the epoch over the older keys
+    (epoch_active, epoch_sampler, acc, terminated, the records and the four
+    example lists) is malformed, not resumed as if saved between epochs."""
+    trainer = _trainer()
+    trainer.run_epoch()
+    trainer.run_epoch(limit=limit)
+    path = tmp_path / "run.state"
+    trainer.save_run_state(path)
+    state, arrays = runstate.read_run_state(path)
+    epoch = state.pop("epoch") or {"seeds": [], "pool": [], "last_branch": None,
+                                   "counts": {}, "records": [], "stance": [],
+                                   "veracity": []}
+    state["claim_tracker"]["n"] = trainer.config.n_termination
+    state.update(
+        annotation_records=epoch["records"], finetune_stance=[], finetune_veracity=[],
+        _epoch_ft_stance=epoch["stance"], _epoch_ft_veracity=epoch["veracity"],
+        epoch_active=limit is not None, acc=epoch["counts"], terminated=False,
+        epoch_sampler={"seeds": epoch["seeds"], "pool": epoch["pool"],
+                       "epsilon": trainer.config.epsilon,
+                       "last_branch": epoch["last_branch"]},
+    )
+    runstate.write_run_state(path, state, arrays)
+    with pytest.raises(CheckpointError, match="malformed run state"):
+        _resume(path)
 
 
 def _reachable_arrays(value, seen=None):
@@ -228,8 +323,9 @@ def test_older_run_state_version_is_rejected(tmp_path, version):
 
 
 def test_run_state_holds_one_window_and_the_current_epochs_records(tmp_path):
-    """Saved inside epoch 3 and at its end, the run state holds the trailing
-    window and epoch 3's annotation records and fine-tune examples only."""
+    """Saved inside epoch 3, the run state holds the trailing window and
+    epoch 3's annotation records and fine-tune examples so far; saved at its
+    end, the window and no epoch."""
     config = RunConfig(embed_dim=D, hidden_dim=H, max_epochs=3, learning_rate=1e-3,
                        rng_seed=9, buffer_window=1)
     trainer = _trainer(config)
@@ -240,20 +336,15 @@ def test_run_state_holds_one_window_and_the_current_epochs_records(tmp_path):
         trainer.run_epoch(limit=limit)
         trainer.save_run_state(path)
         state, _arrays = runstate.read_run_state(path)
-        records = state["annotation_records"]
-        assert {row[0] for row in records} == {3}
-        assert len(records) == trainer._acc["posts_annotated"]
-        examples = sum(len(state[key]) for key in (
-            "finetune_stance", "finetune_veracity", "_epoch_ft_stance",
-            "_epoch_ft_veracity"))
-        if limit is None:  # the epoch has ended and sent its examples on
-            report = trainer.reports[-1]
-            epoch_examples = (report.finetune_stance_examples
-                              + report.finetune_veracity_examples)
-        else:
-            epoch_examples = len(trainer._epoch_ft_stance) + len(trainer._epoch_ft_veracity)
-        assert examples == epoch_examples
         assert len(state["post_counts"]) == 1
+        if limit is None:  # the epoch has ended and sent its output on
+            assert state["epoch"] is None
+            continue
+        epoch = state["epoch"]
+        assert {row[0] for row in epoch["records"]} == {3}
+        assert len(epoch["records"]) == trainer._epoch.counts["posts_annotated"]
+        assert len(epoch["stance"]) == len(trainer._epoch.stance) > 0
+        assert len(epoch["veracity"]) == len(trainer._epoch.veracity) > 0
 
 
 def test_policy_checkpoint_is_not_a_run_state(tmp_path):
