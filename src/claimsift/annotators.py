@@ -16,7 +16,6 @@ from dataclasses import asdict, dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
-import requests
 
 from .corpus import Claim, Post, modal_stance_map
 from .errors import AnnotatorError, ConfigError, ParseError
@@ -264,24 +263,23 @@ class HttpAnnotator:
     POST {endpoint}/annotate with {"task", "prompt"} and expects
     {"label", "explanation"?, "distribution"?}; the reply's fields are
     passed on as received and checked by the parser. Requests go through
-    claimsift.transport.post_json (three attempts; 4xx fails at once).
+    claimsift.transport.post_json (three attempts; a 3xx or 4xx fails at once).
     POST {endpoint}/finetune with {"task", "examples"} (and
     an "origin" tag for warm-up corpora) returns a job token.
     """
 
     concurrency_safe = True
 
-    def __init__(self, config: BackendConfig, session: requests.Session | None = None):
+    def __init__(self, config: BackendConfig):
         config.validate()
         if config.kind != "http":
             raise ConfigError("HttpAnnotator requires kind='http'")
         self.config = config
         self.smoothing_alpha = config.smoothing_alpha
-        self._session = session or requests.Session()
 
     def _post(self, route: str, body: dict) -> dict:
-        return post_json(self._session, self.config.endpoint.rstrip("/") + route,
-                         body, self.config.timeout, AnnotatorError)
+        return post_json(self.config.endpoint.rstrip("/") + route, body,
+                         self.config.timeout, AnnotatorError)
 
     def complete(self, task: str, prompt: str) -> BackendReply:
         data = self._post("/annotate", {"task": task, "prompt": prompt})

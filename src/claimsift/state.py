@@ -12,7 +12,6 @@ import zlib
 from dataclasses import dataclass
 
 import numpy as np
-import requests
 
 from .errors import ConfigError, EmbedError, StateError
 from .labels import STANCE_NAMES, VERACITY_NAMES
@@ -86,8 +85,7 @@ class HashedEmbedder:
 class ServiceEmbedder:
     """HTTP embedding provider: POST {endpoint}/embed with {"text": ...}."""
 
-    def __init__(self, endpoint: str, d: int, timeout: float = 10.0,
-                 session: requests.Session | None = None):
+    def __init__(self, endpoint: str, d: int, timeout: float = 10.0):
         if d < 1:
             raise ConfigError("embed_dim: must be >= 1")
         if not endpoint:
@@ -95,11 +93,10 @@ class ServiceEmbedder:
         self.endpoint = endpoint
         self.d = d
         self.timeout = timeout
-        self._session = session or requests.Session()
 
     def embed(self, text: str) -> np.ndarray:
-        data = post_json(self._session, self.endpoint.rstrip("/") + "/embed",
-                         {"text": text}, self.timeout, EmbedError)
+        data = post_json(self.endpoint.rstrip("/") + "/embed", {"text": text},
+                         self.timeout, EmbedError)
         try:
             arr = np.asarray(data.get("vector"), dtype=np.float64)
             if arr.shape == (self.d,) and np.isfinite(arr).all():

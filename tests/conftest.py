@@ -1,13 +1,18 @@
-"""Shared test fixtures: a scriptable HTTP server for backend tests."""
+"""Shared test fixtures: scriptable HTTP servers for backend tests."""
 
 from __future__ import annotations
 
 import json
+import socket
+import socketserver
 import threading
+import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+
+POLL_INTERVAL_S = 0.02
 
 
 class ScriptedServer:
@@ -16,20 +21,39 @@ class ScriptedServer:
     script(route, ...) enqueues one response; set_default(route, fn) handles
     anything beyond the queue, where fn(body) returns (status, payload).
     Payloads that are dicts are sent as JSON; strings are sent verbatim
-    (for non-JSON-body tests). Every request is recorded as (route, body).
+    (for non-JSON-body tests). Every request is recorded as (route, body),
+    and the client's TCP port as an entry of `client_ports`.
+
+    By default the server speaks HTTP/1.0 and closes each connection after
+    its reply. With keep_alive=True it speaks HTTP/1.1 and keeps
+    connections open until the client closes them or drop_connections().
     """
 
-    def __init__(self):
+    def __init__(self, keep_alive: bool = False):
         self._scripts: dict[str, deque] = {}
         self._defaults: dict[str, callable] = {}
         self.requests: list[tuple[str, dict | None]] = []
+        self.client_ports: list[int] = []
+        self._open: set[socket.socket] = set()
         self._lock = threading.Lock()
 
         owner = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
             def log_message(self, *args):
                 pass
+
+            def setup(self):
+                super().setup()
+                with owner._lock:
+                    owner._open.add(self.connection)
+
+            def finish(self):
+                super().finish()
+                with owner._lock:
+                    owner._open.discard(self.connection)
 
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
@@ -40,6 +64,7 @@ class ScriptedServer:
                     body = None
                 with owner._lock:
                     owner.requests.append((self.path, body))
+                    owner.client_ports.append(self.client_address[1])
                     queue = owner._scripts.get(self.path)
                     if queue:
                         status, payload = queue.popleft()
@@ -60,8 +85,9 @@ class ScriptedServer:
                 self.wfile.write(blob)
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        # shutdown() waits up to one poll interval; the default is 0.5 s
         self._thread = threading.Thread(
-            target=self._server.serve_forever, daemon=True
+            target=self._server.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
         )
         self._thread.start()
 
@@ -81,7 +107,23 @@ class ScriptedServer:
     def calls(self, route: str) -> list:
         return [body for path, body in self.requests if path == route]
 
+    def drop_connections(self) -> None:
+        """Close every open client connection from the server's side, as a
+        server does with idle keep-alive connections, and wait until the
+        handlers have let go of them."""
+        with self._lock:
+            conns = list(self._open)
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        deadline = time.monotonic() + 5.0
+        while self._open and time.monotonic() < deadline:
+            time.sleep(0.001)
+
     def close(self) -> None:
+        self.drop_connections()
         self._server.shutdown()
         self._server.server_close()
         self._thread.join(timeout=5)
@@ -92,3 +134,40 @@ def scripted_server():
     server = ScriptedServer()
     yield server
     server.close()
+
+
+@pytest.fixture
+def keep_alive_server():
+    server = ScriptedServer(keep_alive=True)
+    yield server
+    server.close()
+
+
+class _CutShortHandler(socketserver.StreamRequestHandler):
+    """Reads one request, promises a 100-byte body, sends 9 bytes, closes."""
+
+    def handle(self):
+        length = 0
+        while (line := self.rfile.readline()) not in (b"\r\n", b""):
+            if line.lower().startswith(b"content-length:"):
+                length = int(line.split(b":", 1)[1])
+        self.rfile.read(length)
+        self.server.requests += 1
+        self.wfile.write(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                         b"Content-Length: 100\r\n\r\n{\"label\":")
+
+
+@pytest.fixture
+def cut_short_server():
+    """A server whose every reply body is cut short; `.url`, `.requests`."""
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _CutShortHandler)
+    server.daemon_threads = True
+    server.requests = 0
+    server.url = "http://127.0.0.1:%d" % server.server_address[1]
+    thread = threading.Thread(target=server.serve_forever, args=(POLL_INTERVAL_S,),
+                              daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)

@@ -447,6 +447,22 @@ def test_wrong_typed_http_replies_are_counted_and_skipped(scripted_server):
     assert report.posts_annotated == 1
 
 
+def test_cut_short_http_replies_are_counted_and_training_finishes(cut_short_server):
+    """A reply body shorter than its Content-Length is a failed attempt like
+    any transport error: each post's stance call fails after its retries,
+    is counted in annotator_failures, and the run ends normally."""
+    dataset = generate_synthetic(SynthConfig(n_claims=2, posts_per_claim=2, rng_seed=1))
+    config = RunConfig(embed_dim=16, hidden_dim=8, max_epochs=1, learning_rate=1e-3)
+    http = BackendConfig(kind="http", endpoint=cut_short_server.url, timeout=2.0)
+    trainer = Trainer(config, dataset, HttpAnnotator(http), OracleAnnotator(rng=1),
+                      HashedEmbedder(config.embed_dim))
+    (report,) = trainer.train()
+    assert report.annotator_failures == 4
+    assert report.posts_annotated == 0
+    assert report.claims_processed == 2
+    assert cut_short_server.requests == 4 * 3
+
+
 class FlakyEmbedder(HashedEmbedder):
     """Raises EmbedError on one call, as a service embedder does once its
     retries are spent."""

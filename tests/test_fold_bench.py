@@ -1,0 +1,55 @@
+"""tools/fold_bench.py: paired benchmark runs folded into one summary."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "fold_bench.py"
+spec = importlib.util.spec_from_file_location("fold_bench", TOOL)
+fold_bench = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(fold_bench)
+
+METRICS = {"setup_s": {"name": "setup_s", "unit": "s", "better": "lower"},
+           "train_claims_per_s": {"name": "train_claims_per_s", "unit": "1/s",
+                                  "better": "higher"}}
+
+
+def _write_runs(checkout: Path, workload: str, runs: dict[int, tuple]) -> None:
+    for seed, (setup, claims) in runs.items():
+        run_dir = checkout / ".bench_runs" / f"{workload}-seed{seed}-trace0"
+        run_dir.mkdir(parents=True)
+        (run_dir / "result.json").write_text(json.dumps({
+            "correct": True, "attempted": 10, "failed": 0,
+            "metrics": {"setup_s": {"value": setup, "unit": "s"},
+                        "train_claims_per_s": {"value": claims, "unit": "1/s"}},
+        }))
+
+
+def test_fold_pairs_by_seed_and_counts_wins_by_direction(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write_runs(parent, "incremental", {1: (0.4, 10.0), 2: (0.3, 12.0), 3: (0.5, 11.0),
+                                        9: (9.9, 1.0)})
+    _write_runs(change, "incremental", {1: (0.2, 10.0), 2: (0.4, 13.0), 3: (0.1, 14.0)})
+    _write_runs(change, "full_buffer", {1: (0.1, 1.0), 2: (0.1, 1.0)})
+    (traced := parent / ".bench_runs" / "incremental-seed4-trace1").mkdir()
+    (traced / "result.json").write_text("not read")
+
+    folded = fold_bench.fold(fold_bench.read_runs(parent),
+                             fold_bench.read_runs(change), METRICS)
+    assert list(folded) == ["incremental"]  # full_buffer has no parent runs
+    entry = folded["incremental"]
+    assert entry["seeds"] == [1, 2, 3]  # seed 9 has no change run
+    setup = entry["metrics"]["setup_s"]
+    assert setup["parent"]["values"] == [0.4, 0.3, 0.5]
+    assert setup["parent"]["median"] == 0.4
+    assert setup["change"]["median"] == 0.2
+    assert (setup["parent"]["q1"], setup["parent"]["q3"]) == pytest.approx((0.35, 0.45))
+    assert setup["change_pct"] == pytest.approx(-50.0)
+    assert setup["pairs_won"] == 2  # lower is better: seeds 1 and 3
+    claims = entry["metrics"]["train_claims_per_s"]
+    assert claims["pairs_won"] == 2  # higher is better; the tie at seed 1 is no win
+    assert entry["failed_operations"] == {"parent": 0, "change": 0}

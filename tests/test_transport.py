@@ -1,0 +1,181 @@
+"""The HTTP transport: keep-alive connection reuse, retries and their log."""
+
+from __future__ import annotations
+
+import gc
+import logging
+import os
+import subprocess
+import sys
+import warnings
+import zlib
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+import claimsift
+from claimsift.annotators import BackendConfig, HttpAnnotator, OracleAnnotator
+from claimsift.corpus import SynthConfig, generate_synthetic
+from claimsift.errors import AnnotatorError
+from claimsift.metrics import evaluate
+from claimsift.state import ServiceEmbedder
+
+
+def _http(server) -> HttpAnnotator:
+    return HttpAnnotator(BackendConfig(kind="http", endpoint=server.url, timeout=2.0))
+
+
+def _oracle_reply(body):
+    """A reply that is a pure function of the request, so the order in
+    which concurrent requests arrive cannot change it."""
+    seed = zlib.crc32(f"{body['task']}\n{body['prompt']}".encode("utf-8"))
+    reply = OracleAnnotator(accuracy=0.8, rng=seed).complete(body["task"], body["prompt"])
+    return 200, {"label": reply.label, "explanation": reply.explanation,
+                 "distribution": reply.distribution.tolist()}
+
+
+def test_sequential_calls_share_one_connection(keep_alive_server):
+    keep_alive_server.set_default("/annotate", _oracle_reply)
+    http = _http(keep_alive_server)
+    for i in range(10):
+        http.complete("stance", f"prompt {i}")
+    assert len(keep_alive_server.requests) == 10
+    assert len(set(keep_alive_server.client_ports)) == 1
+
+
+def test_embed_reuses_its_connection(keep_alive_server):
+    keep_alive_server.set_default("/embed", lambda body: (200, {"vector": [0.5, 0.5]}))
+    emb = ServiceEmbedder(keep_alive_server.url, 2, timeout=2.0)
+    for text in ("a", "b", "c"):
+        emb.embed(text)
+    assert len(keep_alive_server.calls("/embed")) == 3
+    assert len(set(keep_alive_server.client_ports)) == 1
+
+
+def test_connection_closed_by_server_is_replaced_without_a_retry(keep_alive_server, caplog):
+    keep_alive_server.set_default("/annotate", _oracle_reply)
+    http = _http(keep_alive_server)
+    http.complete("stance", "first")
+    keep_alive_server.drop_connections()
+    with caplog.at_level(logging.WARNING, logger="claimsift.transport"):
+        http.complete("stance", "second")
+    assert len(keep_alive_server.requests) == 2
+    first, second = keep_alive_server.client_ports
+    assert first != second
+    assert caplog.records == []
+
+
+def test_threaded_evaluate_opens_at_most_max_in_flight_connections(keep_alive_server):
+    keep_alive_server.set_default("/annotate", _oracle_reply)
+    dataset = generate_synthetic(SynthConfig(n_claims=4, posts_per_claim=5, rng_seed=3))
+    sd, rv = _http(keep_alive_server), _http(keep_alive_server)
+    threaded = evaluate(dataset, sd, rv, max_in_flight=2)
+    assert len(set(keep_alive_server.client_ports)) <= 2
+    sequential = evaluate(dataset, sd, rv, max_in_flight=1)
+    assert asdict(threaded) == asdict(sequential)
+    assert len(keep_alive_server.requests) == 2 * (4 * 5 + 4)
+
+
+def test_pool_under_thread_contention(keep_alive_server):
+    """More threads than cores share the pool with a short switch interval:
+    every reply answers its own request (no connection is used by two
+    threads at once) and no more connections are opened than threads."""
+    keep_alive_server.set_default(
+        "/annotate", lambda body: (200, {"label": "Support", "explanation": body["prompt"]}))
+    http = _http(keep_alive_server)
+    threads, calls = 8, 25
+
+    def worker(t):
+        for i in range(calls):
+            prompt = f"thread {t} call {i}"
+            assert http.complete("stance", prompt).explanation == prompt
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(worker, t) for t in range(threads)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(keep_alive_server.requests) == threads * calls
+    assert len(set(keep_alive_server.client_ports)) <= threads
+
+
+def test_redirect_fails_after_one_request(scripted_server):
+    scripted_server.script("/annotate", status=302, payload={"moved": True})
+    with pytest.raises(AnnotatorError) as err:
+        _http(scripted_server).complete("stance", "p")
+    assert "rejected the request with 302" in str(err.value)
+    assert len(scripted_server.calls("/annotate")) == 1
+
+
+@pytest.mark.parametrize("endpoint, fragment", [
+    ("ftp://127.0.0.1:9", "not an http or https URL"),
+    ("127.0.0.1:9", "not an http or https URL"),
+    ("http://127.0.0.1:99999", "not a valid URL"),
+])
+def test_endpoint_that_is_not_an_http_url_fails_at_once(endpoint, fragment):
+    cfg = BackendConfig(kind="http", endpoint=endpoint, timeout=0.5)
+    with pytest.raises(AnnotatorError, match=fragment):
+        HttpAnnotator(cfg).complete("stance", "p")
+
+
+def test_cut_short_reply_is_a_counted_attempt(cut_short_server):
+    with pytest.raises(AnnotatorError) as err:
+        _http(cut_short_server).complete("stance", "p")
+    assert "failed after retries: IncompleteRead" in str(err.value)
+    assert cut_short_server.requests == 3
+
+
+def test_each_retry_logs_one_warning(scripted_server, caplog):
+    scripted_server.script("/annotate", status=503, payload={"error": "busy"})
+    scripted_server.script("/annotate", payload={"label": "Deny"})
+    with caplog.at_level(logging.WARNING, logger="claimsift.transport"):
+        _http(scripted_server).complete("stance", "p")
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    message = record.getMessage()
+    assert f"{scripted_server.url}/annotate" in message
+    assert "attempt 1" in message
+    assert "503" in message
+
+
+def test_discarded_connections_are_closed(keep_alive_server, scripted_server,
+                                          cut_short_server):
+    """Every way a connection leaves the pool closes its socket: a stale
+    idle connection, a reply that says close, a cut-short reply, and 4xx
+    and 5xx replies, which are read in full and stay pooled."""
+    keep_alive_server.set_default("/annotate", _oracle_reply)
+    scripted_server.set_default("/annotate", _oracle_reply)
+    keep_alive_server.script("/annotate", status=503, payload={"e": 1})
+    keep_alive_server.script("/annotate", status=404, payload={"e": 2})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        keep_alive = _http(keep_alive_server)
+        with pytest.raises(AnnotatorError):
+            keep_alive.complete("stance", "a")  # 503, then 404
+        keep_alive.complete("stance", "b")
+        keep_alive_server.drop_connections()
+        keep_alive.complete("stance", "c")
+        _http(scripted_server).complete("stance", "d")
+        with pytest.raises(AnnotatorError):
+            _http(cut_short_server).complete("stance", "e")
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert len(set(keep_alive_server.client_ports)) == 2
+
+
+def test_importing_the_cli_loads_no_third_party_http_library():
+    src = str(Path(claimsift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, claimsift.cli; "
+         "print(sorted(m for m in ('requests', 'urllib3') if m in sys.modules))"],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    ).stdout
+    assert out.strip() == "[]"
