@@ -68,7 +68,6 @@ from .policy import (
     objective,
     reinforce_update,
     sample_action,
-    save_checkpoint,
 )
 from .reward import (
     ReferenceStanceStats,

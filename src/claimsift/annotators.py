@@ -18,7 +18,7 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .corpus import Claim, Post, modal_stance_map
-from .errors import AnnotatorError, ConfigError, ParseError
+from .errors import AnnotatorError, ConfigError, ParseError, check_field_types
 from .labels import (
     STANCES,
     STANCE_INDEX,
@@ -101,6 +101,7 @@ class BackendConfig:
         unknown = set(raw) - set(BackendConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"{prefix}: unknown keys {sorted(unknown)}")
+        check_field_types(BackendConfig, raw, prefix)
         return BackendConfig(**raw)
 
 

@@ -1,24 +1,26 @@
 """Command-line interface.
 
-Subcommands: train, evaluate, synth, export-embeddings. All outputs land
-under the given output directory with stable filenames. `train` appends each
-epoch's annotation records and fine-tune examples to the run directory as
-the epoch ends, so the trainer holds no more than one epoch of them.
+Subcommands: train, evaluate, synth. All outputs land under the given
+output directory with stable filenames. `train` commits each epoch as it
+ends: it appends the epoch's annotation records and fine-tune examples to
+the run directory, fsyncs the four JSONL files, then atomically rewrites
+`run_state.ckpt` and `epoch_reports.json`. So the trainer holds no more than
+one epoch of records, and a killed run leaves its last finished epoch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from .annotators import export_finetune_set, make_backend
-from .config import RunConfig, load_config, resolve_config, save_config
-from .corpus import (SynthConfig, generate_synthetic, load_dataset, read_jsonl,
-                     save_dataset)
+from .config import RunConfig, resolve_config, save_config
+from .corpus import SynthConfig, generate_synthetic, load_dataset, save_dataset
 from .engine import Trainer
 from .errors import (
     CheckpointError,
@@ -26,10 +28,9 @@ from .errors import (
     ConfigError,
     DatasetError,
 )
-from .labels import STANCE_NAMES
 from .metrics import evaluate
-from .policy import load_checkpoint, save_checkpoint
-from .state import build_embedder, pack_post_text
+from .policy import load_checkpoint
+from .state import build_embedder
 
 
 def _train_overrides(args) -> dict:
@@ -83,10 +84,17 @@ def cmd_train(args) -> int:
                 annotations.write(json.dumps(record, ensure_ascii=False) + "\n")
             export_finetune_set(trainer.finetune_stance, ft_stance)
             export_finetune_set(trainer.finetune_veracity, ft_veracity)
+            # the epoch's lines are on disk before the run state that follows them
             for fh in (log, annotations, ft_stance, ft_veracity):
                 fh.flush()
-            save_checkpoint(trainer.params, trainer.optimizer,
-                            out / f"policy_epoch_{report.epoch:03d}.ckpt")
+                os.fsync(fh.fileno())
+            trainer.save_run_state(out / "run_state.ckpt")
+            reports = out / "epoch_reports.json.tmp"
+            reports.write_text(
+                json.dumps([r.to_dict() for r in trainer.reports], indent=2) + "\n",
+                encoding="utf-8",
+            )
+            os.replace(reports, out / "epoch_reports.json")
             print(
                 f"epoch {report.epoch}: claims={report.claims_processed} "
                 f"posts={report.posts_annotated} retained={report.posts_retained} "
@@ -99,12 +107,6 @@ def cmd_train(args) -> int:
         trainer.train(on_epoch=on_epoch)
         trainer.set_event_sink(None)
 
-    save_checkpoint(trainer.params, trainer.optimizer, out / "policy.ckpt")
-    trainer.save_run_state(out / "run_state.ckpt")
-    (out / "epoch_reports.json").write_text(
-        json.dumps([r.to_dict() for r in trainer.reports], indent=2) + "\n",
-        encoding="utf-8",
-    )
     print(f"run artifacts written to {out}")
     return 0
 
@@ -171,43 +173,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_export_embeddings(args) -> int:
-    run_dir = Path(args.run_dir)
-    config = load_config(run_dir / "config.resolved.json")
-    annotations_path = run_dir / "annotations.jsonl"
-    if not annotations_path.exists():
-        raise ConfigError(f"run directory has no annotations.jsonl: {run_dir}")
-    embedder = build_embedder(config.embed_backend, config.embed_dim)
-    out_path = Path(args.out) if args.out else run_dir / "embeddings.jsonl"
-    records = []  # all are checked before the output file is opened
-    for line_no, record in read_jsonl(annotations_path):
-        if not all(isinstance(record.get(key), str) for key in
-                   ("post_id", "post_text", "stance", "explanation")) \
-                or record["stance"] not in STANCE_NAMES:
-            raise DatasetError("annotation record needs 'post_id', 'post_text', "
-                               "'explanation' and a stance label", line=line_no)
-        records.append(record)
-    with out_path.open("w", encoding="utf-8") as dst:
-        for record in records:
-            vector = embedder.embed(
-                pack_post_text(
-                    record["post_text"], record["stance"], record["explanation"]
-                )
-            )
-            dst.write(
-                json.dumps(
-                    {
-                        "post_id": record["post_id"],
-                        "stance": record["stance"],
-                        "vector": [round(x, 8) for x in vector.tolist()],
-                    }
-                )
-                + "\n"
-            )
-    print(f"wrote {len(records)} embedding records to {out_path}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="claimsift",
@@ -237,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("evaluate", help="score both tasks on a labeled corpus")
     ev.add_argument("--config", help="JSON run config")
     ev.add_argument("--dataset", help="evaluation corpus (JSONL)")
-    ev.add_argument("--checkpoint", help="policy checkpoint for retain filtering")
+    ev.add_argument("--checkpoint",
+                    help="a run's run_state.ckpt; its policy filters the posts")
     ev.add_argument("--out", help="directory for metrics.json")
     ev.add_argument("--rng-seed", type=int, dest="rng_seed")
     ev.add_argument("--sd-endpoint", dest="sd_endpoint")
@@ -254,14 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--rng-seed", type=int, dest="rng_seed")
     synth.add_argument("--name", dest="name")
     synth.set_defaults(func=cmd_synth)
-
-    emb = sub.add_parser(
-        "export-embeddings",
-        help="embed all annotated posts of a finished run",
-    )
-    emb.add_argument("--run-dir", required=True, dest="run_dir")
-    emb.add_argument("--out", help="output JSONL (default: run dir)")
-    emb.set_defaults(func=cmd_export_embeddings)
 
     return parser
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .annotators import BackendConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .state import EmbedConfig
 
 ENV_SD_ENDPOINT = "SD_ENDPOINT"
@@ -35,10 +35,8 @@ class RunConfig:
     learning_rate: float = 5e-5
     warmup_fraction: float = 0.1
     max_epochs: int = 50
-    centered_rewards: bool = True
     incremental_veracity: bool = False
     use_baseline: bool = False
-    baseline_momentum: float = 0.9
     buffer_window: int | None = None
     rng_seed: int = 0
     eval_seed: int = 12345
@@ -68,8 +66,6 @@ class RunConfig:
             raise ConfigError("warmup_fraction: must be in [0, 1]")
         if self.max_epochs < 1:
             raise ConfigError("max_epochs: must be >= 1")
-        if not 0.0 <= self.baseline_momentum < 1.0:
-            raise ConfigError("baseline_momentum: must be in [0, 1)")
         if self.buffer_window is not None and self.buffer_window < 1:
             raise ConfigError("buffer_window: must be >= 1 or null")
         self.sd_backend.validate("sd_backend")
@@ -84,6 +80,7 @@ class RunConfig:
         unknown = set(raw) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        check_field_types(RunConfig, raw)
         values = dict(raw)
         if "sd_backend" in values:
             values["sd_backend"] = BackendConfig.from_dict(

@@ -226,13 +226,7 @@ class Trainer:
             warmup_fraction=config.warmup_fraction,
             planned_updates=config.max_epochs * max(1, len(self._claims)),
         )
-        self.baseline = (
-            RewardBaseline(
-                claim=MovingBaseline(momentum=config.baseline_momentum),
-                post=MovingBaseline(momentum=config.baseline_momentum),
-            )
-            if config.use_baseline else None
-        )
+        self.baseline = RewardBaseline() if config.use_baseline else None
         self.references = ReferenceStanceStats()
         self.claim_context = ContextAccumulator(config.embed_dim)
         self.claim_tracker = TerminationTracker(config.n_termination)
@@ -479,13 +473,8 @@ class Trainer:
         """A verdict's reward: against the truth on a labeled claim, else
         against the mean stance of the retained posts."""
         if truth is not None:
-            return labeled_claim_reward(
-                verdict.distribution, truth, self.config.centered_rewards
-            )
-        return unlabeled_claim_reward(
-            retained_stance, verdict.label, self.references,
-            self.config.centered_rewards,
-        )
+            return labeled_claim_reward(verdict.distribution, truth)
+        return unlabeled_claim_reward(retained_stance, verdict.label, self.references)
 
     # ------------------------------------------------------------------ epoch
 

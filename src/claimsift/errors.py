@@ -1,6 +1,11 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the type check of
+config fields read from JSON, which raises the most common of them."""
 
 from __future__ import annotations
+
+import dataclasses
+import functools
+import reprlib
 
 
 class ClaimsiftError(Exception):
@@ -59,3 +64,40 @@ class PoolExhausted(ClaimsiftError):
 
 class EmptyEvaluation(ClaimsiftError):
     """Evaluation was requested on an empty instance set."""
+
+
+# The JSON values a config field accepts, by the type names in its
+# annotation. A bool is not an integer here, and any other name is a nested
+# config, which is a JSON object.
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+    "None": ((type(None),), "null"),
+}
+_OBJECT = ((dict,), "an object")
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, tuple[tuple[type, ...], str]]:
+    """Per field of dataclass `cls`: the value types it accepts, and their
+    description. Read from the annotation strings once per class."""
+    types = {}
+    for f in dataclasses.fields(cls):
+        kinds = [_JSON_TYPES.get(name, _OBJECT) for name in f.type.split(" | ")]
+        types[f.name] = (tuple(t for allowed, _ in kinds for t in allowed),
+                         " or ".join(text for _, text in kinds))
+    return types
+
+
+def check_field_types(cls, raw: dict, prefix: str = "") -> None:
+    """Raise ConfigError naming the first entry of `raw` whose value is not
+    of the JSON type that the config dataclass `cls` annotates its field
+    with. Keys that are not fields of `cls` are left to the caller."""
+    types = _field_types(cls)
+    for name, value in raw.items():
+        if name in types and type(value) not in types[name][0]:
+            path = f"{prefix}.{name}" if prefix else name
+            raise ConfigError(
+                f"{path}: expected {types[name][1]}, got {reprlib.repr(value)}")

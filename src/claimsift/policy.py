@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CheckpointError, PolicyError
-from .runstate import read_run_state, write_run_state
+from .runstate import read_run_state
 
 logger = logging.getLogger(__name__)
 
@@ -487,18 +487,13 @@ def decode_policy(
     return PolicyParams(w1=w1, w2=w2), optimizer
 
 
-def save_checkpoint(
-    params: PolicyParams, optimizer: OptimizerState, path: str | Path
-) -> None:
-    """Atomically write the policy and its optimizer as a run-state file
-    (see claimsift.runstate) whose manifest state is {"optimizer": {...}}."""
-    settings, arrays = encode_policy(params, optimizer)
-    write_run_state(path, {"optimizer": settings}, arrays)
-
-
 def load_checkpoint(path: str | Path) -> tuple[PolicyParams, OptimizerState]:
-    """Read a checkpoint. A damaged file, one of another format or version,
-    and one whose arrays or optimizer entry do not fit raise CheckpointError."""
+    """Read the policy and optimizer of a run-state file (see
+    claimsift.runstate): its manifest's "optimizer" entry and the arrays
+    `encode_policy` wrote; the rest of the run is ignored, and a file that
+    holds only these (an older `policy.ckpt`) loads too. A damaged file,
+    one of another format or version, and one whose arrays or optimizer
+    entry do not fit raise CheckpointError."""
     state, arrays = read_run_state(path)
     try:
         return decode_policy(state["optimizer"], arrays)

@@ -35,18 +35,13 @@ def _check_distribution(vec, name: str) -> np.ndarray:
     return arr
 
 
-def centered_cosine(p, q, centered: bool = True) -> float:
+def centered_cosine(p, q) -> float:
     """Cosine similarity after subtracting the uniform distribution.
 
-    Returns 0.0 when either centered vector has (near-)zero norm. With
-    centered=False this is the raw cosine of the distributions themselves,
-    kept as an ablation knob.
+    Returns 0.0 when either centered vector has (near-)zero norm.
     """
-    a = _check_distribution(p, "p")
-    b = _check_distribution(q, "q")
-    if centered:
-        a = a - _UNIFORM
-        b = b - _UNIFORM
+    a = _check_distribution(p, "p") - _UNIFORM
+    b = _check_distribution(q, "q") - _UNIFORM
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na < _EPS or nb < _EPS:
@@ -58,9 +53,9 @@ def _sign(cos: float) -> int:
     return 0 if abs(cos) < _EPS else (1 if cos > 0.0 else -1)
 
 
-def sign_similarity(p, q, centered: bool = True) -> int:
-    """Sign of the (centered) cosine: -1, 0, or +1, with a 1e-12 dead zone."""
-    return _sign(centered_cosine(p, q, centered=centered))
+def sign_similarity(p, q) -> int:
+    """Sign of the centered cosine: -1, 0, or +1, with a 1e-12 dead zone."""
+    return _sign(centered_cosine(p, q))
 
 
 @dataclass(frozen=True)
@@ -72,14 +67,12 @@ class RewardOutcome:
     branch: str  # "labeled", "unlabeled", "cold", or "empty"
 
 
-def labeled_claim_reward(
-    predicted_distribution, truth_label: str, centered: bool = True
-) -> RewardOutcome:
+def labeled_claim_reward(predicted_distribution, truth_label: str) -> RewardOutcome:
     """Reward for a claim with a trusted label: prediction vs one-hot truth."""
     if truth_label not in VERACITIES:
         raise RewardError(f"unknown veracity label {truth_label!r}")
     target = one_hot(truth_label, "veracity")
-    cos = centered_cosine(predicted_distribution, target, centered=centered)
+    cos = centered_cosine(predicted_distribution, target)
     return RewardOutcome(value=_sign(cos), cosine=cos, branch="labeled")
 
 
@@ -151,7 +144,6 @@ def unlabeled_claim_reward(
     selected_stance_distributions: StanceMean | Sequence[np.ndarray],
     predicted_veracity: str,
     references: ReferenceStanceStats,
-    centered: bool = True,
 ) -> RewardOutcome:
     """Reward for an unlabeled claim.
 
@@ -168,5 +160,5 @@ def unlabeled_claim_reward(
     reference = references.mean(predicted_veracity)
     if reference is None:
         return RewardOutcome(value=0, cosine=0.0, branch="cold")
-    cos = centered_cosine(selected.mean(), reference, centered=centered)
+    cos = centered_cosine(selected.mean(), reference)
     return RewardOutcome(value=_sign(cos), cosine=cos, branch="unlabeled")

@@ -1,5 +1,4 @@
 """The run-state file: a JSON manifest followed by raw little-endian arrays.
-Run states and policy checkpoints are both written in it.
 
 Layout: magic (8 bytes), u32 version, u64 body length, body, u32 crc32 of
 everything before it. The body is a u64 manifest length, the UTF-8 JSON

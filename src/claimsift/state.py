@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmbedError, StateError
+from .errors import ConfigError, EmbedError, StateError, check_field_types
 from .labels import STANCE_NAMES, VERACITY_NAMES
 from .policy import LEVEL_POST, RETAIN, PolicyParams, Step, sample_action
 from .transport import post_json
@@ -41,6 +41,7 @@ class EmbedConfig:
         unknown = set(raw) - set(EmbedConfig.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"{prefix}: unknown keys {sorted(unknown)}")
+        check_field_types(EmbedConfig, raw, prefix)
         return EmbedConfig(**raw)
 
 

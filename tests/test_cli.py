@@ -10,10 +10,11 @@ import sys
 import pytest
 
 from claimsift import runstate
+from claimsift.annotators import OracleAnnotator
 from claimsift.cli import main
-from claimsift.config import RunConfig, save_config
 from claimsift.corpus import SynthConfig, generate_synthetic, load_dataset, save_dataset
 from claimsift.engine import Trainer
+from claimsift.state import HashedEmbedder
 
 TRAIN_FLAGS = [
     "--max-epochs", "2", "--embed-dim", "16", "--hidden-dim", "4",
@@ -23,9 +24,6 @@ TRAIN_FLAGS = [
 TRAIN_ARTIFACTS = [
     "config.resolved.json",
     "run_log.jsonl",
-    "policy_epoch_001.ckpt",
-    "policy_epoch_002.ckpt",
-    "policy.ckpt",
     "run_state.ckpt",
     "epoch_reports.json",
     "annotations.jsonl",
@@ -101,8 +99,7 @@ def test_synth_config_file_with_flag_overrides(tmp_path, capsys):
 
 def test_train_writes_artifact_inventory(trained_run):
     _, out = trained_run
-    for name in TRAIN_ARTIFACTS:
-        assert (out / name).exists(), name
+    assert sorted(path.name for path in out.iterdir()) == sorted(TRAIN_ARTIFACTS)
     reports = json.loads((out / "epoch_reports.json").read_text(encoding="utf-8"))
     assert [r["epoch"] for r in reports] == [1, 2]
     assert all(r["claims_processed"] == 5 for r in reports)
@@ -141,29 +138,40 @@ def test_train_is_deterministic_apart_from_timing(tmp_path):
             e.pop("ts")
         return events
 
+    def state_sans_wall(out):
+        state, arrays = runstate.read_run_state(out / "run_state.ckpt")
+        assert state["config"].pop("out_dir") == str(out)
+        for r in state["reports"]:
+            r.pop("wall_time_s")
+        return state, {name: value.tobytes() for name, value in arrays.items()}
+
     assert reports_sans_wall(outs[0]) == reports_sans_wall(outs[1])
     assert log_sans_ts(outs[0]) == log_sans_ts(outs[1])
-    for name in ("annotations.jsonl", "policy.ckpt", "finetune_stance.jsonl",
-                 "finetune_veracity.jsonl"):
+    assert state_sans_wall(outs[0]) == state_sans_wall(outs[1])
+    for name in ("annotations.jsonl", "finetune_stance.jsonl", "finetune_veracity.jsonl"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 def test_train_writes_each_epochs_records_as_it_ends(tmp_path, monkeypatch):
     """When epoch 2 begins, the run directory already holds epoch 1's
-    decision events, annotation records and fine-tune examples, and the
-    final files continue them."""
+    decision events, annotation records, fine-tune examples, run state and
+    report, and the final files continue them."""
     data = tmp_path / "corpus.jsonl"
     _write_corpus(data)
     out = tmp_path / "run"
     names = ("run_log.jsonl", "annotations.jsonl", "finetune_stance.jsonl",
              "finetune_veracity.jsonl")
     after_epoch_1 = {}
+    committed = {}
     begin = Trainer._begin_epoch
 
     def spy(self):
         if self.epoch_index == 1:
             after_epoch_1.update(
                 {name: (out / name).read_text(encoding="utf-8") for name in names})
+            committed["state"], _ = runstate.read_run_state(out / "run_state.ckpt")
+            committed["reports"] = json.loads(
+                (out / "epoch_reports.json").read_text(encoding="utf-8"))
         begin(self)
 
     monkeypatch.setattr(Trainer, "_begin_epoch", spy)
@@ -180,6 +188,56 @@ def test_train_writes_each_epochs_records_as_it_ends(tmp_path, monkeypatch):
     for name, text in after_epoch_1.items():
         final = (out / name).read_text(encoding="utf-8")
         assert final.startswith(text) and len(final) > len(text), name
+    assert committed["state"]["epoch_index"] == 1
+    assert committed["state"]["epoch"] is None
+    assert committed["reports"] == committed["state"]["reports"] == [first]
+
+
+def test_interrupted_train_leaves_a_resumable_commit(tmp_path, monkeypatch):
+    """A run stopped as epoch 2 starts has committed epoch 1: its run state,
+    resumed and trained to the end, gives the uninterrupted run's policy,
+    and its JSONL files hold exactly epoch 1's lines."""
+    data = tmp_path / "corpus.jsonl"
+    _write_corpus(data)
+    flags = ["--dataset", str(data)] + TRAIN_FLAGS + ["--max-epochs", "3"]
+    whole, cut = tmp_path / "whole", tmp_path / "cut"
+    assert main(["train", "--out", str(whole)] + flags) == 0
+    run_epoch = Trainer.run_epoch
+    calls = []
+
+    def stop_at_the_second_call(self, limit=None):
+        calls.append(limit)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return run_epoch(self, limit)
+
+    monkeypatch.setattr(Trainer, "run_epoch", stop_at_the_second_call)
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", "--out", str(cut)] + flags)
+    monkeypatch.setattr(Trainer, "run_epoch", run_epoch)
+
+    state, _arrays = runstate.read_run_state(cut / "run_state.ckpt")
+    assert state["epoch_index"] == 1 and state["epoch"] is None
+    resumed = Trainer.from_run_state(
+        cut / "run_state.ckpt", load_dataset(data), OracleAnnotator(rng=0),
+        OracleAnnotator(rng=0), HashedEmbedder(16))
+    resumed.train()
+    _state, expected = runstate.read_run_state(whole / "run_state.ckpt")
+    assert resumed.epoch_index == 3
+    for name in ("w1", "w2"):
+        assert getattr(resumed.params, name).tobytes() == expected[name].tobytes()
+
+    first = state["reports"][0]
+    events = [json.loads(line) for line in
+              (cut / "run_log.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert {e["epoch"] for e in events} == {1}
+    assert len(events) == first["posts_annotated"] + first["claims_processed"]
+    sizes = {"annotations.jsonl": first["posts_annotated"],
+             "finetune_stance.jsonl": first["finetune_stance_examples"],
+             "finetune_veracity.jsonl": first["finetune_veracity_examples"]}
+    for name, size in sizes.items():
+        lines = (cut / name).read_text(encoding="utf-8").splitlines()
+        assert lines == (whole / name).read_text(encoding="utf-8").splitlines()[:size]
 
 
 def test_train_requires_dataset_and_out(tmp_path, capsys):
@@ -194,6 +252,36 @@ def test_missing_config_file_is_a_usage_error(tmp_path, capsys):
                "--dataset", "x", "--out", "y"])
     assert rc == 2
     assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"embed_dim": "x"}, "embed_dim: expected an integer, got 'x'"),
+    ({"embed_dim": True}, "embed_dim: expected an integer, got True"),
+    ({"max_epochs": 2.5}, "max_epochs: expected an integer, got 2.5"),
+    ({"epsilon": None}, "epsilon: expected a number, got None"),
+    ({"buffer_window": "3"}, "buffer_window: expected an integer or null, got '3'"),
+    ({"use_baseline": 1}, "use_baseline: expected true or false, got 1"),
+    ({"dataset": 7}, "dataset: expected a string or null, got 7"),
+    ({"sd_backend": None}, "sd_backend: expected an object, got None"),
+    ({"sd_backend": {"timeout": "a"}}, "sd_backend.timeout: expected a number, got 'a'"),
+    ({"rv_backend": {"max_in_flight": False}},
+     "rv_backend.max_in_flight: expected an integer, got False"),
+    ({"embed_backend": {"endpoint": 3}},
+     "embed_backend.endpoint: expected a string or null, got 3"),
+    ({"centered_rewards": True}, "unknown config keys: ['centered_rewards']"),
+    ({"baseline_momentum": 0.9}, "unknown config keys: ['baseline_momentum']"),
+], ids=["str-int", "bool-int", "float-int", "null-float", "str-optional-int",
+        "int-bool", "int-optional-str", "null-backend", "str-backend-float",
+        "bool-backend-int", "int-embed-endpoint", "centered_rewards",
+        "baseline_momentum"])
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys, raw, message):
+    """A config value of the wrong JSON type, and a deleted field, exit 2
+    with the field's name; a bool is not an integer."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    rc = main(["train", "--config", str(cfg), "--dataset", "x", "--out", "y"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_missing_dataset_file_is_a_usage_error(tmp_path, capsys):
@@ -222,7 +310,7 @@ def test_evaluate_with_policy_checkpoint(trained_run, capsys):
     data, out = trained_run
     rc = main([
         "evaluate", "--config", str(out / "config.resolved.json"),
-        "--dataset", str(data), "--checkpoint", str(out / "policy.ckpt"),
+        "--dataset", str(data), "--checkpoint", str(out / "run_state.ckpt"),
     ])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
@@ -238,7 +326,7 @@ def test_evaluate_rejects_checkpoint_width_mismatch(trained_run, capsys):
     data, out = trained_run
     # default embed_dim (768) disagrees with the 16-dim training run
     rc = main(["evaluate", "--dataset", str(data),
-               "--checkpoint", str(out / "policy.ckpt")])
+               "--checkpoint", str(out / "run_state.ckpt")])
     assert rc == 2
     assert "does not match embed_dim" in capsys.readouterr().err
 
@@ -247,7 +335,7 @@ def test_evaluate_rejects_checkpoints_that_do_not_fit(trained_run, tmp_path, cap
     """Arrays that disagree in shape, a missing optimizer entry and the
     retired policy format are usage errors."""
     data, out = trained_run
-    state, arrays = runstate.read_run_state(out / "policy.ckpt")
+    state, arrays = runstate.read_run_state(out / "run_state.ckpt")
     bad = tmp_path / "bad.ckpt"
     for bad_state, bad_arrays in (
         (state, {**arrays, "w2": arrays["w2"][:-1]}),
@@ -263,54 +351,6 @@ def test_evaluate_rejects_checkpoints_that_do_not_fit(trained_run, tmp_path, cap
                "--dataset", str(data), "--checkpoint", str(bad)])
     assert rc == 2
     assert "bad magic" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------- export
-
-def test_export_embeddings_covers_all_annotations(trained_run, capsys):
-    _, out = trained_run
-    rc = main(["export-embeddings", "--run-dir", str(out)])
-    assert rc == 0
-    annotations = (out / "annotations.jsonl").read_text(encoding="utf-8").splitlines()
-    vectors = (out / "embeddings.jsonl").read_text(encoding="utf-8").splitlines()
-    assert len(vectors) == len(annotations) > 0
-    record = json.loads(vectors[0])
-    assert set(record) == {"post_id", "stance", "vector"}
-    assert len(record["vector"]) == 16
-    assert f"wrote {len(vectors)} embedding records" in capsys.readouterr().out
-
-
-def test_export_embeddings_needs_annotations(tmp_path, capsys):
-    run_dir = tmp_path / "empty_run"
-    run_dir.mkdir()
-    save_config(RunConfig(embed_dim=8), run_dir / "config.resolved.json")
-    rc = main(["export-embeddings", "--run-dir", str(run_dir)])
-    assert rc == 2
-    assert "has no annotations.jsonl" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("bad_line,message", [
-    ("{oops", "line 2: malformed JSON"),
-    ('["a", "list"]', "line 2: record is not an object"),
-    ('{"post_id": "p", "stance": "S", "explanation": "e"}', "line 2: annotation record needs"),
-    ('{"post_id": "p", "post_text": "t", "explanation": "e"}', "line 2: annotation record needs"),
-    ('{"post_id": "p", "post_text": "t", "stance": "S"}', "line 2: annotation record needs"),
-    ('{"post_id": "p", "post_text": "t", "stance": "X", "explanation": "e"}',
-     "line 2: annotation record needs"),
-], ids=["malformed-json", "not-an-object", "no-post-text", "no-stance",
-        "no-explanation", "unknown-stance"])
-def test_export_embeddings_rejects_malformed_annotations(trained_run, tmp_path, capsys,
-                                                         bad_line, message):
-    _, out = trained_run
-    run_dir = tmp_path / "run"
-    run_dir.mkdir()
-    shutil.copy(out / "config.resolved.json", run_dir)
-    first = (out / "annotations.jsonl").read_text(encoding="utf-8").splitlines()[0]
-    (run_dir / "annotations.jsonl").write_text(f"{first}\n{bad_line}\n", encoding="utf-8")
-    rc = main(["export-embeddings", "--run-dir", str(run_dir)])
-    assert rc == 2
-    assert f"error: {message}" in capsys.readouterr().err
-    assert not (run_dir / "embeddings.jsonl").exists()
 
 
 # ------------------------------------------------------------ entry point

@@ -47,7 +47,7 @@ def test_defaults_validate():
     ({"max_epochs": 0}, "max_epochs: must be >= 1"),
     ({"rv_backend": BackendConfig(smoothing_alpha=-0.1)},
      "rv_backend.smoothing_alpha: must be in [0, 1)"),
-    ({"baseline_momentum": 1.0}, "baseline_momentum: must be in [0, 1)"),
+    ({"sd_backend": BackendConfig(max_in_flight=0)}, "sd_backend.max_in_flight: must be >= 1"),
     ({"buffer_window": 0}, "buffer_window: must be >= 1 or null"),
     ({"sd_backend": BackendConfig(kind="http")}, "sd_backend.endpoint"),
     ({"rv_backend": BackendConfig(timeout=-1)}, "rv_backend.timeout"),
@@ -85,6 +85,13 @@ def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError) as err:
         RunConfig.from_dict({"sd_backend": {"knd": "oracle"}})
     assert "sd_backend: unknown keys" in str(err.value)
+
+
+def test_from_dict_takes_an_integer_for_a_number():
+    config = RunConfig.from_dict({"epsilon": 1, "learning_rate": 1,
+                                  "sd_backend": {"timeout": 3}})
+    assert config.epsilon == 1 and config.sd_backend.timeout == 3
+    config.validate()
 
 
 def test_load_config_errors(tmp_path):

@@ -23,6 +23,7 @@ from claimsift.policy import (
     ReplayTable,
     RewardBaseline,
     Step,
+    encode_policy,
     forward,
     gradients,
     init_params,
@@ -30,7 +31,6 @@ from claimsift.policy import (
     objective,
     reinforce_update,
     sample_action,
-    save_checkpoint,
 )
 
 def _random_trajectories(rng, state_dim, n_claims, max_posts=3):
@@ -528,6 +528,13 @@ def test_warmup_schedule():
 
 # ----------------------------------------------------------- checkpoints
 
+def _write_policy(params, opt, path):
+    """Write the policy alone in the run-state container, as a run state
+    holds it and as older `policy.ckpt` files did."""
+    settings, arrays = encode_policy(params, opt)
+    runstate.write_run_state(path, {"optimizer": settings}, arrays)
+
+
 def _trained_pair(seed=3):
     rng = np.random.default_rng(seed)
     params = init_params(6, 4, rng)
@@ -541,7 +548,7 @@ def _trained_pair(seed=3):
 def test_checkpoint_round_trip(tmp_path):
     params, opt = _trained_pair()
     path = tmp_path / "policy.ckpt"
-    save_checkpoint(params, opt, path)
+    _write_policy(params, opt, path)
     params2, opt2 = load_checkpoint(path)
     np.testing.assert_array_equal(params2.w1, params.w1)
     np.testing.assert_array_equal(params2.w2, params.w2)
@@ -561,7 +568,7 @@ def test_checkpoint_resume_continues_identically(tmp_path):
     trajs = _random_trajectories(rng, 6, n_claims=2)
 
     path = tmp_path / "mid.ckpt"
-    save_checkpoint(params, opt, path)
+    _write_policy(params, opt, path)
     reinforce_update(params, opt, trajs)
 
     params2, opt2 = load_checkpoint(path)
@@ -577,7 +584,7 @@ def test_checkpoint_without_moments_round_trips(tmp_path):
     params = init_params(6, 4, np.random.default_rng(2))
     opt = OptimizerState(learning_rate=0.02, planned_updates=40)
     path = tmp_path / "policy.ckpt"
-    save_checkpoint(params, opt, path)
+    _write_policy(params, opt, path)
     assert opt.m_w1 is None
     _state, arrays = runstate.read_run_state(path)
     assert sorted(arrays) == ["w1", "w2"]
@@ -590,7 +597,7 @@ def test_checkpoint_without_moments_round_trips(tmp_path):
 def test_checkpoint_error_classes(tmp_path):
     params, opt = _trained_pair()
     good = tmp_path / "good.ckpt"
-    save_checkpoint(params, opt, good)
+    _write_policy(params, opt, good)
     blob = good.read_bytes()
 
     short = tmp_path / "short.ckpt"
@@ -704,7 +711,7 @@ def _failing_fsync(fd):
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch, fault):
     params, opt = _trained_pair()
     path = tmp_path / "policy.ckpt"
-    save_checkpoint(params, opt, path)
+    _write_policy(params, opt, path)
     before = path.read_bytes()
     reinforce_update(params, opt, _random_trajectories(np.random.default_rng(5), 6, 2))
     if fault == "mid-write":
@@ -712,6 +719,6 @@ def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch, faul
     else:
         monkeypatch.setattr(runstate.os, "fsync", _failing_fsync)
     with pytest.raises(OSError):
-        save_checkpoint(params, opt, path)
+        _write_policy(params, opt, path)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["policy.ckpt"]

@@ -58,14 +58,6 @@ def test_smoothed_correct_label_scores_plus_one():
     assert out.cosine == pytest.approx(1.0)
 
 
-def test_uncentered_ablation_gives_raw_cosine():
-    # uniform vs one-hot: raw cosine is 0.25 / (0.5 * 1.0) = 0.5
-    assert centered_cosine(UNIFORM, one_hot("N", "veracity"), centered=False) \
-        == pytest.approx(0.5)
-    assert sign_similarity(UNIFORM, one_hot("N", "veracity"), centered=False) == 1
-    assert sign_similarity(UNIFORM, one_hot("N", "veracity"), centered=True) == 0
-
-
 def test_cosine_symmetry_over_random_pairs():
     rng = np.random.default_rng(404)
     for _ in range(1000):
@@ -156,7 +148,7 @@ def test_unlabeled_reward_uses_mean_of_selection():
 
 # ------------------------------------------------- running stance mean
 
-def _stacked_reward(prefix, veracity, references, centered):
+def _stacked_reward(prefix, veracity, references):
     """The unlabeled reward as first written: stack the prefix, then average."""
     if not prefix:
         return RewardOutcome(value=0, cosine=0.0, branch="empty")
@@ -164,7 +156,7 @@ def _stacked_reward(prefix, veracity, references, centered):
     if reference is None:
         return RewardOutcome(value=0, cosine=0.0, branch="cold")
     mean = np.stack(prefix).mean(axis=0)
-    cos = centered_cosine(mean, reference, centered=centered)
+    cos = centered_cosine(mean, reference)
     value = 0 if abs(cos) < 1e-12 else (1 if cos > 0.0 else -1)
     return RewardOutcome(value=value, cosine=cos, branch="unlabeled")
 
@@ -190,9 +182,9 @@ def _distribution(draw):
 @given(prefix=st.lists(_distribution(), max_size=12),
        references=st.lists(st.tuples(st.sampled_from(VERACITIES), _distribution()),
                            max_size=6),
-       veracity=st.sampled_from(VERACITIES), centered=st.booleans())
+       veracity=st.sampled_from(VERACITIES))
 def test_running_mean_reward_equals_the_stacked_mean_bitwise(prefix, references,
-                                                             veracity, centered):
+                                                             veracity):
     refs = ReferenceStanceStats()  # cold for every class no reference names
     for label, distribution in references:
         refs.update(label, distribution)
@@ -204,11 +196,10 @@ def test_running_mean_reward_equals_the_stacked_mean_bitwise(prefix, references,
         if k:
             stacked = np.stack(prefix[:k]).mean(axis=0)
             assert running.mean().tobytes() == stacked.tobytes()
-        expected = _bits(_stacked_reward(prefix[:k], veracity, refs, centered))
-        assert _bits(unlabeled_claim_reward(running, veracity, refs, centered)) \
+        expected = _bits(_stacked_reward(prefix[:k], veracity, refs))
+        assert _bits(unlabeled_claim_reward(running, veracity, refs)) == expected
+        assert _bits(unlabeled_claim_reward(list(prefix[:k]), veracity, refs)) \
             == expected
-        assert _bits(unlabeled_claim_reward(list(prefix[:k]), veracity, refs,
-                                            centered)) == expected
 
 
 def test_stance_mean_validates_each_distribution_once_added():

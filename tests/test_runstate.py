@@ -22,7 +22,7 @@ from claimsift.config import RunConfig
 from claimsift.corpus import SynthConfig, generate_synthetic
 from claimsift.engine import Trainer
 from claimsift.errors import CheckpointError
-from claimsift.policy import PolicyParams, ReplayTable, save_checkpoint
+from claimsift.policy import PolicyParams, ReplayTable, encode_policy, load_checkpoint
 from claimsift.state import HashedEmbedder
 
 D, H = 4, 3
@@ -348,16 +348,41 @@ def test_run_state_holds_one_window_and_the_current_epochs_records(tmp_path):
 
 
 def test_policy_checkpoint_is_not_a_run_state(tmp_path):
-    """A policy checkpoint is written in the same container but holds no
-    run, so resuming from one fails as a malformed run state."""
+    """An older `policy.ckpt` is written in the same container but holds
+    only the policy, so resuming from one fails as a malformed run state."""
     trainer = _trainer()
     trainer.run_epoch(limit=1)
     path = tmp_path / "policy.ckpt"
-    save_checkpoint(trainer.params, trainer.optimizer, path)
+    settings, arrays = encode_policy(trainer.params, trainer.optimizer)
+    runstate.write_run_state(path, {"optimizer": settings}, arrays)
     state, arrays = runstate.read_run_state(path)
     assert list(state) == ["optimizer"]
     assert list(arrays) == ["w1", "w2", "m_w1", "v_w1", "m_w2", "v_w2"]
     with pytest.raises(CheckpointError, match="malformed run state"):
+        _resume(path)
+
+
+@pytest.mark.parametrize("limit", [1, None], ids=["mid-epoch", "boundary"])
+def test_load_checkpoint_reads_the_policy_of_a_run_state(tmp_path, limit):
+    trainer = _trainer()
+    trainer.run_epoch(limit=limit)
+    path = tmp_path / "run_state.ckpt"
+    trainer.save_run_state(path)
+    params, optimizer = load_checkpoint(path)
+    assert _plain((params, optimizer)) == _plain((trainer.params, trainer.optimizer))
+
+
+@pytest.mark.parametrize("key,value", [("centered_rewards", True),
+                                       ("baseline_momentum", 0.9)])
+def test_run_state_with_a_deleted_config_field_is_rejected(tmp_path, key, value):
+    trainer = _trainer()
+    trainer.run_epoch(limit=1)
+    path = tmp_path / "run.state"
+    trainer.save_run_state(path)
+    state, arrays = runstate.read_run_state(path)
+    state["config"][key] = value
+    runstate.write_run_state(path, state, arrays)
+    with pytest.raises(CheckpointError, match=f"unknown config keys.*{key}"):
         _resume(path)
 
 
