@@ -12,13 +12,14 @@ Posts may carry an optional gold "stance" key used only for evaluation.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError
+from .errors import ConfigError, DatasetError, check_field_types
 from .labels import STANCES, VERACITIES
 
 # Stance mixture per veracity class used by the synthetic generator, rows in
@@ -287,12 +288,19 @@ class SynthConfig:
         if unknown:
             raise ConfigError(f"unknown synthetic config keys: {sorted(unknown)}")
         values = dict(raw)
+        tables = ("veracity_prior", "stance_given_veracity")  # checked below
+        check_field_types(SynthConfig, {k: v for k, v in raw.items() if k not in tables})
         if "veracity_prior" in values:
-            values["veracity_prior"] = tuple(values["veracity_prior"])
+            values["veracity_prior"] = _numbers(
+                "veracity_prior", values["veracity_prior"], len(VERACITIES))
         if "stance_given_veracity" in values:
+            matrix = values["stance_given_veracity"]
+            if type(matrix) not in (list, tuple) or len(matrix) != len(VERACITIES):
+                raise ConfigError(f"stance_given_veracity: expected a list of "
+                                  f"{len(VERACITIES)} rows, got {reprlib.repr(matrix)}")
             values["stance_given_veracity"] = tuple(
-                tuple(row) for row in values["stance_given_veracity"]
-            )
+                _numbers(f"stance_given_veracity[{i}]", row, len(STANCES))
+                for i, row in enumerate(matrix))
         return replace(cfg, **values)
 
     def to_dict(self) -> dict:
@@ -305,6 +313,16 @@ class SynthConfig:
             "rng_seed": self.rng_seed,
             "name": self.name,
         }
+
+
+def _numbers(name: str, value, n: int) -> tuple[float, ...]:
+    """`value`, a JSON list of `n` numbers, as a tuple; anything else (a bool
+    included) raises ConfigError naming `name`."""
+    if type(value) not in (list, tuple) or len(value) != n or not all(
+            type(x) in (int, float) for x in value):
+        raise ConfigError(
+            f"{name}: expected a list of {n} numbers, got {reprlib.repr(value)}")
+    return tuple(value)
 
 
 def _validate_synth(cfg: SynthConfig) -> None:

@@ -52,6 +52,7 @@ from .policy import (
     LEVEL_CLAIM,
     MovingBaseline,
     OptimizerState,
+    PolicyParams,
     RewardBaseline,
     RETAIN,
     ReplayTable,
@@ -188,7 +189,11 @@ class Trainer:
         rv_backend,
         embedder,
         seeds: frozenset[str] | None = None,
+        *,
+        _policy: tuple[PolicyParams, OptimizerState] | None = None,
     ):
+        # `_policy` is from_run_state's decoded policy, which spares a resume
+        # the initial parameter draw; the draw's rng is a stream of its own.
         config.validate()
         if getattr(embedder, "d", None) != config.embed_dim:
             raise ConfigError(
@@ -216,16 +221,17 @@ class Trainer:
         self._claims = {c.claim_id: c for c in masked.claims}
         self._claim_vecs: dict[str, np.ndarray] = {}
 
-        self.params = init_params(
-            3 * config.embed_dim,
-            config.hidden_dim,
-            np.random.default_rng((config.rng_seed, 2)),
-        )
-        self.optimizer = OptimizerState(
-            learning_rate=config.learning_rate,
-            warmup_fraction=config.warmup_fraction,
-            planned_updates=config.max_epochs * max(1, len(self._claims)),
-        )
+        if _policy is None:
+            _policy = (
+                init_params(3 * config.embed_dim, config.hidden_dim,
+                            np.random.default_rng((config.rng_seed, 2))),
+                OptimizerState(
+                    learning_rate=config.learning_rate,
+                    warmup_fraction=config.warmup_fraction,
+                    planned_updates=config.max_epochs * max(1, len(self._claims)),
+                ),
+            )
+        self.params, self.optimizer = _policy
         self.baseline = RewardBaseline() if config.use_baseline else None
         self.references = ReferenceStanceStats()
         self.claim_context = ContextAccumulator(config.embed_dim)
@@ -661,15 +667,16 @@ class Trainer:
         try:
             config = RunConfig.from_dict(state["config"])
             fingerprint, seeds = tuple(state["fingerprint"]), frozenset(state["seed_ids"])
+            d, h = config.embed_dim, config.hidden_dim
+            _array(arrays, "w1", (h, 3 * d))  # the policy must fit the config
+            policy = decode_policy(state["optimizer"], arrays)
         except _MALFORMED as exc:
             raise CheckpointError(f"malformed run state: {exc!r}") from None
         if fingerprint != _dataset_fingerprint(dataset):
             raise CheckpointError("run state was saved for a different dataset")
-        trainer = cls(config, dataset, sd_backend, rv_backend, embedder, seeds=seeds)
-        d, h = config.embed_dim, config.hidden_dim
+        trainer = cls(config, dataset, sd_backend, rv_backend, embedder, seeds=seeds,
+                      _policy=policy)
         try:
-            _array(arrays, "w1", (h, 3 * d))  # the policy must fit the config
-            trainer.params, trainer.optimizer = decode_policy(state["optimizer"], arrays)
             baseline = state["baseline"]
             if baseline is not None:
                 claim, post = baseline

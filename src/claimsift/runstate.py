@@ -8,10 +8,19 @@ an 8-byte file offset (zero padding between). The manifest is
 
 Loading parses JSON and builds arrays of the dtypes in ``_DTYPES`` only
 (float64, the one dtype written), so a crafted file can at worst fail to
-load; it never runs code. The file is written through one handle with a
-running checksum, to a temporary file in the same directory that is
-flushed, fsynced and then renamed over the target, so a crash mid-write
-leaves the previous file in place.
+load; it never runs code. The file is written through one handle to a
+temporary file in the same directory that is flushed, fsynced and then
+renamed over the target, so a crash mid-write leaves the previous file in
+place.
+
+The one crc32 is computed as the bytes pass. For a file of at least
+`THREAD_CUTOVER` bytes a worker thread computes it while the caller does
+the I/O: a write hands each buffer to the worker as it writes it, and a
+read fills each array in slices of `READ_SLICE` bytes and hands each slice
+on as it lands (`zlib.crc32` releases the GIL on large buffers, so the two
+run on two cores). A smaller file keeps an inline running checksum, where
+starting a thread costs more than it hides. Either way the bytes and the
+crc are the same.
 """
 
 from __future__ import annotations
@@ -20,7 +29,9 @@ import json
 import math
 import os
 import struct
+import threading
 import zlib
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +45,11 @@ _U64 = struct.Struct("<Q")
 _CRC = struct.Struct("<I")
 _DTYPES = {"<f8": np.dtype("<f8")}
 _ZEROS = bytes(8)
+# Files from this size up are checksummed on a worker thread. On a 2-core
+# x86-64 machine the thread made 1 MiB reads and writes slower, broke even
+# about 2 MiB and saved 15-20% from 3 MiB up.
+THREAD_CUTOVER = 2 << 20
+READ_SLICE = 2 << 20
 
 
 def _pad(offset: int) -> int:
@@ -44,10 +60,10 @@ def write_run_state(path: str | Path, state: dict, arrays: dict) -> None:
     """Atomically write `state` (JSON-able) and `arrays` (name -> float64
     array) to `path`.
 
-    The bytes go through one handle, with a running checksum, to a temporary
-    file in the target's directory, which is flushed, fsynced and renamed
-    over `path`; any error removes the temporary file and leaves the
-    previous `path` as it was.
+    The bytes go through one handle, checksummed as they pass (see the
+    module docstring), to a temporary file in the target's directory, which
+    is flushed, fsynced and renamed over `path`; any error removes the
+    temporary file and leaves the previous `path` as it was.
     """
     arrays = {name: np.ascontiguousarray(value, dtype="<f8")
               for name, value in arrays.items()}
@@ -68,12 +84,11 @@ def write_run_state(path: str | Path, state: dict, arrays: dict) -> None:
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            crc = 0
+        with open(tmp, "wb") as fh, _Crc32(offset + _CRC.size) as crc:
             for chunk in chunks:
+                crc.add(chunk)
                 fh.write(chunk)
-                crc = zlib.crc32(chunk, crc)
-            fh.write(_CRC.pack(crc & 0xFFFFFFFF))
+            fh.write(_CRC.pack(crc.value()))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -85,49 +100,109 @@ def write_run_state(path: str | Path, state: dict, arrays: dict) -> None:
 def read_run_state(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
     """Read and verify a run-state file: (state, name -> array).
 
-    The file is read front to back with a running checksum. Each array is
-    read into an allocation of its own, made only once every shape in the
-    manifest has been checked against the file size. A body that does not
-    hold together is still read to its end, so that damage is reported as a
-    checksum mismatch and only an intact file as malformed.
+    The file is read front to back, checksummed as it lands (see the module
+    docstring). Each array is read into an allocation of its own, made only
+    once every shape in the manifest has been checked against the file
+    size. A body that does not hold together is still read to its end, so
+    that damage is reported as a checksum mismatch and only an intact file
+    as malformed.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEAD.size + _U64.size + _CRC.size:
             raise CheckpointError("truncated run-state file")
-        reader = _Reader(fh)
-        magic, version, body_len = _HEAD.unpack(reader.read(_HEAD.size))
-        if magic != MAGIC:
-            raise CheckpointError("not a run-state file (bad magic)")
-        if version != VERSION:
-            raise CheckpointError(f"unsupported run-state version {version}")
-        end = _HEAD.size + body_len
-        if size != end + _CRC.size:
-            raise CheckpointError("truncated run-state file")
-        try:
-            result, problem = _read_body(reader, end), None
-        except (ValueError, TypeError, KeyError, RecursionError) as exc:
-            result, problem = None, exc
-        while reader.offset < end:
-            reader.read(min(end - reader.offset, 1 << 20))
-        stored = fh.read(_CRC.size)
+        with _Crc32(size) as crc:
+            reader = _Reader(fh, crc)
+            magic, version, body_len = _HEAD.unpack(reader.read(_HEAD.size))
+            if magic != MAGIC:
+                raise CheckpointError("not a run-state file (bad magic)")
+            if version != VERSION:
+                raise CheckpointError(f"unsupported run-state version {version}")
+            end = _HEAD.size + body_len
+            if size != end + _CRC.size:
+                raise CheckpointError("truncated run-state file")
+            try:
+                result, problem = _read_body(reader, end), None
+            except (ValueError, TypeError, KeyError, RecursionError) as exc:
+                result, problem = None, exc
+            while reader.offset < end:
+                reader.read(min(end - reader.offset, READ_SLICE))
+            stored = fh.read(_CRC.size)
+            checksum = crc.value()
     if len(stored) != _CRC.size:
         raise CheckpointError("truncated run-state file")
-    if reader.crc != _CRC.unpack(stored)[0]:
+    if checksum != _CRC.unpack(stored)[0]:
         raise CheckpointError("run-state checksum mismatch")
     if problem is not None:
         raise CheckpointError(f"malformed run-state manifest: {problem}") from None
     return result
 
 
-class _Reader:
-    """Reads a file front to back, keeping the offset and the crc32 of all
-    bytes read."""
+class _Crc32:
+    """The crc32 of the buffers passed to `add`, in order, for a stream of
+    `size` bytes. From `THREAD_CUTOVER` bytes up a worker thread computes
+    it, and a buffer must then stay unchanged until `value` returns.
+    Leaving the `with` block stops the worker, on success or on error."""
 
-    def __init__(self, fh):
+    def __init__(self, size: int):
+        self._crc = 0
+        self._error: BaseException | None = None
+        self._thread = None
+        if size >= THREAD_CUTOVER:
+            self._pending: deque = deque()
+            self._ready = threading.Semaphore(0)
+            self._thread = threading.Thread(target=self._work, daemon=True,
+                                            name="run-state crc32")
+            self._thread.start()
+
+    def __enter__(self) -> "_Crc32":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop()
+
+    def add(self, data) -> None:
+        if self._thread is None:
+            self._crc = zlib.crc32(data, self._crc)
+            return
+        self._pending.append(data)
+        self._ready.release()
+
+    def value(self) -> int:
+        """The crc32 of all that was added; raises what the worker raised."""
+        self._stop()
+        if self._error is not None:
+            raise self._error
+        return self._crc
+
+    def _stop(self) -> None:
+        if self._thread is not None:
+            self._pending.append(None)
+            self._ready.release()
+            self._thread.join()
+            self._thread = None
+
+    def _work(self) -> None:
+        while True:
+            self._ready.acquire()
+            data = self._pending.popleft()
+            if data is None:
+                return
+            if self._error is None:
+                try:
+                    self._crc = zlib.crc32(data, self._crc)
+                except BaseException as exc:  # raised again in the caller
+                    self._error = exc
+
+
+class _Reader:
+    """Reads a file front to back, keeping the offset and passing every
+    byte read to a `_Crc32`."""
+
+    def __init__(self, fh, crc: _Crc32):
         self._fh = fh
+        self._crc = crc
         self.offset = 0
-        self.crc = 0
 
     def read(self, n: int) -> bytes:
         data = self._fh.read(n)
@@ -135,14 +210,19 @@ class _Reader:
         return data
 
     def read_into(self, array: np.ndarray) -> None:
-        self._add(array, self._fh.readinto(array))
+        """Fill `array` in slices of `READ_SLICE` bytes, each checksummed
+        as it lands while the next one is read."""
+        flat = array.reshape(-1).view(np.uint8)
+        for start in range(0, flat.size, READ_SLICE):
+            part = flat[start:start + READ_SLICE]
+            self._add(part, self._fh.readinto(part))
 
     def _add(self, data, n: int) -> None:
         """Count `data`, which the read made `n` bytes long unless the file
         ended early."""
         if n != memoryview(data).nbytes:
             raise CheckpointError("truncated run-state file")
-        self.crc = zlib.crc32(data, self.crc)
+        self._crc.add(data)
         self.offset += n
 
 

@@ -95,6 +95,34 @@ def test_synth_config_file_with_flag_overrides(tmp_path, capsys):
     assert stats["path"].endswith("cfg_made.jsonl")
 
 
+@pytest.mark.parametrize("raw,message", [
+    ({"n_claims": "x"}, "n_claims: expected an integer, got 'x'"),
+    ({"noise_post_fraction": None}, "noise_post_fraction: expected a number, got None"),
+    ({"name": 3}, "name: expected a string, got 3"),
+    ({"veracity_prior": 3}, "veracity_prior: expected a list of 4 numbers, got 3"),
+    ({"veracity_prior": None}, "veracity_prior: expected a list of 4 numbers, got None"),
+    ({"veracity_prior": [1, 0, 0]},
+     "veracity_prior: expected a list of 4 numbers, got [1, 0, 0]"),
+    ({"veracity_prior": [True, 0, 0, 0]},
+     "veracity_prior: expected a list of 4 numbers, got [True, 0, 0, 0]"),
+    ({"stance_given_veracity": [1, 2]},
+     "stance_given_veracity: expected a list of 4 rows, got [1, 2]"),
+    ({"stance_given_veracity": [[1, 0, 0, 0]] * 3 + [[1, 0, 0]]},
+     "stance_given_veracity[3]: expected a list of 4 numbers, got [1, 0, 0]"),
+    ({"stance_given_veracity": [[1, 0, 0, 0]] * 3 + [[1, 0, "0", 0]]},
+     "stance_given_veracity[3]: expected a list of 4 numbers, got [1, 0, '0', 0]"),
+], ids=["str-int", "null-float", "int-str", "int-prior", "null-prior", "short-prior",
+        "bool-prior", "flat-matrix", "ragged-matrix", "str-in-matrix"])
+def test_bad_synth_config_value_is_a_usage_error(tmp_path, capsys, raw, message):
+    """A synth config value of the wrong JSON type or shape exits 2 with the
+    field's name; a bool is not a number."""
+    cfg = tmp_path / "s.json"
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------- train
 
 def test_train_writes_artifact_inventory(trained_run):

@@ -1,5 +1,6 @@
 """Run-state file format: bit-exact round trips, rejection of damaged or
-crafted files, and atomic writes."""
+crafted files, and atomic writes, on both sides of the size from which the
+checksum runs on a worker thread."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import os
 import pickle
 import struct
 import tempfile
+import threading
 import zlib
 from pathlib import Path
 
@@ -131,6 +133,21 @@ def test_mid_epoch_trainer_round_trips_bit_exactly(tmp_path, config):
         for report in run.reports:
             report.wall_time_s = 0.0
     assert _snapshot(resumed) == _snapshot(trainer)
+
+
+def test_resume_draws_no_initial_policy(tmp_path, monkeypatch):
+    """A resumed trainer takes its policy from the file without first
+    drawing one it would throw away."""
+    trainer = _trainer()
+    trainer.run_epoch(limit=2)
+    path = tmp_path / "run.state"
+    trainer.save_run_state(path)
+
+    def no_draw(*args):
+        raise AssertionError("init_params called on resume")
+
+    monkeypatch.setattr(engine, "init_params", no_draw)
+    assert _snapshot(_resume(path)) == _snapshot(trainer)
 
 
 class _RecordingOracle(OracleAnnotator):
@@ -307,6 +324,137 @@ def test_every_truncation_and_byte_flip_is_rejected(tmp_path):
             _resume(damaged, SMALL_DATASET, 2)
 
 
+def _inline_encoding(state, arrays):
+    """The reference encoding: the version-5 layout built as one bytes
+    object, checksummed in one call."""
+    table = [[name, "<f8", list(a.shape)] for name, a in arrays.items()]
+    manifest = json.dumps({"arrays": table, "state": state}, ensure_ascii=False,
+                          separators=(",", ":")).encode("utf-8")
+    body = struct.pack("<Q", len(manifest)) + manifest
+    for a in arrays.values():
+        body += bytes(-(20 + len(body)) % 8) + a.astype("<f8").tobytes()
+    head = runstate.MAGIC + struct.pack("<IQ", 5, len(body))
+    return head + body + struct.pack("<I", zlib.crc32(head + body))
+
+
+BIG = 5 * 2**17  # a 5 MiB array: three read slices
+
+
+def _arrays(n):
+    rng = np.random.default_rng(3)
+    return {"w": rng.standard_normal((3, 5)), "big": rng.standard_normal(n),
+            "tail": np.array([np.nan, -0.0, np.inf])}
+
+
+class _RecordingZlib:
+    """zlib that records the name of the thread each crc32 call runs on."""
+
+    def __init__(self):
+        self.threads = set()
+
+    def crc32(self, data, value=0):
+        self.threads.add(threading.current_thread().name)
+        return zlib.crc32(data, value)
+
+
+@pytest.mark.parametrize("n", [100, BIG], ids=["below-cutover", "above-cutover"])
+def test_written_bytes_are_the_reference_encoding(tmp_path, monkeypatch, n):
+    """On both sides of the cutover the file is the reference encoding:
+    version 5 and a trailer that is the crc32 of every byte before it. Only
+    above the cutover does the crc32 run off the calling thread."""
+    state, arrays = {"name": "\u00e9t\u00e9", "n": n}, _arrays(n)
+    spy = _RecordingZlib()
+    monkeypatch.setattr(runstate, "zlib", spy)
+    path = tmp_path / "run.state"
+    runstate.write_run_state(path, state, arrays)
+    blob = path.read_bytes()
+    above = len(blob) >= runstate.THREAD_CUTOVER
+    assert above == (n == BIG)
+    assert blob == _inline_encoding(state, arrays)
+    assert struct.unpack_from("<I", blob, len(runstate.MAGIC))[0] == runstate.VERSION == 5
+    assert struct.unpack("<I", blob[-4:])[0] == zlib.crc32(blob[:-4])
+    read_state, read_arrays = runstate.read_run_state(path)
+    assert read_state == state
+    assert {k: a.tobytes() for k, a in read_arrays.items()} == {
+        k: a.tobytes() for k, a in arrays.items()}
+    assert spy.threads == ({"run-state crc32"} if above
+                           else {threading.current_thread().name})
+
+
+def test_damage_in_any_read_slice_is_rejected(tmp_path):
+    """Above the cutover, a byte flip in each read slice of a large array,
+    or elsewhere in the file, and a truncation inside a slice, all fail, and
+    no checksum thread is left running."""
+    arrays = _arrays(BIG)
+    path = tmp_path / "run.state"
+    runstate.write_run_state(path, {}, arrays)
+    blob = path.read_bytes()
+    start = blob.index(arrays["big"][:2].tobytes())
+    step = runstate.READ_SLICE
+    threads = threading.active_count()
+    damaged = tmp_path / "damaged.state"
+    head = (0, 9, 13)  # magic, version, body length
+    for i in (*head, start - 1, start, start + step - 1, start + step,
+              start + 2 * step + 5, start + 8 * BIG - 1, len(blob) - 5, len(blob) - 1):
+        flipped = bytearray(blob)
+        flipped[i] ^= 0x01
+        damaged.write_bytes(flipped)
+        with pytest.raises(CheckpointError,
+                           match=None if i in head else "checksum mismatch"):
+            runstate.read_run_state(damaged)
+    for n in (start + step // 2, start + step + 3, start + 2 * step + step // 4,
+              len(blob) - 1):
+        damaged.write_bytes(blob[:n])
+        with pytest.raises(CheckpointError, match="truncated"):
+            runstate.read_run_state(damaged)
+    assert threading.active_count() == threads
+
+
+class _FailingReads:
+    """A binary file whose third readinto fails: the second slice of the
+    large array of `_arrays(BIG)`."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.calls = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def readinto(self, buffer):
+        self.calls += 1
+        if self.calls == 3:
+            raise OSError("read error")
+        return self._fh.readinto(buffer)
+
+
+@pytest.mark.parametrize("fault", ["readinto", "crc32"])
+def test_read_failing_inside_an_array_leaves_no_thread(tmp_path, monkeypatch, fault):
+    """A read error on the calling thread, or a crc32 error on the worker,
+    part-way through a large array reaches the caller as itself, and the
+    checksum thread is gone."""
+    path = tmp_path / "run.state"
+    runstate.write_run_state(path, {}, _arrays(BIG))
+    threads = threading.active_count()
+    if fault == "readinto":
+        monkeypatch.setattr(runstate, "open", lambda *a: _FailingReads(open(*a)),
+                            raising=False)
+    else:  # head, length, manifest, padding, w, padding, then the big array's slices
+        failing = _FailingZlib(fail_on=8)
+        monkeypatch.setattr(runstate, "zlib", failing)
+    with pytest.raises(OSError) as caught:
+        runstate.read_run_state(path)
+    if fault == "crc32":
+        assert caught.value is failing.raised
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("version", [2, 3, 4])
 def test_older_run_state_version_is_rejected(tmp_path, version):
     """A current file relabelled as an older version fails on its version
@@ -453,15 +601,19 @@ def test_version_1_pickle_is_never_loaded(tmp_path):
 
 
 class _FailingZlib:
-    """zlib whose crc32 fails on its fourth call, in the middle of a write."""
+    """zlib whose crc32 fails on call number `fail_on` (by default the
+    fourth, in the middle of a write), keeping the exception it raised."""
 
-    def __init__(self):
+    def __init__(self, fail_on=4):
         self.calls = 0
+        self.fail_on = fail_on
+        self.raised = None
 
     def crc32(self, data, value=0):
         self.calls += 1
-        if self.calls == 4:
-            raise OSError("disk full")
+        if self.calls == self.fail_on:
+            self.raised = OSError("crc32 failed")
+            raise self.raised
         return zlib.crc32(data, value)
 
 
@@ -469,18 +621,32 @@ def _failing_fsync(fd):
     raise OSError("device lost")
 
 
-@pytest.mark.parametrize("fault", ["mid-write", "fsync"])
-def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, fault):
-    trainer = _trainer()
+@pytest.mark.parametrize("fault,size", [
+    ("mid-write", "below-cutover"), ("fsync", "below-cutover"),
+    ("mid-write", "above-cutover"), ("fsync", "above-cutover"),
+], ids=["mid-write", "fsync", "mid-write-above-cutover", "fsync-above-cutover"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, fault, size):
+    """A failed save leaves the previous file and no temporary file; a crc32
+    that fails on the worker thread raises its own exception in the caller,
+    and no checksum thread outlives the save."""
+    config = None if size == "below-cutover" else RunConfig(
+        embed_dim=256, hidden_dim=400, max_epochs=2, learning_rate=1e-3, rng_seed=9)
+    trainer = _trainer(config)
     path = tmp_path / "run.state"
     trainer.save_run_state(path)
     before = path.read_bytes()
+    assert (len(before) >= runstate.THREAD_CUTOVER) == (size == "above-cutover")
     trainer.run_epoch(limit=2)
+    threads = threading.active_count()
+    failing = _FailingZlib()
     if fault == "mid-write":
-        monkeypatch.setattr(runstate, "zlib", _FailingZlib())
+        monkeypatch.setattr(runstate, "zlib", failing)
     else:
         monkeypatch.setattr(runstate.os, "fsync", _failing_fsync)
-    with pytest.raises(OSError):
+    with pytest.raises(OSError) as caught:
         trainer.save_run_state(path)
+    if fault == "mid-write":
+        assert caught.value is failing.raised
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.state"]
+    assert threading.active_count() == threads
