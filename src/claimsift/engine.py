@@ -683,9 +683,9 @@ class Trainer:
                 baseline = RewardBaseline(claim=MovingBaseline(**claim),
                                           post=MovingBaseline(**post))
             trainer.baseline = baseline
-            sums = _array(arrays, "reference_sums", (len(VERACITIES), 4))
-            trainer.references._sums = dict(zip(VERACITIES, sums))
-            trainer.references._counts = dict(zip(VERACITIES, state["reference_counts"]))
+            trainer.references = ReferenceStanceStats.restore(
+                _array(arrays, "reference_sums", (len(VERACITIES), 4)),
+                state["reference_counts"])
             trainer.claim_context._sum = _array(arrays, "claim_context_sum", (d,))
             trainer.claim_context.count = state["claim_context_count"]
             trainer.claim_tracker.current_run = state["claim_tracker"]["current_run"]

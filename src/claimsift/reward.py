@@ -35,18 +35,27 @@ def _check_distribution(vec, name: str) -> np.ndarray:
     return arr
 
 
+def _centered(distribution: np.ndarray) -> tuple[np.ndarray, float]:
+    """A distribution minus the uniform one, and that vector's norm."""
+    centered = distribution - _UNIFORM
+    return centered, float(np.linalg.norm(centered))
+
+
+def _cosine(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
+    """Cosine of two centered vectors given with their norms; 0.0 when
+    either norm is (near-)zero."""
+    if na < _EPS or nb < _EPS:
+        return 0.0
+    return float(np.dot(a, b) / (na * nb))
+
+
 def centered_cosine(p, q) -> float:
     """Cosine similarity after subtracting the uniform distribution.
 
     Returns 0.0 when either centered vector has (near-)zero norm.
     """
-    a = _check_distribution(p, "p") - _UNIFORM
-    b = _check_distribution(q, "q") - _UNIFORM
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na < _EPS or nb < _EPS:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    return _cosine(*_centered(_check_distribution(p, "p")),
+                   *_centered(_check_distribution(q, "q")))
 
 
 def _sign(cos: float) -> int:
@@ -67,12 +76,20 @@ class RewardOutcome:
     branch: str  # "labeled", "unlabeled", "cold", or "empty"
 
 
+# each veracity label's centered one-hot target and its norm
+_TARGETS = {v: _centered(one_hot(v, "veracity")) for v in VERACITIES}
+
+
 def labeled_claim_reward(predicted_distribution, truth_label: str) -> RewardOutcome:
-    """Reward for a claim with a trusted label: prediction vs one-hot truth."""
+    """Reward for a claim with a trusted label: prediction vs one-hot truth.
+
+    The prediction is taken as a valid distribution, as an annotation's is
+    once parsed; it is not checked again.
+    """
     if truth_label not in VERACITIES:
         raise RewardError(f"unknown veracity label {truth_label!r}")
-    target = one_hot(truth_label, "veracity")
-    cos = centered_cosine(predicted_distribution, target)
+    predicted = np.asarray(predicted_distribution, dtype=np.float64)
+    cos = _cosine(*_centered(predicted), *_TARGETS[truth_label])
     return RewardOutcome(value=_sign(cos), cosine=cos, branch="labeled")
 
 
@@ -80,12 +97,26 @@ class ReferenceStanceStats:
     """Per-veracity running mean of stance distributions from labeled claims.
 
     A class with no observations yet is cold: rewards that would consult it
-    come out 0 rather than guessing.
+    come out 0 rather than guessing. Each observed class keeps its centered
+    mean and that vector's norm, as its last `update` left them.
     """
 
     def __init__(self):
         self._sums = {v: np.zeros(4, dtype=np.float64) for v in VERACITIES}
         self._counts = {v: 0 for v in VERACITIES}
+        self._centered: dict[str, tuple[np.ndarray, float]] = {}
+
+    @classmethod
+    def restore(cls, sums: Sequence[np.ndarray], counts: Sequence[int]
+                ) -> "ReferenceStanceStats":
+        """Statistics with the given per-class sums and counts, in
+        VERACITIES order, as `update` would have left them."""
+        stats = cls()
+        stats._sums = dict(zip(VERACITIES, sums))
+        stats._counts = dict(zip(VERACITIES, counts))
+        for veracity in VERACITIES:
+            stats._center(veracity)
+        return stats
 
     def update(self, veracity: str, stance_distribution) -> None:
         if veracity not in VERACITIES:
@@ -93,6 +124,12 @@ class ReferenceStanceStats:
         arr = _check_distribution(stance_distribution, "stance distribution")
         self._sums[veracity] += arr
         self._counts[veracity] += 1
+        self._center(veracity)
+
+    def _center(self, veracity: str) -> None:
+        mean = self.mean(veracity)
+        if mean is not None:
+            self._centered[veracity] = _centered(mean)
 
     def count(self, veracity: str) -> int:
         return self._counts[veracity]
@@ -104,6 +141,13 @@ class ReferenceStanceStats:
         if n == 0:
             return None
         return self._sums[veracity] / n
+
+    def centered_mean(self, veracity: str) -> tuple[np.ndarray, float] | None:
+        """The class mean minus the uniform distribution, and its norm;
+        None for a cold class."""
+        if veracity not in VERACITIES:
+            raise RewardError(f"unknown veracity label {veracity!r}")
+        return self._centered.get(veracity)
 
     def snapshot(self) -> dict:
         return {v: self._counts[v] for v in VERACITIES}
@@ -157,8 +201,8 @@ def unlabeled_claim_reward(
         selected = StanceMean(selected)
     if not selected:
         return RewardOutcome(value=0, cosine=0.0, branch="empty")
-    reference = references.mean(predicted_veracity)
+    reference = references.centered_mean(predicted_veracity)
     if reference is None:
         return RewardOutcome(value=0, cosine=0.0, branch="cold")
-    cos = centered_cosine(selected.mean(), reference)
+    cos = _cosine(*_centered(selected.mean()), *reference)
     return RewardOutcome(value=_sign(cos), cosine=cos, branch="unlabeled")

@@ -223,3 +223,25 @@ def test_cosine_sign_is_invariant_under_positive_scaling(p, q, s, t):
     assert np.sign(scaled) == np.sign(cos)
     assert sign_similarity(0.25 + s * (p - 0.25), 0.25 + t * (q - 0.25)) \
         == sign_similarity(p, q)
+
+
+def test_cached_reference_and_targets_give_the_checked_cosine_bitwise():
+    """The labeled reward's prebuilt targets and the references' kept
+    centered means give bitwise the cosine of the checked public path, and
+    a class's kept mean is dropped by its next update."""
+    rng = np.random.default_rng(406)
+    refs = ReferenceStanceStats()
+    for _ in range(50):
+        veracity = VERACITIES[int(rng.integers(4))]
+        predicted = rng.dirichlet(np.ones(4))
+        labeled = labeled_claim_reward(predicted, veracity)
+        assert _bits(labeled)[1] == struct.pack(
+            "<d", centered_cosine(predicted, one_hot(veracity, "veracity")))
+        selected = [rng.dirichlet(np.ones(4)) for _ in range(3)]
+        out = unlabeled_claim_reward(selected, veracity, refs)
+        if refs.count(veracity):
+            want = centered_cosine(np.stack(selected).mean(axis=0), refs.mean(veracity))
+            assert struct.pack("<d", out.cosine) == struct.pack("<d", want)
+        else:
+            assert out.branch == "cold"
+        refs.update(veracity, rng.dirichlet(np.ones(4)))
