@@ -73,11 +73,18 @@ from .reward import (
 )
 from .runstate import read_run_state, write_run_state
 from .selection import ClaimSampler, PostSampler, TerminationTracker
-from .state import ContextAccumulator, build_state, decide_post, pack_claim_text
+from .state import (
+    STATE_PARTS,
+    ContextAccumulator,
+    build_state,
+    decide_post,
+    pack_claim_text,
+)
 
 logger = logging.getLogger(__name__)
 
-# columns of the run state's per-step float block, one row per step
+# columns of the run state's per-step float block, one row per step: then
+# the row's index into the replay table's block of each state part
 _STEP_VALUES = ("retain", "reward")
 # annotation records are saved as rows of these fields, not repeating keys
 _RECORD_FIELDS = ("epoch", "claim_id", "post_id", "post_text", "stance",
@@ -239,8 +246,9 @@ class Trainer:
         self._action_rng = np.random.default_rng((config.rng_seed, 1))
         self._sampler_rng = np.random.default_rng((config.rng_seed, 3))
 
-        # the trajectory window the update replays, as rows holding its states
-        self.buffer = ReplayTable(np.empty((0, 3 * config.embed_dim)))
+        # the trajectory window the update replays, its states factored into
+        # the parts build_state concatenates
+        self.buffer = ReplayTable((config.embed_dim,) * len(STATE_PARTS))
         self.reports: list[EpochReport] = []
         # the current epoch's records and, once it has ended, its fine-tune examples
         self.annotation_records: list[dict] = []
@@ -607,9 +615,10 @@ class Trainer:
         """Atomically write what resume needs (see claimsift.runstate).
 
         Numbers that come in arrays (parameters, optimizer moments, sums,
-        step states and per-step values) are stored as raw arrays; all
-        else goes into the JSON manifest. The epoch in progress, `null`
-        between epochs, holds its records and fine-tune examples so far.
+        per-step values, and the replay table's index columns and distinct
+        vectors as it holds them) are stored as raw arrays; all else goes
+        into the JSON manifest. The epoch in progress, `null` between
+        epochs, holds its records and fine-tune examples so far.
         """
         settings, policy_arrays = encode_policy(self.params, self.optimizer)
         epoch = self._epoch
@@ -651,8 +660,10 @@ class Trainer:
                 [self.references._sums[v] for v in VERACITIES]
             ),
             "claim_context_sum": self.claim_context._sum,
-            "step_state": self.buffer.states,
-            "step_values": np.column_stack((self.buffer.retain, self.buffer.reward)),
+            "step_values": np.column_stack((self.buffer.retain, self.buffer.reward,
+                                            *(index for _block, index in self.buffer.parts))),
+            **{f"distinct_{name}": block
+               for name, (block, _index) in zip(STATE_PARTS, self.buffer.parts)},
         }
         write_run_state(path, state, arrays)
 
@@ -706,10 +717,13 @@ class Trainer:
 
             post_counts = state["post_counts"]
             n_rows = sum(1 + n for n in post_counts)
-            retain, reward = _array(arrays, "step_values",
-                                    (n_rows, len(_STEP_VALUES))).T
+            values = _array(arrays, "step_values",
+                            (n_rows, len(_STEP_VALUES) + len(STATE_PARTS)))
+            blocks = [arrays[f"distinct_{name}"] for name in STATE_PARTS]
             trainer.buffer = ReplayTable.adopt(
-                _array(arrays, "step_state", (n_rows, 3 * d)), retain != 0, reward,
+                [_array(arrays, f"distinct_{name}", (len(block), d))
+                 for name, block in zip(STATE_PARTS, blocks)],
+                values[:, len(_STEP_VALUES):], values[:, 0] != 0, values[:, 1],
                 post_counts)
             trainer.reports = [EpochReport(**r) for r in state["reports"]]
             trainer.epoch_index = state["epoch_index"]

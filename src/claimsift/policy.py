@@ -11,6 +11,7 @@ produce log(0).
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -128,52 +129,88 @@ Trajectory = tuple[Step, Sequence[Step]]
 
 
 class ReplayTable:
-    """The rows of a trajectory window, in the objective's order.
+    """The rows of a trajectory window, in the objective's order, with
+    each row's state stored factored.
 
     Each trajectory adds its claim step's row, then one row per post step.
-    Beside one `(rows, state_dim)` block of states, every row keeps its
-    retain flag, its reward, whether it is a claim row, and the post count
-    of its trajectory, so the objective and its gradients read the window
-    without re-stacking it. The table also keeps each trajectory's first
-    row. Storage grows by doubling.
+    A row's state is the concatenation of parts of fixed widths; the
+    trainer's are the claim, context and explanation thirds that
+    `state.build_state` makes, and a table built by `of` has one part, the
+    whole row. Per part the table keeps a block of the distinct vectors its
+    rows hold and a per-row index into that block: a part is deduplicated
+    exactly, keyed on its bytes, as it is appended, and deleting leading
+    trajectories compacts each block to the vectors the remaining rows
+    use, in their order. So no two vectors of a block are equal and every
+    one is used. The update multiplies each distinct vector once.
+
+    Beside the index columns, every row keeps its retain flag, its reward,
+    whether it is a claim row, and the post count of its trajectory, so the
+    objective and its gradients read the window without re-stacking it. The
+    table also keeps each trajectory's first row. Storage grows by
+    doubling.
 
     The table holds no `Step`: `append` copies a trajectory's rows, and
     iterating yields each trajectory's `(claim reward, post rewards)`, the
     post rewards as a view of the reward column that holds until the table
-    next changes. Two tables are equal when they hold the same rows.
+    next changes. Two tables are equal when they hold the same rows in the
+    same factored layout.
     """
 
-    _COLUMNS = ("_states", "_retain", "_reward", "_claim", "_posts")
-    __slots__ = (*_COLUMNS, "_rows", "_starts")
+    _COLUMNS = ("_index", "_retain", "_reward", "_claim", "_posts")
+    __slots__ = (*_COLUMNS, "_rows", "_starts", "_bounds", "_blocks", "_keys")
 
-    def __init__(self, storage: np.ndarray):
-        """An empty table whose rows go into `storage`, a float64
-        `(capacity, state_dim)` block, until it is full."""
-        self._states = storage
-        self._retain = np.empty(len(storage), dtype=bool)
-        self._reward = np.empty(len(storage))
-        self._claim = np.empty(len(storage), dtype=bool)
-        self._posts = np.empty(len(storage), dtype=np.int64)
+    def __init__(self, widths: Sequence[int], capacity: int = 0):
+        """An empty table whose states are the concatenation of parts of
+        the given widths, with room for `capacity` rows."""
+        stops = list(itertools.accumulate(widths))
+        self._bounds = tuple((stop - width, stop) for width, stop in zip(widths, stops))
+        self._blocks = [np.empty((0, width)) for width in widths]
+        # per part, each distinct vector's bytes -> its row of the block
+        self._keys: list[dict[bytes, int]] = [{} for _ in widths]
+        self._index = np.empty((capacity, len(widths)), dtype=np.int64)
+        self._retain = np.empty(capacity, dtype=bool)
+        self._reward = np.empty(capacity)
+        self._claim = np.empty(capacity, dtype=bool)
+        self._posts = np.empty(capacity, dtype=np.int64)
         self._rows = 0
         self._starts: list[int] = []
 
     @classmethod
     def of(cls, trajectories: Sequence[Trajectory]) -> "ReplayTable":
-        """A table of copies of the trajectories' rows."""
+        """A table of copies of the trajectories' rows, with the whole
+        state as its one part."""
         rows = sum(1 + len(post_steps) for _claim_step, post_steps in trajectories)
         state_dim = np.shape(trajectories[0][0].state)[0] if trajectories else 0
-        table = cls(np.empty((rows, state_dim)))
+        table = cls((state_dim,), capacity=rows)
         for claim_step, post_steps in trajectories:
             table.append(claim_step, post_steps)
         return table
 
     @classmethod
-    def adopt(cls, states: np.ndarray, retain: np.ndarray, reward: np.ndarray,
-              post_counts: Sequence[int]) -> "ReplayTable":
-        """A table of the rows in `states`, `retain` and `reward`, trajectory
-        by trajectory with `post_counts` post rows each. It takes `states` as
-        its storage without copying it."""
-        table = cls(states)
+    def adopt(cls, blocks: Sequence[np.ndarray], index: np.ndarray, retain: np.ndarray,
+              reward: np.ndarray, post_counts: Sequence[int]) -> "ReplayTable":
+        """A table of the rows in `index`, `retain` and `reward`, trajectory
+        by trajectory with `post_counts` post rows each. Each part's
+        distinct vectors are a float64 block of `blocks`, which the table
+        takes as its storage without copying it; `index`, of any number
+        type, holds each row's index into each block. Raises ValueError
+        when an index is not an integer in range, or a block holds two
+        equal vectors or one no row uses."""
+        sizes = [len(block) for block in blocks]
+        index = np.asarray(index)
+        if index.shape != (len(retain), len(blocks)) or not np.all(
+                (index >= 0) & (index < sizes) & (index == np.floor(index))):
+            raise ValueError("an index is not a row of its part's block")
+        table = cls([block.shape[1] for block in blocks], capacity=len(retain))
+        table._index[:] = index
+        table._blocks = list(blocks)
+        for k, block in enumerate(blocks):
+            data, width = block.tobytes(), block.shape[1] * block.itemsize
+            table._keys[k] = {data[i * width:(i + 1) * width]: i for i in range(len(block))}
+            if len(table._keys[k]) != len(block):
+                raise ValueError(f"part {k} holds a vector twice")
+            if np.bincount(table._index[:, k], minlength=len(block)).min(initial=1) == 0:
+                raise ValueError(f"part {k} holds a vector no row uses")
         table._write(0, retain, reward, post_counts)
         return table
 
@@ -193,15 +230,28 @@ class ReplayTable:
         if not isinstance(other, ReplayTable):
             return NotImplemented
         n = self._rows
-        return n == other._rows and all(
-            getattr(self, name)[:n].tobytes() == getattr(other, name)[:n].tobytes()
-            for name in self._COLUMNS
-        )
+        return (n == other._rows and self._bounds == other._bounds
+                and all(a.tobytes() == b.tobytes() for (a, _i), (b, _j)
+                        in zip(self.parts, other.parts))
+                and all(getattr(self, name)[:n].tobytes()
+                        == getattr(other, name)[:n].tobytes()
+                        for name in self._COLUMNS))
 
     @property
-    def states(self) -> np.ndarray:
-        """The `(rows, state_dim)` step states, a view of the table's block."""
-        return self._states[:self._rows]
+    def parts(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per part, `(distinct vectors, row indices)`: views of the
+        table's `(distinct, width)` block and of its index column."""
+        return [(block[:len(keys)], self._index[:self._rows, k])
+                for k, (block, keys) in enumerate(zip(self._blocks, self._keys))]
+
+    @property
+    def bounds(self) -> tuple[tuple[int, int], ...]:
+        """Each part's `(start, stop)` columns of a state."""
+        return self._bounds
+
+    def dense_states(self) -> np.ndarray:
+        """The `(rows, state_dim)` states, assembled from the parts (a copy)."""
+        return np.hstack([block[index] for block, index in self.parts])
 
     @property
     def retain(self) -> np.ndarray:
@@ -227,22 +277,45 @@ class ReplayTable:
 
     def append(self, claim_step: Step, post_steps: Sequence[Step]) -> None:
         """Add copies of one trajectory's rows. A step with no reward raises
-        PolicyError and leaves the table as it was."""
+        PolicyError, and one whose state is not as wide as the table's
+        ValueError; either leaves the table as it was."""
         steps = (claim_step, *post_steps)
         rewards = [step.reward for step in steps]
         if None in rewards:
             level = LEVEL_CLAIM if rewards[0] is None else LEVEL_POST
             raise PolicyError(f"{level} step has no reward")
+        width = self._bounds[-1][1]
+        states = [np.asarray(step.state, dtype=np.float64) for step in steps]
+        if any(state.shape != (width,) for state in states):
+            raise ValueError(f"a step's state is not of shape ({width},)")
         start, end = self._rows, self._rows + len(steps)
-        if end > len(self._states):
-            self._grow(max(end, 2 * len(self._states)))
-        self._states[start:end] = [step.state for step in steps]
+        if end > len(self._index):
+            self._grow(max(end, 2 * len(self._index)))
+        self._index[start:end] = [[self._intern(k, state[a:b])
+                                    for k, (a, b) in enumerate(self._bounds)]
+                                   for state in states]
         self._write(start, [step.action == RETAIN for step in steps], rewards,
                     [len(post_steps)])
 
+    def _intern(self, part: int, vector: np.ndarray) -> int:
+        """The index of `vector` in the part's block, added if new."""
+        keys = self._keys[part]
+        key = vector.tobytes()
+        index = keys.get(key)
+        if index is None:
+            index = keys[key] = len(keys)
+            block = self._blocks[part]
+            if index == len(block):
+                grown = np.empty((max(1, 2 * index), block.shape[1]))
+                grown[:index] = block
+                self._blocks[part] = block = grown
+            block[index] = vector
+        return index
+
     def _write(self, start: int, retain, reward, post_counts: Sequence[int]) -> None:
-        """Fill all but the states of the rows from `start` on, trajectory by
-        trajectory with `post_counts` post rows each; they become the last rows."""
+        """Fill all but the index columns of the rows from `start` on,
+        trajectory by trajectory with `post_counts` post rows each; they
+        become the last rows."""
         sizes = np.asarray(post_counts, dtype=np.int64) + 1
         end = start + int(sizes.sum())
         firsts = start + np.cumsum(sizes) - sizes
@@ -256,7 +329,8 @@ class ReplayTable:
 
     def __delitem__(self, index: slice) -> None:
         """Drop the oldest trajectories: `del table[:-keep]` keeps the newest
-        `keep`, as on a list. Only such leading slices can be deleted."""
+        `keep`, as on a list. Only such leading slices can be deleted. Each
+        part's block then keeps only the vectors the remaining rows use."""
         if not isinstance(index, slice) or index.indices(len(self))[::2] != (0, 1):
             raise TypeError("only a leading slice of a ReplayTable can be deleted")
         drop = index.indices(len(self))[1]
@@ -269,6 +343,20 @@ class ReplayTable:
             column[:n] = column[cut:self._rows]
         self._starts = [start - cut for start in self._starts[drop:]]
         self._rows = n
+        for k, keys in enumerate(self._keys):
+            size = len(keys)
+            index = self._index[:n, k]
+            used = np.zeros(size, dtype=bool)
+            used[index] = True
+            kept = np.flatnonzero(used)
+            if len(kept) == size:
+                continue
+            renumber = np.cumsum(used) - 1
+            block = self._blocks[k]
+            block[:len(kept)] = block[kept]
+            index[:] = renumber[index]
+            used, renumber = used.tolist(), renumber.tolist()
+            self._keys[k] = {key: renumber[i] for key, i in keys.items() if used[i]}
 
     def _grow(self, capacity: int) -> None:
         n = self._rows
@@ -285,6 +373,24 @@ def _table(trajectories: ReplayTable | Sequence[Trajectory]) -> ReplayTable:
     return ReplayTable.of(trajectories)
 
 
+def _segment_sums(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Row `i` is the sum of the rows of `values` whose index is `i`, added
+    in row order, for every `i` from 0 to `index.max()`, each of which
+    occurs. A stable sort and `np.add.reduceat` make it deterministic."""
+    order = np.argsort(index, kind="stable")
+    starts = np.flatnonzero(np.diff(index[order], prepend=-1))
+    return np.add.reduceat(values[order], starts, axis=0)
+
+
+def _pre_activations(params: PolicyParams, table: ReplayTable) -> np.ndarray:
+    """`states @ w1.T` of the table's rows, as the sum over parts of each
+    part's distinct vectors times its columns of `w1`, gathered by row."""
+    pre = np.zeros((len(table.retain), params.hidden_dim))
+    for (start, stop), (block, index) in zip(table.bounds, table.parts):
+        pre += (block @ params.w1[:, start:stop].T)[index]
+    return pre
+
+
 def objective(
     params: PolicyParams, trajectories: ReplayTable | Sequence[Trajectory]
 ) -> float:
@@ -296,7 +402,7 @@ def objective(
     if not trajectories:
         return 0.0
     table = _table(trajectories)
-    z = _logits(params, table.states)
+    z = np.maximum(_pre_activations(params, table), 0.0) @ params.w2
     log_retain = -np.logaddexp(0.0, -z)
     log_discard = -np.logaddexp(0.0, z)
     logp = np.where(table.retain, log_retain, log_discard)
@@ -312,22 +418,27 @@ def gradients(
     """Analytic objective gradients (d/dw1, d/dw2).
 
     Per step, d objective / d logit is (1 - p) for retain and -p for discard,
-    times the step weight; the relu subgradient at exactly 0 is 0.
+    times the step weight; the relu subgradient at exactly 0 is 0. Each
+    part's columns of d/dw1 are the per-vector sums of the back-propagated
+    rows times the part's distinct vectors, so each distinct vector is
+    multiplied once; only the grouping of the float64 sums differs from
+    multiplying the stacked states.
     """
     if not trajectories:
         return np.zeros_like(params.w1), np.zeros_like(params.w2)
     table = _table(trajectories)
-    states, actions = table.states, table.retain
     weights = table.weights(claim_shift, post_shift)
-    pre = states @ params.w1.T
+    pre = _pre_activations(params, table)
     hidden = np.maximum(pre, 0.0)
     z = hidden @ params.w2
     p = _sigmoid(z)
-    g_z = np.where(actions, 1.0 - p, -p) * weights
+    g_z = np.where(table.retain, 1.0 - p, -p) * weights
     g_w2 = hidden.T @ g_z
     gate = (pre > 0.0).astype(np.float64)
     back = (g_z[:, None] * params.w2[None, :]) * gate
-    g_w1 = back.T @ states
+    g_w1 = np.empty_like(params.w1)
+    for (start, stop), (block, index) in zip(table.bounds, table.parts):
+        g_w1[:, start:stop] = _segment_sums(back, index).T @ block
     return g_w1, g_w2
 
 

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import CheckpointError
 
 MAGIC = b"CSFTRUN\x01"
-VERSION = 5
+VERSION = 6
 _HEAD = struct.Struct("<8sIQ")
 _U64 = struct.Struct("<Q")
 _CRC = struct.Struct("<I")

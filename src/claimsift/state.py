@@ -142,14 +142,17 @@ class ContextAccumulator:
         return self._sum / self.count
 
 
+# the three equal-width parts of a selector state, in order
+STATE_PARTS = ("claim", "context", "explanation")
+
+
 def build_state(
     claim_vec: np.ndarray, context_vec: np.ndarray, explanation_vec: np.ndarray
 ) -> np.ndarray:
     """Concatenate the three state components, enforcing equal widths."""
-    names = ("claim", "context", "explanation")
     parts = []
     width = None
-    for name, vec in zip(names, (claim_vec, context_vec, explanation_vec)):
+    for name, vec in zip(STATE_PARTS, (claim_vec, context_vec, explanation_vec)):
         arr = np.asarray(vec, dtype=np.float64)
         if arr.ndim != 1:
             raise StateError(f"{name} vector must be 1-dimensional")
@@ -162,7 +165,7 @@ def build_state(
         parts.append(arr)
     state = np.concatenate(parts)
     if not np.isfinite(state).all():  # one pass; name the part only on failure
-        for name, arr in zip(names, parts):
+        for name, arr in zip(STATE_PARTS, parts):
             if not np.isfinite(arr).all():
                 raise StateError(f"{name} vector contains non-finite values")
     return state

@@ -144,13 +144,13 @@ def test_train_runs_to_max_epochs():
 def _trajectory_rows(table):
     """Each trajectory's rows in a replay table: its claim reward, its post
     rewards and the bytes of its state rows."""
-    rows, start = [], 0
+    rows, start, states = [], 0, table.dense_states()
     for claim_reward, post_rewards in table:
         end = start + 1 + len(post_rewards)
         rows.append((float(claim_reward), tuple(post_rewards.tolist()),
-                     table.states[start:end].tobytes()))
+                     states[start:end].tobytes()))
         start = end
-    assert start == len(table.states)
+    assert start == len(states)
     return rows
 
 
@@ -190,7 +190,7 @@ def test_replay_table_holds_the_rows_of_the_buffered_steps(monkeypatch, tmp_path
                 [s.action == "retain" for s in steps], [s.reward for s in steps])
 
     def rows(run):
-        return (run.buffer.states.tobytes(), run.buffer.retain.tolist(),
+        return (run.buffer.dense_states().tobytes(), run.buffer.retain.tolist(),
                 run.buffer.reward.tolist())
 
     trainer = _make_trainer(buffer_window=None)
@@ -218,6 +218,45 @@ def test_replay_table_holds_the_rows_of_the_buffered_steps(monkeypatch, tmp_path
         windowed.run_epoch(limit=1)
         assert len(windowed.buffer) == min(k + 1, 2)
         assert rows(windowed) == expected_rows(2)
+
+
+def _dense_gradients(params, table, claim_shift=0.0, post_shift=0.0):
+    """The update's gradients over the stacked states of a replay table, as
+    they were computed before the table was factored."""
+    states = table.dense_states()
+    pre = states @ params.w1.T
+    hidden = np.maximum(pre, 0.0)
+    p = policy._sigmoid(hidden @ params.w2)
+    g_z = np.where(table.retain, 1.0 - p, -p) * table.weights(claim_shift, post_shift)
+    back = (g_z[:, None] * params.w2[None, :]) * (pre > 0.0).astype(np.float64)
+    return back.T @ states, hidden.T @ g_z
+
+
+@pytest.mark.parametrize("window", [None, 2])
+def test_factored_update_makes_the_decisions_of_the_dense_one(monkeypatch, window):
+    """Only the grouping of float64 sums differs from the dense update: a
+    run with the dense gradients patched in makes the same decisions and
+    rewards, with p_retain within 1e-12 and close final parameters."""
+    dataset = generate_synthetic(SynthConfig(n_claims=10, posts_per_claim=6, rng_seed=3))
+    runs = []
+    for dense in (False, True):
+        if dense:
+            monkeypatch.setattr(policy, "gradients", _dense_gradients)
+        trainer = _make_trainer(dataset, buffer_window=window, learning_rate=3e-2,
+                                use_baseline=True, seed_fraction=0.5)
+        events = []
+        trainer.set_event_sink(events.append)
+        trainer.train()
+        runs.append((events, trainer.params))
+    (factored, params), (reference, dense_params) = runs
+    assert len(factored) == len(reference) > 100
+    assert [{k: v for k, v in e.items() if k not in ("ts", "p_retain")}
+            for e in factored] == [{k: v for k, v in e.items() if k not in ("ts", "p_retain")}
+                                   for e in reference]
+    assert max(abs(a["p_retain"] - b["p_retain"])
+               for a, b in zip(factored, reference)) <= 1e-12
+    np.testing.assert_allclose(params.w1, dense_params.w1, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(params.w2, dense_params.w2, rtol=1e-9, atol=1e-12)
 
 
 def test_event_stream_schema():
@@ -410,7 +449,7 @@ def test_stance_failures_are_counted_per_post():
     assert report.claims_processed == n_claims
     assert [len(post_rewards) for _reward, post_rewards in trainer.buffer] == \
         [0] * n_claims
-    assert len(trainer.buffer.states) == n_claims  # one claim row each
+    assert len(trainer.buffer.retain) == n_claims  # one claim row each
 
 
 def test_wrong_typed_http_replies_are_counted_and_skipped(scripted_server):

@@ -53,3 +53,30 @@ def test_fold_pairs_by_seed_and_counts_wins_by_direction(tmp_path):
     claims = entry["metrics"]["train_claims_per_s"]
     assert claims["pairs_won"] == 2  # higher is better; the tie at seed 1 is no win
     assert entry["failed_operations"] == {"parent": 0, "change": 0}
+
+
+def test_seeds_fold_only_the_requested_range_and_refuse_a_missing_run(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _write_runs(parent, "full_buffer", {1: (0.4, 10.0), 2: (0.3, 12.0), 3: (0.5, 11.0),
+                                        90: (9.9, 1.0)})
+    _write_runs(change, "full_buffer", {1: (0.2, 10.0), 2: (0.4, 13.0), 3: (0.1, 14.0),
+                                        90: (0.1, 99.0)})
+    assert fold_bench.fold(fold_bench.read_runs(parent), fold_bench.read_runs(change),
+                           METRICS)["full_buffer"]["seeds"] == [1, 2, 3, 90]
+    out = tmp_path / "BENCH.json"
+    sides = ["--parent", str(parent), "--change", str(change), "--out", str(out)]
+
+    assert fold_bench.main([*sides, "--seeds", "1-3"]) == 0
+    entry = json.loads(out.read_text())["workloads"]["full_buffer"]
+    assert entry["seeds"] == [1, 2, 3]  # the stray seed 90 is not folded in
+    assert entry["metrics"]["train_claims_per_s"]["pairs"] == 3
+    assert entry["metrics"]["train_claims_per_s"]["change"]["values"] == [10.0, 13.0, 14.0]
+    assert "full_buffer (3 pairs, seeds 1, 2, 3)" in capsys.readouterr().out
+
+    out.unlink()
+    _write_runs(change, "full_buffer", {4: (0.1, 1.0)})
+    assert fold_bench.main([*sides, "--seeds", "1-4"]) == 1
+    assert "full_buffer: no parent run of seeds [4]" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(SystemExit):
+        fold_bench.main([*sides, "--seeds", "3-1"])

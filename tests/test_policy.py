@@ -215,13 +215,18 @@ def _reference_flatten(trajectories, claim_shift=0.0, post_shift=0.0):
 
 
 def _reference_objective(params, trajectories):
+    """The objective of the stacked states, and the sum of its terms'
+    magnitudes."""
     states, actions, weights = _reference_flatten(trajectories)
     z = np.maximum(states @ params.w1.T, 0.0) @ params.w2
     logp = np.where(actions, -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z))
-    return float(weights @ logp)
+    return float(weights @ logp), float(np.abs(weights) @ np.abs(logp))
 
 
 def _reference_gradients(params, trajectories, claim_shift, post_shift):
+    """The gradients of the stacked states, as the update computed them
+    before the table was factored, and per entry the sum of its terms'
+    magnitudes."""
     states, actions, weights = _reference_flatten(trajectories, claim_shift, post_shift)
     pre = states @ params.w1.T
     hidden = np.maximum(pre, 0.0)
@@ -230,11 +235,42 @@ def _reference_gradients(params, trajectories, claim_shift, post_shift):
                  np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
     g_z = np.where(actions, 1.0 - p, -p) * weights
     back = (g_z[:, None] * params.w2[None, :]) * (pre > 0.0).astype(np.float64)
-    return back.T @ states, hidden.T @ g_z
+    return ((back.T @ states, hidden.T @ g_z),
+            (np.abs(back).T @ np.abs(states), np.abs(hidden).T @ np.abs(g_z)))
+
+
+def _assert_close(got, want, magnitude, rtol=1e-12):
+    """`got` is `want` to `rtol` of the magnitude of the terms summed,
+    which bounds what regrouping a float64 sum can change. Terms below the
+    normal range (2.2e-308) round in absolute steps, hence the 1e-300."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    bound = rtol * (np.abs(want) + magnitude) + 1e-300
+    assert np.all(np.abs(got - want) <= bound), np.max(np.abs(got - want) / bound)
+
+
+def _assert_matches_reference(params, table, reference, shifts=(0.0, 0.0)):
+    """Factored gradients and objective of `table` against the stacked
+    reference of the same trajectories, and the table's invariants: its
+    rows are the reference's, and each part's block holds distinct
+    vectors, every one of them used."""
+    states, actions, _weights = _reference_flatten(reference)
+    assert table.dense_states().tobytes() == states.tobytes()
+    assert table.retain.tolist() == actions.tolist()
+    for block, index in table.parts:
+        assert len({vector.tobytes() for vector in block}) == len(block)
+        assert sorted(set(index.tolist())) == list(range(len(block)))
+    want, magnitude = _reference_gradients(params, reference, *shifts)
+    for got, w, m in zip(gradients(params, table, *shifts), want, magnitude):
+        _assert_close(got, w, m)
+    want, magnitude = _reference_objective(params, reference)
+    _assert_close(objective(params, table), want, magnitude)
 
 
 _finite = st.floats(-4.0, 4.0, allow_nan=False, width=64)
-_step = st.tuples(st.lists(_finite, min_size=3, max_size=3), st.booleans(),
+# a third from a small pool repeats, as most thirds of the trainer's rows do
+_third = st.one_of(_finite, st.sampled_from([0.0, -0.0, 1.0, -2.5]))
+_step = st.tuples(st.lists(_third, min_size=3, max_size=3), st.booleans(),
                   st.sampled_from([-1, 0, 1]))
 
 
@@ -247,9 +283,10 @@ _step = st.tuples(st.lists(_finite, min_size=3, max_size=3), st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_replay_table_matches_stacked_reference(window, trajectories, shifts, seed):
-    """Built by appends and leading deletes, the table holds copies of the
-    trailing window's rows and gives bitwise the gradients and objective of
-    re-stacking that window."""
+    """Built by appends and leading deletes, a table of three one-wide
+    parts holds copies of the trailing window's rows and gives the
+    gradients and objective of re-stacking that window, to 1e-12 of the
+    magnitude of the summed terms."""
     params = init_params(3, 2, np.random.default_rng(seed))
 
     def steps(level, spec):
@@ -258,7 +295,7 @@ def test_replay_table_matches_stacked_reference(window, trajectories, shifts, se
         return (Step(np.array(state), action, 0.0, level, 0.5, reward),
                 Step(np.array(state), action, 0.0, level, 0.5, reward))
 
-    table = ReplayTable(np.empty((0, 3)))
+    table = ReplayTable((1, 1, 1))
     reference = []
     for claim_spec, post_specs in trajectories:
         claim, claim_ref = steps(LEVEL_CLAIM, claim_spec)
@@ -274,18 +311,65 @@ def test_replay_table_matches_stacked_reference(window, trajectories, shifts, se
         assert [(claim_reward, post_rewards.tolist()) for claim_reward, post_rewards
                 in table] == [(claim.reward, [s.reward for s in posts])
                               for claim, posts in reference]
-        assert table == ReplayTable.of(reference)
-        for got, want in zip(gradients(params, table, *shifts),
-                             _reference_gradients(params, reference, *shifts)):
-            assert got.tobytes() == want.tobytes()
-        got = objective(params, table)
-        assert np.float64(got).tobytes() == \
-            np.float64(_reference_objective(params, reference)).tobytes()
-        assert objective(params, reference) == got  # the plain-list path
+        _assert_matches_reference(params, table, reference, shifts)
+        whole = ReplayTable.of(reference)  # the plain-list path: one part
+        assert whole.bounds == ((0, 3),)
+        _assert_matches_reference(params, whole, reference, shifts)
+        assert objective(params, reference) == objective(params, whole)
+
+
+def _pooled_trajectories(rng, width, pools, n_claims, max_posts=6):
+    """Trajectories whose three thirds are drawn from pools of `pools`
+    vectors each, so most of them repeat."""
+    pool = [rng.normal(size=(pools, width)) for _ in range(3)]
+
+    def step(level):
+        state = np.concatenate([part[rng.integers(pools)] for part in pool])
+        return Step(state, RETAIN if rng.random() < 0.5 else DISCARD, 0.0, level,
+                    0.5, int(rng.integers(-1, 2)))
+
+    return [(step(LEVEL_CLAIM), [step(LEVEL_POST)
+                                 for _ in range(int(rng.integers(0, max_posts + 1)))])
+            for _ in range(n_claims)]
+
+
+@pytest.mark.parametrize("pools", [1, 3, 1000])
+def test_factored_table_matches_stacked_reference_through_trims_and_growth(pools):
+    """Random tables (pools of 1000: nearly every third distinct) and
+    tables whose thirds repeat, grown past several doublings of their
+    blocks and trimmed by windows of varying length, give the stacked
+    reference's gradients and objective to 1e-12."""
+    rng = np.random.default_rng(pools)
+    width, hidden = 5, 4
+    params = init_params(3 * width, hidden, rng)
+    table, reference = ReplayTable((width,) * 3), []
+    for claim_step, post_steps in _pooled_trajectories(rng, width, pools, 40):
+        table.append(claim_step, post_steps)
+        reference.append((claim_step, post_steps))
+        if rng.random() < 0.3:
+            keep = int(rng.integers(1, len(reference) + 1))
+            del table[:-keep]
+            del reference[:-keep]
+        shifts = tuple(rng.normal(size=2))
+        _assert_matches_reference(params, table, reference, shifts)
+    if pools == 1:
+        assert [len(block) for block, _index in table.parts] == [1, 1, 1]
+
+
+def test_factored_gradients_match_at_trainer_width():
+    """At d=64 and h=32, a table of 60 trajectories whose thirds repeat
+    as in training gives the stacked gradients to 1e-12."""
+    rng = np.random.default_rng(64)
+    params = init_params(3 * 64, 32, rng)
+    trajectories = _pooled_trajectories(rng, 64, 12, 60, max_posts=20)
+    table = ReplayTable((64,) * 3)
+    for claim_step, post_steps in trajectories:
+        table.append(claim_step, post_steps)
+    _assert_matches_reference(params, table, trajectories, (0.3, -0.2))
 
 
 def test_replay_table_deletes_only_leading_slices():
-    table = ReplayTable(np.empty((0, 2)))
+    table = ReplayTable((1, 1))
     for reward in (1, -1, 0):
         posts = [Step(np.full(2, 10 * reward + k), DISCARD, 0.0, LEVEL_POST, 0.5, k)
                  for k in range(1 - reward)]
@@ -295,26 +379,34 @@ def test_replay_table_deletes_only_leading_slices():
         with pytest.raises(TypeError, match="leading slice"):
             del table[index]
     del table[:-5]
-    assert len(table) == 3 and len(table.states) == 1 + 3 + 2
+    assert len(table) == 3 and len(table.dense_states()) == 1 + 3 + 2
     del table[:-2]
     assert [(claim_reward, post_rewards.tolist()) for claim_reward, post_rewards
             in table] == [(-1, [0, 1]), (0, [0])]
-    assert table.states[:, 0].tolist() == [-1, -10, -9, 0, 0]
+    assert table.dense_states()[:, 0].tolist() == [-1, -10, -9, 0, 0]
     assert table.retain.tolist() == [True, False, False, True, False]
+    for block, index in table.parts:  # compacted: the first claim's 1 is gone
+        assert block[:, 0].tolist() == [-1, -10, -9, 0]
+        assert index.tolist() == [0, 1, 2, 3, 3]
     del table[:-1]
     assert [claim_reward for claim_reward, _posts in table] == [0]
-    assert table.states.tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert table.dense_states().tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert [(block.tolist(), index.tolist()) for block, index in table.parts] == \
+        [([[0.0]], [0, 0])] * 2
     assert table.reward.tolist() == [0, 0]
 
 
 def test_replay_table_rejects_unrewarded_steps_without_changing():
-    table = ReplayTable(np.empty((0, 2)))
+    table = ReplayTable((1, 1))
     ok = Step(np.ones(2), RETAIN, 0.0, LEVEL_CLAIM, 0.5, reward=1)
     bare = Step(np.zeros(2), RETAIN, 0.0, LEVEL_POST, 0.5, reward=None)
     with pytest.raises(PolicyError, match="post step has no reward"):
         table.append(ok, [bare])
-    assert len(table) == 0 and table.states.shape == (0, 2)
-    assert table == ReplayTable(np.empty((0, 2)))
+    wide = Step(np.zeros(3), RETAIN, 0.0, LEVEL_POST, 0.5, reward=0)
+    with pytest.raises(ValueError, match=r"shape \(2,\)"):
+        table.append(ok, [wide])
+    assert len(table) == 0 and table.dense_states().shape == (0, 2)
+    assert table == ReplayTable((1, 1))
 
 
 def test_analytic_gradients_match_finite_differences():
@@ -380,7 +472,7 @@ def test_moving_baseline_math():
 
 def test_reward_baseline_tracks_levels_separately():
     base = RewardBaseline()
-    table = ReplayTable(np.empty((0, 2)))
+    table = ReplayTable((2,))
     table.append(Step(np.zeros(2), RETAIN, 0.0, LEVEL_CLAIM, 0.5, reward=1), [
         Step(np.zeros(2), RETAIN, 0.0, LEVEL_POST, 0.5, reward=1),
         Step(np.zeros(2), DISCARD, 0.0, LEVEL_POST, 0.5, reward=0),

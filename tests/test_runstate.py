@@ -25,7 +25,7 @@ from claimsift.corpus import SynthConfig, generate_synthetic
 from claimsift.engine import Trainer
 from claimsift.errors import CheckpointError
 from claimsift.policy import PolicyParams, ReplayTable, encode_policy, load_checkpoint
-from claimsift.state import HashedEmbedder
+from claimsift.state import STATE_PARTS, HashedEmbedder
 
 D, H = 4, 3
 DATASET = generate_synthetic(SynthConfig(n_claims=6, posts_per_claim=4, rng_seed=4))
@@ -269,8 +269,9 @@ def _reachable_arrays(value, seen=None):
 
 def test_resumed_trainer_keeps_no_view_of_the_file_buffer(tmp_path, monkeypatch):
     """Each array of the file is read into an allocation of its own. The
-    replay table adopts the step-state block without a copy, and once the
-    table outgrows it nothing reachable shares memory with it."""
+    replay table adopts its blocks of distinct vectors without a copy and
+    nothing else of the file; nothing reachable is a view of the file's
+    table arrays, before or after a block outgrows the one it adopted."""
     config = RunConfig(embed_dim=D, hidden_dim=H, max_epochs=2, learning_rate=1e-3,
                        rng_seed=9, buffer_window=None, seed_fraction=0.5)
     trainer = _trainer(config)
@@ -284,16 +285,81 @@ def test_resumed_trainer_keeps_no_view_of_the_file_buffer(tmp_path, monkeypatch)
         loaded.append(arrays)
         return state, arrays
 
+    def views_of_the_table_arrays(run):
+        return [(name, a.shape) for name, array in loaded[0].items()
+                if name.startswith(("step_", "distinct_"))
+                for a in _reachable_arrays(run)
+                if np.shares_memory(a, array) and a is not array]
+
     monkeypatch.setattr(engine, "read_run_state", read)
     resumed = _resume(path)
     read_arrays = list(loaded[0].values())
     assert all(a.flags.owndata for a in read_arrays)
-    block = loaded[0]["step_state"]
-    assert resumed.buffer.states.base is block  # adopted
-    resumed.run_epoch(limit=1)  # one more claim step outgrows the adopted block
+    blocks = [loaded[0][f"distinct_{name}"] for name in STATE_PARTS]
+    assert all(got.base is block  # adopted
+               for (got, _index), block in zip(resumed.buffer.parts, blocks))
+    assert views_of_the_table_arrays(resumed) == []
+    resumed.run_epoch(limit=1)  # a new claim outgrows the adopted claim block
     assert len(resumed.buffer) == 4
-    shared = [a.shape for a in _reachable_arrays(resumed) if np.shares_memory(a, block)]
-    assert shared == []
+    assert resumed.buffer.parts[0][0].base is not blocks[0]
+    assert views_of_the_table_arrays(resumed) == []
+
+
+def _saved_run_state(tmp_path):
+    """A mid-epoch run state of a trainer with a full buffer: its path,
+    manifest and arrays."""
+    config = RunConfig(embed_dim=D, hidden_dim=H, max_epochs=2, learning_rate=1e-3,
+                       rng_seed=9, buffer_window=None)
+    trainer = _trainer(config)
+    trainer.run_epoch(limit=4)
+    path = tmp_path / "run.state"
+    trainer.save_run_state(path)
+    return (path, *runstate.read_run_state(path))
+
+
+@pytest.mark.parametrize("case", [
+    "index-past-block", "negative-index", "fractional-index", "nan-index",
+    "repeated-vector", "unused-vector", "block-width", "index-columns",
+])
+def test_crafted_replay_table_is_rejected(tmp_path, case):
+    """A run state whose replay table does not hold together is malformed:
+    an index that is not an integer into its block, a block with a vector
+    twice or one no row uses, or arrays of the wrong shape."""
+    path, state, arrays = _saved_run_state(tmp_path)
+    index, context = arrays["step_values"][:, 2:], arrays["distinct_context"]
+    assert len(context) >= 2
+    if case == "index-past-block":
+        index[-1, 1] = len(context)
+    elif case == "negative-index":
+        index[0, 1] = -1
+    elif case == "fractional-index":
+        index[0, 1] += 0.5
+    elif case == "nan-index":
+        index[0, 2] = np.nan
+    elif case == "repeated-vector":
+        context[1] = context[0]
+    elif case == "unused-vector":
+        arrays["distinct_context"] = np.vstack([context, np.full(D, 7.0)])
+    elif case == "block-width":
+        arrays["distinct_claim"] = arrays["distinct_claim"][:, :-1]
+    else:
+        arrays["step_values"] = arrays["step_values"][:, :-1]
+    runstate.write_run_state(path, state, arrays)
+    with pytest.raises(CheckpointError, match="malformed run state"):
+        _resume(path)
+
+
+def test_version_5_run_state_is_rejected(tmp_path):
+    """Version 5 stored the replay table's states as one dense block; such a
+    file is refused, not read."""
+    path, _state, _arrays = _saved_run_state(tmp_path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, len(runstate.MAGIC), 5)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointError, match="unsupported run-state version 5"):
+        _resume(path)
+    with pytest.raises(CheckpointError, match="unsupported run-state version 5"):
+        load_checkpoint(path)
 
 
 SMALL_DATASET = generate_synthetic(SynthConfig(n_claims=2, posts_per_claim=2, rng_seed=5))
@@ -325,7 +391,7 @@ def test_every_truncation_and_byte_flip_is_rejected(tmp_path):
 
 
 def _inline_encoding(state, arrays):
-    """The reference encoding: the version-5 layout built as one bytes
+    """The reference encoding: the version-6 layout built as one bytes
     object, checksummed in one call."""
     table = [[name, "<f8", list(a.shape)] for name, a in arrays.items()]
     manifest = json.dumps({"arrays": table, "state": state}, ensure_ascii=False,
@@ -333,7 +399,7 @@ def _inline_encoding(state, arrays):
     body = struct.pack("<Q", len(manifest)) + manifest
     for a in arrays.values():
         body += bytes(-(20 + len(body)) % 8) + a.astype("<f8").tobytes()
-    head = runstate.MAGIC + struct.pack("<IQ", 5, len(body))
+    head = runstate.MAGIC + struct.pack("<IQ", 6, len(body))
     return head + body + struct.pack("<I", zlib.crc32(head + body))
 
 
@@ -360,7 +426,7 @@ class _RecordingZlib:
 @pytest.mark.parametrize("n", [100, BIG], ids=["below-cutover", "above-cutover"])
 def test_written_bytes_are_the_reference_encoding(tmp_path, monkeypatch, n):
     """On both sides of the cutover the file is the reference encoding:
-    version 5 and a trailer that is the crc32 of every byte before it. Only
+    version 6 and a trailer that is the crc32 of every byte before it. Only
     above the cutover does the crc32 run off the calling thread."""
     state, arrays = {"name": "\u00e9t\u00e9", "n": n}, _arrays(n)
     spy = _RecordingZlib()
@@ -371,7 +437,7 @@ def test_written_bytes_are_the_reference_encoding(tmp_path, monkeypatch, n):
     above = len(blob) >= runstate.THREAD_CUTOVER
     assert above == (n == BIG)
     assert blob == _inline_encoding(state, arrays)
-    assert struct.unpack_from("<I", blob, len(runstate.MAGIC))[0] == runstate.VERSION == 5
+    assert struct.unpack_from("<I", blob, len(runstate.MAGIC))[0] == runstate.VERSION == 6
     assert struct.unpack("<I", blob[-4:])[0] == zlib.crc32(blob[:-4])
     read_state, read_arrays = runstate.read_run_state(path)
     assert read_state == state

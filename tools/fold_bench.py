@@ -2,7 +2,10 @@
 
 Each side is a checkout in which `bench/run.py --trace 0` was run with the
 same seeds, so that `<side>/.bench_runs/<workload>-seed<n>-trace0/result.json`
-exists for each seed. Runs of one seed on both sides make a pair. Per
+exists for each seed. Runs of one seed on both sides make a pair. With
+`--seeds FIRST-LAST` only those seeds are folded, and a requested seed that
+has no run on one side of a workload is refused (exit 1), so that a stray
+run left in either checkout is never folded in. Per
 workload and end-to-end metric the output holds both sides' values by seed,
 their medians and quartiles, the change's median against the parent's in
 percent, and the number of pairs the change won (a tie is not a win).
@@ -10,7 +13,7 @@ Directions ("lower" or "higher" is better) come from BENCHMARK.json.
 
 Usage, from the root of a checkout:
 
-    python3 tools/fold_bench.py --parent ../parent --change . \\
+    python3 tools/fold_bench.py --parent ../parent --change . --seeds 1401-1410 \\
         --out BENCH_<n>.json --command "python3 bench/run.py --workload W --seed S --seconds 25 --trace 0"
 
 Only the standard library is used.
@@ -38,6 +41,32 @@ def read_runs(checkout: Path) -> dict[str, dict[int, dict]]:
             result = json.loads(path.read_text(encoding="utf-8"))
             runs.setdefault(match["workload"], {})[int(match["seed"])] = result
     return runs
+
+
+def seed_range(text: str) -> range:
+    """The seeds of `FIRST-LAST` (or of one seed `N`), both ends included."""
+    match = re.fullmatch(r"(\d+)(?:-(\d+))?", text)
+    if match is None or int(match[2] or match[1]) < int(match[1]):
+        raise argparse.ArgumentTypeError(f"expected FIRST-LAST, got {text!r}")
+    return range(int(match[1]), int(match[2] or match[1]) + 1)
+
+
+def select(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]],
+           seeds: range) -> tuple[dict, dict, list[str]]:
+    """Both sides' runs of `seeds` only, and what is missing: for each
+    workload with a run of one of them, each side that lacks one of them."""
+    parent, change = ({workload: {s: r for s, r in runs.items() if s in seeds}
+                       for workload, runs in side.items()} for side in (parent, change))
+    missing = []
+    for workload in sorted(parent.keys() | change.keys()):
+        sides = (("parent", parent.get(workload, {})), ("change", change.get(workload, {})))
+        if not any(runs for _name, runs in sides):
+            continue
+        for name, runs in sides:
+            lacking = [s for s in seeds if s not in runs]
+            if lacking:
+                missing.append(f"{workload}: no {name} run of seeds {lacking}")
+    return parent, change, missing
 
 
 def summary(values: list[float]) -> dict:
@@ -86,18 +115,27 @@ def main(argv=None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="change checkout")
     parser.add_argument("--command", default="", help="the bench command, for the record")
     parser.add_argument("--out", type=Path, required=True, help="the file to write")
+    parser.add_argument("--seeds", type=seed_range, metavar="FIRST-LAST",
+                        help="fold only these seeds; each must have a run on both sides")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-    workloads = fold(read_runs(args.parent), read_runs(args.change), metrics)
+    parent, change = read_runs(args.parent), read_runs(args.change)
+    if args.seeds is not None:
+        parent, change, missing = select(parent, change, args.seeds)
+        if missing:
+            print("refusing to fold:\n  " + "\n  ".join(missing), file=sys.stderr)
+            return 1
+    workloads = fold(parent, change, metrics)
     if not workloads:
         print("no workload has two or more paired runs", file=sys.stderr)
         return 1
     args.out.write_text(json.dumps({"command": args.command, "workloads": workloads},
                                    indent=1) + "\n", encoding="utf-8")
     for workload, entry in workloads.items():
-        print(f"{workload} ({len(entry['seeds'])} pairs)")
+        print(f"{workload} ({len(entry['seeds'])} pairs, seeds "
+              f"{', '.join(map(str, entry['seeds']))})")
         for name, m in entry["metrics"].items():
             pct = "n/a" if m["change_pct"] is None else f"{m['change_pct']:+.1f}%"
             print(f"  {name:20s} {m['parent']['median']:12.4g} -> "
