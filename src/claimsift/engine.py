@@ -83,8 +83,8 @@ from .state import (
 
 logger = logging.getLogger(__name__)
 
-# columns of the run state's per-step float block, one row per step: then
-# the row's index into the replay table's block of each state part
+# the first columns of the run state's per-step float block, one row per
+# step; the step's index into each STATE_PARTS block of the replay table follows
 _STEP_VALUES = ("retain", "reward")
 # annotation records are saved as rows of these fields, not repeating keys
 _RECORD_FIELDS = ("epoch", "claim_id", "post_id", "post_text", "stance",
@@ -622,6 +622,7 @@ class Trainer:
         """
         settings, policy_arrays = encode_policy(self.params, self.optimizer)
         epoch = self._epoch
+        parts = self.buffer.parts
         state = {
             "config": self.config.to_dict(),
             "fingerprint": list(self._fingerprint),
@@ -661,9 +662,8 @@ class Trainer:
             ),
             "claim_context_sum": self.claim_context._sum,
             "step_values": np.column_stack((self.buffer.retain, self.buffer.reward,
-                                            *(index for _block, index in self.buffer.parts))),
-            **{f"distinct_{name}": block
-               for name, (block, _index) in zip(STATE_PARTS, self.buffer.parts)},
+                                            *(index for _block, index in parts))),
+            **{f"distinct_{name}": block for name, (block, _index) in zip(STATE_PARTS, parts)},
         }
         write_run_state(path, state, arrays)
 
@@ -719,10 +719,9 @@ class Trainer:
             n_rows = sum(1 + n for n in post_counts)
             values = _array(arrays, "step_values",
                             (n_rows, len(_STEP_VALUES) + len(STATE_PARTS)))
-            blocks = [arrays[f"distinct_{name}"] for name in STATE_PARTS]
+            blocks = [f"distinct_{name}" for name in STATE_PARTS]
             trainer.buffer = ReplayTable.adopt(
-                [_array(arrays, f"distinct_{name}", (len(block), d))
-                 for name, block in zip(STATE_PARTS, blocks)],
+                [_array(arrays, name, (len(arrays[name]), d)) for name in blocks],
                 values[:, len(_STEP_VALUES):], values[:, 0] != 0, values[:, 1],
                 post_counts)
             trainer.reports = [EpochReport(**r) for r in state["reports"]]

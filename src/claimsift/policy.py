@@ -4,9 +4,10 @@ The policy is a two-layer head over the selector state: retain probability
 sigmoid(w2 . relu(w1 . s)). The training objective averages, over a window of
 per-claim trajectories, the claim-level reward times the claim action's log
 probability plus the mean of the same product over that claim's post
-sub-steps. Gradients are analytic; the ascent step is Adam with linear
-warm-up. Log probabilities use softplus forms so saturated sigmoids never
-produce log(0).
+sub-steps. Gradients are analytic, over a replay table that stores each
+part of a state once per distinct vector; the ascent step is Adam with
+linear warm-up. Log probabilities use softplus forms so saturated sigmoids
+never produce log(0).
 """
 
 from __future__ import annotations
@@ -385,9 +386,10 @@ def _segment_sums(values: np.ndarray, index: np.ndarray) -> np.ndarray:
 def _pre_activations(params: PolicyParams, table: ReplayTable) -> np.ndarray:
     """`states @ w1.T` of the table's rows, as the sum over parts of each
     part's distinct vectors times its columns of `w1`, gathered by row."""
-    pre = np.zeros((len(table.retain), params.hidden_dim))
+    pre = None
     for (start, stop), (block, index) in zip(table.bounds, table.parts):
-        pre += (block @ params.w1[:, start:stop].T)[index]
+        part = (block @ params.w1[:, start:stop].T)[index]
+        pre = part if pre is None else np.add(pre, part, out=pre)
     return pre
 
 
@@ -438,7 +440,7 @@ def gradients(
     back = (g_z[:, None] * params.w2[None, :]) * gate
     g_w1 = np.empty_like(params.w1)
     for (start, stop), (block, index) in zip(table.bounds, table.parts):
-        g_w1[:, start:stop] = _segment_sums(back, index).T @ block
+        np.matmul(_segment_sums(back, index).T, block, out=g_w1[:, start:stop])
     return g_w1, g_w2
 
 
