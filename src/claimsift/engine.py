@@ -719,9 +719,9 @@ class Trainer:
             n_rows = sum(1 + n for n in post_counts)
             values = _array(arrays, "step_values",
                             (n_rows, len(_STEP_VALUES) + len(STATE_PARTS)))
-            blocks = [f"distinct_{name}" for name in STATE_PARTS]
+            names = [f"distinct_{part}" for part in STATE_PARTS]
             trainer.buffer = ReplayTable.adopt(
-                [_array(arrays, name, (len(arrays[name]), d)) for name in blocks],
+                [_array(arrays, name, (len(arrays[name]), d)) for name in names],
                 values[:, len(_STEP_VALUES):], values[:, 0] != 0, values[:, 1],
                 post_counts)
             trainer.reports = [EpochReport(**r) for r in state["reports"]]

@@ -199,8 +199,8 @@ class ReplayTable:
         equal vectors or one no row uses."""
         sizes = [len(block) for block in blocks]
         index = np.asarray(index)
-        if index.shape != (len(retain), len(blocks)) or not np.all(
-                (index >= 0) & (index < sizes) & (index == np.floor(index))):
+        if index.shape != (len(retain), len(blocks)) or not (
+                (index >= 0) & (index < sizes) & (index == np.floor(index))).all():
             raise ValueError("an index is not a row of its part's block")
         table = cls([block.shape[1] for block in blocks], capacity=len(retain))
         table._index[:] = index
