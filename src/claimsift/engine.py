@@ -68,7 +68,7 @@ from .prompts import build_stance_prompt, build_veracity_prompt, \
 from .reward import (
     ReferenceStanceStats,
     StanceMean,
-    labeled_claim_reward,
+    checked_labeled_reward,
     unlabeled_claim_reward,
 )
 from .runstate import read_run_state, write_run_state
@@ -487,7 +487,7 @@ class Trainer:
         """A verdict's reward: against the truth on a labeled claim, else
         against the mean stance of the retained posts."""
         if truth is not None:
-            return labeled_claim_reward(verdict.distribution, truth)
+            return checked_labeled_reward(verdict.distribution, truth)
         return unlabeled_claim_reward(retained_stance, verdict.label, self.references)
 
     # ------------------------------------------------------------------ epoch

@@ -81,14 +81,17 @@ _TARGETS = {v: _centered(one_hot(v, "veracity")) for v in VERACITIES}
 
 
 def labeled_claim_reward(predicted_distribution, truth_label: str) -> RewardOutcome:
-    """Reward for a claim with a trusted label: prediction vs one-hot truth.
-
-    The prediction is taken as a valid distribution, as an annotation's is
-    once parsed; it is not checked again.
-    """
+    """Reward for a claim with a trusted label: prediction vs one-hot truth."""
     if truth_label not in VERACITIES:
         raise RewardError(f"unknown veracity label {truth_label!r}")
-    predicted = np.asarray(predicted_distribution, dtype=np.float64)
+    return checked_labeled_reward(_check_distribution(predicted_distribution, "p"),
+                                  truth_label)
+
+
+def checked_labeled_reward(predicted: np.ndarray, truth_label: str) -> RewardOutcome:
+    """`labeled_claim_reward` of a prediction that is already a checked
+    float64 distribution, as a parsed annotation's is, and a known label;
+    neither is checked again."""
     cos = _cosine(*_centered(predicted), *_TARGETS[truth_label])
     return RewardOutcome(value=_sign(cos), cosine=cos, branch="labeled")
 

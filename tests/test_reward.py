@@ -15,6 +15,7 @@ from claimsift.reward import (
     RewardOutcome,
     StanceMean,
     centered_cosine,
+    checked_labeled_reward,
     labeled_claim_reward,
     sign_similarity,
     unlabeled_claim_reward,
@@ -91,6 +92,16 @@ def test_labeled_reward_rejects_unknown_label():
     with pytest.raises(RewardError) as err:
         labeled_claim_reward(UNIFORM, "X")
     assert "unknown veracity label" in str(err.value)
+
+
+@pytest.mark.parametrize("bad,fragment", [
+    ([0.25, 0.25, 0.5], "must have 4 entries"),
+    ([np.nan, 0.25, 0.25, 0.5], "non-finite"),
+    ([0.7, 0.7, -0.2, -0.2], "negative mass"),
+])
+def test_labeled_reward_checks_the_prediction(bad, fragment):
+    with pytest.raises(RewardError, match=fragment):
+        labeled_claim_reward(bad, "T")
 
 
 # -------------------------------------------------------- references
@@ -237,6 +248,7 @@ def test_cached_reference_and_targets_give_the_checked_cosine_bitwise():
         labeled = labeled_claim_reward(predicted, veracity)
         assert _bits(labeled)[1] == struct.pack(
             "<d", centered_cosine(predicted, one_hot(veracity, "veracity")))
+        assert _bits(checked_labeled_reward(predicted, veracity)) == _bits(labeled)
         selected = [rng.dirichlet(np.ones(4)) for _ in range(3)]
         out = unlabeled_claim_reward(selected, veracity, refs)
         if refs.count(veracity):
