@@ -139,10 +139,13 @@ class ReplayTable:
     `state.build_state` makes, and a table built by `of` has one part, the
     whole row. Per part the table keeps a block of the distinct vectors its
     rows hold and a per-row index into that block: a part is deduplicated
-    exactly, keyed on its bytes, as it is appended, and deleting leading
-    trajectories compacts each block to the vectors the remaining rows
-    use, in their order. So no two vectors of a block are equal and every
-    one is used. The update multiplies each distinct vector once.
+    exactly as it is appended (a hash of its bytes finds the candidates,
+    which are compared bit for bit), and deleting leading trajectories
+    compacts each block to the vectors the remaining rows use, in their
+    order. So every vector of a block is used, and no two are equal unless
+    `adopt` was given them. The update multiplies each distinct vector once.
+    How much that saves depends on the traffic: a part whose rows all hold
+    vectors of their own costs about what the stacked states would.
 
     Beside the index columns, every row keeps its retain flag, its reward,
     whether it is a claim row, and the post count of its trajectory, so the
@@ -158,7 +161,7 @@ class ReplayTable:
     """
 
     _COLUMNS = ("_index", "_retain", "_reward", "_claim", "_posts")
-    __slots__ = (*_COLUMNS, "_rows", "_starts", "_bounds", "_blocks", "_keys")
+    __slots__ = (*_COLUMNS, "_rows", "_starts", "_bounds", "_blocks", "_sizes", "_keys")
 
     def __init__(self, widths: Sequence[int], capacity: int = 0):
         """An empty table whose states are the concatenation of parts of
@@ -166,8 +169,10 @@ class ReplayTable:
         stops = list(itertools.accumulate(widths))
         self._bounds = tuple((stop - width, stop) for width, stop in zip(widths, stops))
         self._blocks = [np.empty((0, width)) for width in widths]
-        # per part, each distinct vector's bytes -> its row of the block
-        self._keys: list[dict[bytes, int]] = [{} for _ in widths]
+        self._sizes = [0] * len(widths)  # the distinct vectors of each block
+        # per part, the hash of a vector's bytes -> the rows of the block
+        # that hold vectors with that hash; None until an append needs it
+        self._keys: list[dict[int, list[int]] | None] = [{} for _ in widths]
         self._index = np.empty((capacity, len(widths)), dtype=np.int64)
         self._retain = np.empty(capacity, dtype=bool)
         self._reward = np.empty(capacity)
@@ -195,8 +200,9 @@ class ReplayTable:
         distinct vectors are a float64 block of `blocks`, which the table
         takes as its storage without copying it; `index`, of any number
         type, holds each row's index into each block. Raises ValueError
-        when an index is not an integer in range, or a block holds two
-        equal vectors or one no row uses."""
+        when an index is not an integer in range, or a block holds a
+        vector no row uses. The blocks are not hashed until the first
+        `append`."""
         sizes = [len(block) for block in blocks]
         index = np.asarray(index)
         if index.shape != (len(retain), len(blocks)) or not (
@@ -205,12 +211,10 @@ class ReplayTable:
         table = cls([block.shape[1] for block in blocks], capacity=len(retain))
         table._index[:] = index
         table._blocks = list(blocks)
-        for k, block in enumerate(blocks):
-            data, width = block.tobytes(), block.shape[1] * block.itemsize
-            table._keys[k] = {data[i * width:(i + 1) * width]: i for i in range(len(block))}
-            if len(table._keys[k]) != len(block):
-                raise ValueError(f"part {k} holds a vector twice")
-            if np.bincount(table._index[:, k], minlength=len(block)).min(initial=1) == 0:
+        table._sizes = sizes
+        table._keys = [None] * len(blocks)
+        for k, size in enumerate(sizes):
+            if np.bincount(table._index[:, k], minlength=size).min(initial=1) == 0:
                 raise ValueError(f"part {k} holds a vector no row uses")
         table._write(0, retain, reward, post_counts)
         return table
@@ -242,8 +246,8 @@ class ReplayTable:
     def parts(self) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per part, `(distinct vectors, row indices)`: views of the
         table's `(distinct, width)` block and of its index column."""
-        return [(block[:len(keys)], self._index[:self._rows, k])
-                for k, (block, keys) in enumerate(zip(self._blocks, self._keys))]
+        return [(block[:size], self._index[:self._rows, k])
+                for k, (block, size) in enumerate(zip(self._blocks, self._sizes))]
 
     @property
     def bounds(self) -> tuple[tuple[int, int], ...]:
@@ -301,17 +305,29 @@ class ReplayTable:
     def _intern(self, part: int, vector: np.ndarray) -> int:
         """The index of `vector` in the part's block, added if new."""
         keys = self._keys[part]
-        key = vector.tobytes()
-        index = keys.get(key)
-        if index is None:
-            index = keys[key] = len(keys)
-            block = self._blocks[part]
-            if index == len(block):
-                grown = np.empty((max(1, 2 * index), block.shape[1]))
-                grown[:index] = block
-                self._blocks[part] = block = grown
-            block[index] = vector
-        return index
+        if keys is None:
+            keys = self._keys[part] = self._hashes(part)
+        block, size = self._blocks[part], self._sizes[part]
+        data = vector.tobytes()
+        same_hash = keys.setdefault(hash(data), [])
+        for index in same_hash:
+            if block[index].tobytes() == data:
+                return index
+        if size == len(block):
+            grown = np.empty((max(1, 2 * size), block.shape[1]))
+            grown[:size] = block
+            self._blocks[part] = block = grown
+        block[size] = vector
+        same_hash.append(size)
+        self._sizes[part] = size + 1
+        return size
+
+    def _hashes(self, part: int) -> dict[int, list[int]]:
+        """The part's hash -> rows lookup, built from its block."""
+        keys: dict[int, list[int]] = {}
+        for index, vector in enumerate(self._blocks[part][:self._sizes[part]]):
+            keys.setdefault(hash(vector.tobytes()), []).append(index)
+        return keys
 
     def _write(self, start: int, retain, reward, post_counts: Sequence[int]) -> None:
         """Fill all but the index columns of the rows from `start` on,
@@ -344,8 +360,7 @@ class ReplayTable:
             column[:n] = column[cut:self._rows]
         self._starts = [start - cut for start in self._starts[drop:]]
         self._rows = n
-        for k, keys in enumerate(self._keys):
-            size = len(keys)
+        for k, size in enumerate(self._sizes):
             index = self._index[:n, k]
             used = np.zeros(size, dtype=bool)
             used[index] = True
@@ -356,8 +371,13 @@ class ReplayTable:
             block = self._blocks[k]
             block[:len(kept)] = block[kept]
             index[:] = renumber[index]
-            used, renumber = used.tolist(), renumber.tolist()
-            self._keys[k] = {key: renumber[i] for key, i in keys.items() if used[i]}
+            self._sizes[k] = len(kept)
+            keys = self._keys[k]
+            if keys is not None:
+                used, renumber = used.tolist(), renumber.tolist()
+                self._keys[k] = {key: rows for key, rows in (
+                    (key, [renumber[i] for i in rows if used[i]])
+                    for key, rows in keys.items()) if rows}
 
     def _grow(self, capacity: int) -> None:
         n = self._rows
@@ -383,12 +403,28 @@ def _segment_sums(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values[order], starts, axis=0)
 
 
-def _pre_activations(params: PolicyParams, table: ReplayTable) -> np.ndarray:
-    """`states @ w1.T` of the table's rows, as the sum over parts of each
-    part's distinct vectors times its columns of `w1`, gathered by row."""
-    pre = None
+def _factors(table: ReplayTable) -> list[tuple[int, int, np.ndarray, np.ndarray | None]]:
+    """Per part: its `(start, stop)` columns of a state, its distinct
+    vectors, and its row indices; None in place of indices 0, 1, 2, ...,
+    where every row holds a vector of its own, in row order, and gathering
+    or summing by them would only copy."""
+    factors = []
     for (start, stop), (block, index) in zip(table.bounds, table.parts):
-        part = (block @ params.w1[:, start:stop].T)[index]
+        if len(block) == len(index) and (index == np.arange(len(index))).all():
+            index = None
+        factors.append((start, stop, block, index))
+    return factors
+
+
+def _pre_activations(params: PolicyParams, factors) -> np.ndarray:
+    """`states @ w1.T` of a table's rows, as the sum over its `_factors`
+    of each part's distinct vectors times its columns of `w1`, gathered by
+    row."""
+    pre = None
+    for start, stop, block, index in factors:
+        part = block @ params.w1[:, start:stop].T
+        if index is not None:
+            part = part[index]
         pre = part if pre is None else np.add(pre, part, out=pre)
     return pre
 
@@ -404,7 +440,7 @@ def objective(
     if not trajectories:
         return 0.0
     table = _table(trajectories)
-    z = np.maximum(_pre_activations(params, table), 0.0) @ params.w2
+    z = np.maximum(_pre_activations(params, _factors(table)), 0.0) @ params.w2
     log_retain = -np.logaddexp(0.0, -z)
     log_discard = -np.logaddexp(0.0, z)
     logp = np.where(table.retain, log_retain, log_discard)
@@ -430,7 +466,8 @@ def gradients(
         return np.zeros_like(params.w1), np.zeros_like(params.w2)
     table = _table(trajectories)
     weights = table.weights(claim_shift, post_shift)
-    pre = _pre_activations(params, table)
+    factors = _factors(table)
+    pre = _pre_activations(params, factors)
     hidden = np.maximum(pre, 0.0)
     z = hidden @ params.w2
     p = _sigmoid(z)
@@ -439,8 +476,9 @@ def gradients(
     gate = (pre > 0.0).astype(np.float64)
     back = (g_z[:, None] * params.w2[None, :]) * gate
     g_w1 = np.empty_like(params.w1)
-    for (start, stop), (block, index) in zip(table.bounds, table.parts):
-        np.matmul(_segment_sums(back, index).T, block, out=g_w1[:, start:stop])
+    for start, stop, block, index in factors:
+        sums = back if index is None else _segment_sums(back, index)
+        np.matmul(sums.T, block, out=g_w1[:, start:stop])
     return g_w1, g_w2
 
 

@@ -46,8 +46,9 @@ class EmbedConfig:
 
 
 # Texts whose vectors one HashedEmbedder keeps; at d=768 that is at most
-# 6 MiB. Annotator explanations repeat a handful of templates, so most
-# embed calls of a claim step ask for a text embedded before.
+# 6 MiB. The oracle backends' explanations repeat a handful of fixed
+# strings, so most embed calls of their claim steps ask for a text embedded
+# before.
 EMBED_MEMO_SIZE = 1024
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from claimsift import runstate
+from claimsift import policy, runstate
 from claimsift.errors import CheckpointError, PolicyError
 from claimsift.policy import (
     DISCARD,
@@ -320,11 +320,15 @@ def test_replay_table_matches_stacked_reference(window, trajectories, shifts, se
 
 def _pooled_trajectories(rng, width, pools, n_claims, max_posts=6):
     """Trajectories whose three thirds are drawn from pools of `pools`
-    vectors each, so most of them repeat."""
-    pool = [rng.normal(size=(pools, width)) for _ in range(3)]
+    vectors each, so most of them repeat; with `pools` None every third
+    is drawn afresh."""
+    pool = [rng.normal(size=(pools or 1, width)) for _ in range(3)]
+
+    def third(part):
+        return part[rng.integers(pools)] if pools else rng.normal(size=width)
 
     def step(level):
-        state = np.concatenate([part[rng.integers(pools)] for part in pool])
+        state = np.concatenate([third(part) for part in pool])
         return Step(state, RETAIN if rng.random() < 0.5 else DISCARD, 0.0, level,
                     0.5, int(rng.integers(-1, 2)))
 
@@ -333,13 +337,14 @@ def _pooled_trajectories(rng, width, pools, n_claims, max_posts=6):
             for _ in range(n_claims)]
 
 
-@pytest.mark.parametrize("pools", [1, 3, 1000])
+@pytest.mark.parametrize("pools", [1, 3, 1000, None])
 def test_factored_table_matches_stacked_reference_through_trims_and_growth(pools):
-    """Random tables (pools of 1000: nearly every third distinct) and
-    tables whose thirds repeat, grown past several doublings of their
-    blocks and trimmed by windows of varying length, give the stacked
-    reference's gradients and objective to 1e-12."""
-    rng = np.random.default_rng(pools)
+    """Random tables (pools of 1000: nearly every third distinct; None:
+    every third distinct, so each block is its part's states in row
+    order) and tables whose thirds repeat, grown past several doublings of
+    their blocks and trimmed by windows of varying length, give the
+    stacked reference's gradients and objective to 1e-12."""
+    rng = np.random.default_rng(pools or 0)
     width, hidden = 5, 4
     params = init_params(3 * width, hidden, rng)
     table, reference = ReplayTable((width,) * 3), []
@@ -354,6 +359,69 @@ def test_factored_table_matches_stacked_reference_through_trims_and_growth(pools
         _assert_matches_reference(params, table, reference, shifts)
     if pools == 1:
         assert [len(block) for block, _index in table.parts] == [1, 1, 1]
+    if pools is None:
+        assert all(index.tolist() == list(range(len(index)))
+                   for _block, index in table.parts)
+
+
+def test_colliding_hashes_keep_the_dedup_exact(monkeypatch):
+    """With every vector hashing alike, a part still holds each distinct
+    vector once: candidates are compared bit for bit, 0.0 and -0.0 apart."""
+    monkeypatch.setattr(policy, "hash", lambda data: 7, raising=False)
+    rng = np.random.default_rng(5)
+    params = init_params(6, 3, rng)
+    trajectories = _pooled_trajectories(rng, 2, 4, 30)
+    trajectories[0][0].state[:2] = 0.0
+    trajectories[1][0].state[:2] = -0.0
+    table, reference = ReplayTable((2,) * 3), []
+    for k, (claim_step, post_steps) in enumerate(trajectories):
+        table.append(claim_step, post_steps)
+        reference.append((claim_step, post_steps))
+        if k % 7 == 6:
+            del table[:-3]
+            del reference[:-3]
+        _assert_matches_reference(params, table, reference, (0.1, 0.2))
+
+
+def test_adopted_table_appends_like_the_table_it_copies():
+    """A table adopted from another's parts equals it and stays equal
+    through appends and trims; a block adopted with a vector twice is
+    used as given, and a new row holding that vector takes the first."""
+    rng = np.random.default_rng(11)
+    trajectories = _pooled_trajectories(rng, 2, 3, 20)
+    table = ReplayTable((2,) * 3)
+    for claim_step, post_steps in trajectories[:10]:
+        table.append(claim_step, post_steps)
+
+    def adopted(table):
+        return ReplayTable.adopt(
+            [block.copy() for block, _index in table.parts],
+            np.stack([index for _block, index in table.parts], axis=1),
+            table.retain, table.reward,
+            [len(post_rewards) for _claim_reward, post_rewards in table])
+
+    copy = adopted(table)
+    assert copy == table
+    for k, (claim_step, post_steps) in enumerate(trajectories[10:]):
+        table.append(claim_step, post_steps)
+        copy.append(claim_step, post_steps)
+        if k % 4 == 3:
+            del table[:-6]
+            del copy[:-6]
+        assert copy == table
+
+    block, index = table.parts[0]
+    doubled = [np.vstack([block, block[:1]]), *(b for b, _i in table.parts[1:])]
+    columns = np.stack([i for _b, i in table.parts], axis=1)
+    columns[-1, 0] = len(block)  # the last row uses the second copy
+    copy = ReplayTable.adopt(doubled, columns, table.retain, table.reward,
+                             [len(post_rewards) for _c, post_rewards in table])
+    state = np.concatenate([block[0], table.parts[1][0][0], table.parts[2][0][0]])
+    copy.append(Step(state, RETAIN, 0.0, LEVEL_CLAIM, 0.5, 1), [])
+    assert len(copy.parts[0][0]) == len(block) + 1
+    assert copy.parts[0][1][-1] == 0
+    assert copy.dense_states().tobytes() == np.vstack(
+        [table.dense_states(), state]).tobytes()
 
 
 def test_factored_gradients_match_at_trainer_width():
