@@ -12,13 +12,13 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from .corpus import Claim, Post, modal_stance_map
-from .errors import AnnotatorError, ConfigError, ParseError, check_field_types
+from .errors import AnnotatorError, ConfigError, ParseError
 from .labels import (
     STANCES,
     STANCE_INDEX,
@@ -92,17 +92,6 @@ class BackendConfig:
             raise ConfigError(f"{prefix}.timeout: must be > 0")
         if self.max_in_flight < 1:
             raise ConfigError(f"{prefix}.max_in_flight: must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(raw: dict, prefix: str = "backend") -> "BackendConfig":
-        unknown = set(raw) - set(BackendConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"{prefix}: unknown keys {sorted(unknown)}")
-        check_field_types(BackendConfig, raw, prefix)
-        return BackendConfig(**raw)
 
 
 @dataclass

@@ -3,9 +3,10 @@
 Subcommands: train, evaluate, synth. All outputs land under the given
 output directory with stable filenames. `train` commits each epoch as it
 ends: it appends the epoch's annotation records and fine-tune examples to
-the run directory, fsyncs the four JSONL files, then atomically rewrites
-`run_state.ckpt` and `epoch_reports.json`. So the trainer holds no more than
-one epoch of records, and a killed run leaves its last finished epoch.
+the run directory, fsyncs the four JSONL files, then atomically and durably
+replaces `run_state.ckpt` and `epoch_reports.json` (`runstate.atomic_write`).
+So the trainer holds no more than one epoch of records, and a killed run
+leaves its last finished epoch.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .annotators import export_finetune_set, make_backend
-from .config import RunConfig, resolve_config, save_config
+from .config import RunConfig, read_config_file, resolve_config, save_config
 from .corpus import SynthConfig, generate_synthetic, load_dataset, save_dataset
 from .engine import Trainer
 from .errors import (
@@ -30,26 +31,19 @@ from .errors import (
 )
 from .metrics import evaluate
 from .policy import load_checkpoint
+from .runstate import atomic_write
 from .state import build_embedder
 
 
-def _train_overrides(args) -> dict:
-    return {
-        "dataset": args.dataset,
-        "out_dir": args.out,
-        "rng_seed": args.rng_seed,
-        "epsilon": args.epsilon,
-        "max_epochs": args.max_epochs,
-        "seed_fraction": args.seed_fraction,
-        "max_posts": args.max_posts,
-        "embed_dim": args.embed_dim,
-        "hidden_dim": args.hidden_dim,
-        "learning_rate": args.learning_rate,
-        "buffer_window": args.buffer_window,
-        "sd_endpoint": args.sd_endpoint,
-        "rv_endpoint": args.rv_endpoint,
-        "embed_endpoint": args.embed_endpoint,
-    }
+# Parsed arguments that are not config fields; every other argument's dest
+# is the name of the field it sets, or an endpoint key of `resolve_config`.
+_NOT_FIELDS = ("command", "func", "config", "checkpoint", "out")
+
+
+def _flags(args) -> dict:
+    """The flags given on the command line, by the config field each sets."""
+    return {k: v for k, v in vars(args).items()
+            if k not in _NOT_FIELDS and v is not None}
 
 
 def _build_stack(config: RunConfig):
@@ -60,7 +54,7 @@ def _build_stack(config: RunConfig):
 
 
 def cmd_train(args) -> int:
-    config = resolve_config(args.config, _train_overrides(args))
+    config = resolve_config(args.config, _flags(args))
     if not config.dataset:
         raise ConfigError("dataset: required (pass --dataset or set it in the config)")
     if not config.out_dir:
@@ -89,12 +83,9 @@ def cmd_train(args) -> int:
                 fh.flush()
                 os.fsync(fh.fileno())
             trainer.save_run_state(out / "run_state.ckpt")
-            reports = out / "epoch_reports.json.tmp"
-            reports.write_text(
-                json.dumps([r.to_dict() for r in trainer.reports], indent=2) + "\n",
-                encoding="utf-8",
-            )
-            os.replace(reports, out / "epoch_reports.json")
+            reports = json.dumps([r.to_dict() for r in trainer.reports], indent=2) + "\n"
+            with atomic_write(out / "epoch_reports.json") as fh:
+                fh.write(reports.encode("utf-8"))
             print(
                 f"epoch {report.epoch}: claims={report.claims_processed} "
                 f"posts={report.posts_annotated} retained={report.posts_retained} "
@@ -112,14 +103,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    overrides = {
-        "dataset": args.dataset,
-        "rng_seed": args.rng_seed,
-        "sd_endpoint": args.sd_endpoint,
-        "rv_endpoint": args.rv_endpoint,
-        "embed_endpoint": args.embed_endpoint,
-    }
-    config = resolve_config(args.config, overrides)
+    config = resolve_config(args.config, _flags(args))
     if not config.dataset:
         raise ConfigError("dataset: required (pass --dataset or set it in the config)")
     dataset = load_dataset(config.dataset)
@@ -138,7 +122,6 @@ def cmd_evaluate(args) -> int:
         embedder=embedder,
         params=params,
         rng_seed=config.eval_seed,
-        max_in_flight=config.sd_backend.max_in_flight,
     )
     print(report.to_json())
     if args.out:
@@ -149,21 +132,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.config:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        synth_config = SynthConfig.from_dict(raw)
-    else:
-        synth_config = SynthConfig()
-    overrides = {
-        "n_claims": args.n_claims,
-        "posts_per_claim": args.posts_per_claim,
-        "noise_post_fraction": args.noise_fraction,
-        "rng_seed": args.rng_seed,
-        "name": args.name,
-    }
-    raw = synth_config.to_dict()
-    raw.update({k: v for k, v in overrides.items() if v is not None})
-    synth_config = SynthConfig.from_dict(raw)
+    raw = read_config_file(args.config) if args.config else {}
+    SynthConfig.from_dict(raw)  # the file's own values are checked first, as train's are
+    synth_config = SynthConfig.from_dict({**raw, **_flags(args)})
     dataset = generate_synthetic(synth_config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -184,19 +155,19 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="train the selector policy on a corpus")
     train.add_argument("--config", help="JSON run config")
     train.add_argument("--dataset", help="training corpus (JSONL)")
-    train.add_argument("--out", help="output directory for run artifacts")
-    train.add_argument("--rng-seed", type=int, dest="rng_seed")
+    train.add_argument("--out", dest="out_dir", help="output directory for run artifacts")
+    train.add_argument("--rng-seed", type=int)
     train.add_argument("--epsilon", type=float)
-    train.add_argument("--max-epochs", type=int, dest="max_epochs")
-    train.add_argument("--seed-fraction", type=float, dest="seed_fraction")
-    train.add_argument("--max-posts", type=int, dest="max_posts")
-    train.add_argument("--embed-dim", type=int, dest="embed_dim")
-    train.add_argument("--hidden-dim", type=int, dest="hidden_dim")
-    train.add_argument("--learning-rate", type=float, dest="learning_rate")
-    train.add_argument("--buffer-window", type=int, dest="buffer_window")
-    train.add_argument("--sd-endpoint", dest="sd_endpoint")
-    train.add_argument("--rv-endpoint", dest="rv_endpoint")
-    train.add_argument("--embed-endpoint", dest="embed_endpoint")
+    train.add_argument("--max-epochs", type=int)
+    train.add_argument("--seed-fraction", type=float)
+    train.add_argument("--max-posts", type=int)
+    train.add_argument("--embed-dim", type=int)
+    train.add_argument("--hidden-dim", type=int)
+    train.add_argument("--learning-rate", type=float)
+    train.add_argument("--buffer-window", type=int)
+    train.add_argument("--sd-endpoint")
+    train.add_argument("--rv-endpoint")
+    train.add_argument("--embed-endpoint")
     train.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("evaluate", help="score both tasks on a labeled corpus")
@@ -205,20 +176,20 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint",
                     help="a run's run_state.ckpt; its policy filters the posts")
     ev.add_argument("--out", help="directory for metrics.json")
-    ev.add_argument("--rng-seed", type=int, dest="rng_seed")
-    ev.add_argument("--sd-endpoint", dest="sd_endpoint")
-    ev.add_argument("--rv-endpoint", dest="rv_endpoint")
-    ev.add_argument("--embed-endpoint", dest="embed_endpoint")
+    ev.add_argument("--rng-seed", type=int)
+    ev.add_argument("--sd-endpoint")
+    ev.add_argument("--rv-endpoint")
+    ev.add_argument("--embed-endpoint")
     ev.set_defaults(func=cmd_evaluate)
 
     synth = sub.add_parser("synth", help="generate a synthetic marker corpus")
     synth.add_argument("--config", help="JSON generator config")
     synth.add_argument("--out", required=True, help="output directory")
-    synth.add_argument("--n-claims", type=int, dest="n_claims")
-    synth.add_argument("--posts-per-claim", type=int, dest="posts_per_claim")
-    synth.add_argument("--noise-fraction", type=float, dest="noise_fraction")
-    synth.add_argument("--rng-seed", type=int, dest="rng_seed")
-    synth.add_argument("--name", dest="name")
+    synth.add_argument("--n-claims", type=int)
+    synth.add_argument("--posts-per-claim", type=int)
+    synth.add_argument("--noise-fraction", type=float, dest="noise_post_fraction")
+    synth.add_argument("--rng-seed", type=int)
+    synth.add_argument("--name")
     synth.set_defaults(func=cmd_synth)
 
     return parser

@@ -1,24 +1,31 @@
-"""Run configuration: defaults, JSON file loading, env and flag overrides.
+"""Run configuration: defaults, the JSON config file, env and flag overlays.
 
 Precedence, highest first: command-line flag, environment variable, config
-file, built-in default. Validation raises ConfigError with the offending
-field in the message.
+file, built-in default. `resolve_config` merges the environment and the
+flags into the file's JSON object and loads the result once, through
+`errors.from_json`, the loader of every config object. Validation raises
+ConfigError with the offending field in the message.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .annotators import BackendConfig
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, from_json
+from .runstate import atomic_write
 from .state import EmbedConfig
 
-ENV_SD_ENDPOINT = "SD_ENDPOINT"
-ENV_RV_ENDPOINT = "RV_ENDPOINT"
-ENV_EMBED_ENDPOINT = "EMBED_ENDPOINT"
+# Per backend: the flag key and the environment variable (an empty one is
+# unset) that set its endpoint.
+ENDPOINTS = (
+    ("sd_backend", "sd_endpoint", "SD_ENDPOINT"),
+    ("rv_backend", "rv_endpoint", "RV_ENDPOINT"),
+    ("embed_backend", "embed_endpoint", "EMBED_ENDPOINT"),
+)
 
 
 @dataclass
@@ -72,32 +79,14 @@ class RunConfig:
         self.rv_backend.validate("rv_backend")
         self.embed_backend.validate("embed_backend")
 
-    def to_dict(self) -> dict:
-        return asdict(self)  # the backend configs become nested dicts
-
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        unknown = set(raw) - set(RunConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        check_field_types(RunConfig, raw)
-        values = dict(raw)
-        if "sd_backend" in values:
-            values["sd_backend"] = BackendConfig.from_dict(
-                values["sd_backend"], "sd_backend"
-            )
-        if "rv_backend" in values:
-            values["rv_backend"] = BackendConfig.from_dict(
-                values["rv_backend"], "rv_backend"
-            )
-        if "embed_backend" in values:
-            values["embed_backend"] = EmbedConfig.from_dict(
-                values["embed_backend"], "embed_backend"
-            )
-        return RunConfig(**values)
+        return from_json(RunConfig, raw)
 
 
-def load_config(path: str | Path) -> RunConfig:
+def read_config_file(path: str | Path) -> dict:
+    """The JSON object in the config file `path`. A missing file, invalid
+    JSON and any other JSON value raise ConfigError."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -107,47 +96,17 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}")
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
-    return RunConfig.from_dict(raw)
+    return raw
+
+
+def load_config(path: str | Path) -> RunConfig:
+    return RunConfig.from_dict(read_config_file(path))
 
 
 def save_config(config: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(config.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
-def apply_env(config: RunConfig, env: dict | None = None) -> RunConfig:
-    """Overlay endpoint environment variables onto a config."""
-    env = os.environ if env is None else env
-    sd = config.sd_backend
-    rv = config.rv_backend
-    embed = config.embed_backend
-    if env.get(ENV_SD_ENDPOINT):
-        sd = replace(sd, endpoint=env[ENV_SD_ENDPOINT])
-    if env.get(ENV_RV_ENDPOINT):
-        rv = replace(rv, endpoint=env[ENV_RV_ENDPOINT])
-    if env.get(ENV_EMBED_ENDPOINT):
-        embed = replace(embed, endpoint=env[ENV_EMBED_ENDPOINT])
-    return replace(config, sd_backend=sd, rv_backend=rv, embed_backend=embed)
-
-
-def apply_overrides(config: RunConfig, overrides: dict) -> RunConfig:
-    """Overlay non-None flag values; endpoint keys reach into backends."""
-    values = {k: v for k, v in overrides.items() if v is not None}
-    endpoint_map = {
-        "sd_endpoint": "sd_backend",
-        "rv_endpoint": "rv_backend",
-        "embed_endpoint": "embed_backend",
-    }
-    for flag, backend_name in endpoint_map.items():
-        if flag in values:
-            backend = replace(getattr(config, backend_name), endpoint=values.pop(flag))
-            config = replace(config, **{backend_name: backend})
-    unknown = set(values) - set(RunConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown config overrides: {sorted(unknown)}")
-    return replace(config, **values)
+    text = json.dumps(asdict(config), indent=2, sort_keys=True) + "\n"
+    with atomic_write(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def resolve_config(
@@ -155,9 +114,21 @@ def resolve_config(
     overrides: dict | None = None,
     env: dict | None = None,
 ) -> RunConfig:
-    """Defaults, then file, then env, then flags; validates the result."""
-    config = load_config(file_path) if file_path else RunConfig()
-    config = apply_env(config, env)
-    config = apply_overrides(config, overrides or {})
+    """Defaults, then file, then env, then flags; validates the result.
+
+    `overrides` maps field names to flag values, of which None is unset; an
+    `*_endpoint` key (`sd_endpoint`, ...) sets that backend's `endpoint`.
+    """
+    raw = read_config_file(file_path) if file_path else {}
+    RunConfig.from_dict(raw)  # a bad file value is reported even if a flag replaces it
+    env = os.environ if env is None else env
+    flags = {k: v for k, v in (overrides or {}).items() if v is not None}
+    for backend, flag, variable in ENDPOINTS:
+        endpoint = flags.pop(flag, None)
+        if endpoint is None:
+            endpoint = env.get(variable) or None
+        if endpoint is not None:
+            raw = {**raw, backend: {**raw.get(backend, {}), "endpoint": endpoint}}
+    config = RunConfig.from_dict({**raw, **flags})
     config.validate()
     return config

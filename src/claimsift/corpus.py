@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DatasetError, check_field_types
+from .errors import ConfigError, DatasetError, from_json
 from .labels import STANCES, VERACITIES
 
 # Stance mixture per veracity class used by the synthetic generator, rows in
@@ -282,19 +282,14 @@ class SynthConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "SynthConfig":
-        cfg = SynthConfig()
-        known = cfg.__dataclass_fields__
-        unknown = set(raw) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown synthetic config keys: {sorted(unknown)}")
-        values = dict(raw)
         tables = ("veracity_prior", "stance_given_veracity")  # checked below
-        check_field_types(SynthConfig, {k: v for k, v in raw.items() if k not in tables})
-        if "veracity_prior" in values:
+        cfg = from_json(SynthConfig, {k: v for k, v in raw.items() if k not in tables})
+        values = {}
+        if "veracity_prior" in raw:
             values["veracity_prior"] = _numbers(
-                "veracity_prior", values["veracity_prior"], len(VERACITIES))
-        if "stance_given_veracity" in values:
-            matrix = values["stance_given_veracity"]
+                "veracity_prior", raw["veracity_prior"], len(VERACITIES))
+        if "stance_given_veracity" in raw:
+            matrix = raw["stance_given_veracity"]
             if type(matrix) not in (list, tuple) or len(matrix) != len(VERACITIES):
                 raise ConfigError(f"stance_given_veracity: expected a list of "
                                   f"{len(VERACITIES)} rows, got {reprlib.repr(matrix)}")
@@ -302,17 +297,6 @@ class SynthConfig:
                 _numbers(f"stance_given_veracity[{i}]", row, len(STANCES))
                 for i, row in enumerate(matrix))
         return replace(cfg, **values)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_claims": self.n_claims,
-            "posts_per_claim": self.posts_per_claim,
-            "veracity_prior": list(self.veracity_prior),
-            "stance_given_veracity": [list(r) for r in self.stance_given_veracity],
-            "noise_post_fraction": self.noise_post_fraction,
-            "rng_seed": self.rng_seed,
-            "name": self.name,
-        }
 
 
 def _numbers(name: str, value, n: int) -> tuple[float, ...]:

@@ -624,7 +624,7 @@ class Trainer:
         epoch = self._epoch
         parts = self.buffer.parts
         state = {
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "fingerprint": list(self._fingerprint),
             "seed_ids": sorted(self.seed_ids),
             "optimizer": settings,

@@ -1,5 +1,6 @@
-"""Exception taxonomy shared across the package, and the type check of
-config fields read from JSON, which raises the most common of them."""
+"""Exception taxonomy shared across the package, and `from_json`, the one
+loader of every config dataclass from a JSON object, which raises the most
+common of them (ConfigError)."""
 
 from __future__ import annotations
 
@@ -80,24 +81,41 @@ _OBJECT = ((dict,), "an object")
 
 
 @functools.cache
-def _field_types(cls) -> dict[str, tuple[tuple[type, ...], str]]:
-    """Per field of dataclass `cls`: the value types it accepts, and their
-    description. Read from the annotation strings once per class."""
+def _fields(cls) -> dict[str, tuple[tuple[type, ...], str, type | None]]:
+    """Per field of dataclass `cls`: the value types it accepts, their
+    description, and the config dataclass its default factory makes, if
+    any. Read from the annotation strings once per class."""
     types = {}
     for f in dataclasses.fields(cls):
         kinds = [_JSON_TYPES.get(name, _OBJECT) for name in f.type.split(" | ")]
+        nested = f.default_factory
         types[f.name] = (tuple(t for allowed, _ in kinds for t in allowed),
-                         " or ".join(text for _, text in kinds))
+                         " or ".join(text for _, text in kinds),
+                         nested if dataclasses.is_dataclass(nested) else None)
     return types
 
 
-def check_field_types(cls, raw: dict, prefix: str = "") -> None:
-    """Raise ConfigError naming the first entry of `raw` whose value is not
-    of the JSON type that the config dataclass `cls` annotates its field
-    with. Keys that are not fields of `cls` are left to the caller."""
-    types = _field_types(cls)
+def from_json(cls, raw: dict, prefix: str = ""):
+    """Config dataclass `cls` built from the JSON object `raw`; a field left
+    out keeps its default. Raises ConfigError for keys that are not fields
+    and, naming the field's path under `prefix`, for the first value that is
+    not of the JSON type the field is annotated with. A field whose default
+    factory is a config dataclass is read from a nested object the same
+    way."""
+    if type(raw) is not dict:
+        raise ConfigError(f"{prefix or 'config'}: expected an object, "
+                          f"got {reprlib.repr(raw)}")
+    types = _fields(cls)
+    unknown = raw.keys() - types.keys()
+    if unknown:
+        if prefix:
+            raise ConfigError(f"{prefix}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    values = {}
     for name, value in raw.items():
-        if name in types and type(value) not in types[name][0]:
-            path = f"{prefix}.{name}" if prefix else name
-            raise ConfigError(
-                f"{path}: expected {types[name][1]}, got {reprlib.repr(value)}")
+        allowed, text, nested = types[name]
+        path = f"{prefix}.{name}" if prefix else name
+        if type(value) not in allowed:
+            raise ConfigError(f"{path}: expected {text}, got {reprlib.repr(value)}")
+        values[name] = value if nested is None else from_json(nested, value, path)
+    return cls(**values)

@@ -642,9 +642,9 @@ def load_checkpoint(path: str | Path) -> tuple[PolicyParams, OptimizerState]:
     """Read the policy and optimizer of a run-state file (see
     claimsift.runstate): its manifest's "optimizer" entry and the arrays
     `encode_policy` wrote; the rest of the run is ignored, and a file that
-    holds only these (an older `policy.ckpt`) loads too. A damaged file,
-    one of another format or version, and one whose arrays or optimizer
-    entry do not fit raise CheckpointError."""
+    holds only these loads too. A damaged file, one of another format or
+    version (an older `policy.ckpt` is version 5), and one whose arrays or
+    optimizer entry do not fit raise CheckpointError."""
     state, arrays = read_run_state(path)
     try:
         return decode_policy(state["optimizer"], arrays)

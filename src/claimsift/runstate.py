@@ -25,6 +25,7 @@ crc are the same.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -33,6 +34,7 @@ import threading
 import zlib
 from collections import deque
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -60,10 +62,8 @@ def write_run_state(path: str | Path, state: dict, arrays: dict) -> None:
     """Atomically write `state` (JSON-able) and `arrays` (name -> float64
     array) to `path`.
 
-    The bytes go through one handle, checksummed as they pass (see the
-    module docstring), to a temporary file in the target's directory, which
-    is flushed, fsynced and renamed over `path`; any error removes the
-    temporary file and leaves the previous `path` as it was.
+    The bytes go through one handle of `atomic_write`, checksummed as they
+    pass (see the module docstring).
     """
     arrays = {name: np.ascontiguousarray(value, dtype="<f8")
               for name, value in arrays.items()}
@@ -81,14 +81,24 @@ def write_run_state(path: str | Path, state: dict, arrays: dict) -> None:
         manifest,
         *(chunk for padding, value in layout for chunk in (_ZEROS[:padding], value.data)),
     )
+    with atomic_write(path) as fh, _Crc32(offset + _CRC.size) as crc:
+        for chunk in chunks:
+            crc.add(chunk)
+            fh.write(chunk)
+        fh.write(_CRC.pack(crc.value()))
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | Path) -> Iterator[BinaryIO]:
+    """A binary handle on a temporary file in `path`'s directory. When the
+    block ends, the file is flushed, fsynced, closed and renamed over
+    `path`; an error in the block or in those steps removes the temporary
+    file and leaves the previous `path` as it was."""
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh, _Crc32(offset + _CRC.size) as crc:
-            for chunk in chunks:
-                crc.add(chunk)
-                fh.write(chunk)
-            fh.write(_CRC.pack(crc.value()))
+        with open(tmp, "wb") as fh:
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

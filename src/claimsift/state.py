@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmbedError, StateError, check_field_types
+from .errors import ConfigError, EmbedError, StateError
 from .labels import STANCE_NAMES, VERACITY_NAMES
 from .policy import LEVEL_POST, RETAIN, PolicyParams, Step, sample_action
 from .transport import post_json
@@ -32,17 +32,6 @@ class EmbedConfig:
             raise ConfigError(f"{prefix}.endpoint: required when kind is 'service'")
         if self.timeout <= 0:
             raise ConfigError(f"{prefix}.timeout: must be > 0")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "endpoint": self.endpoint, "timeout": self.timeout}
-
-    @staticmethod
-    def from_dict(raw: dict, prefix: str = "embed_backend") -> "EmbedConfig":
-        unknown = set(raw) - set(EmbedConfig.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"{prefix}: unknown keys {sorted(unknown)}")
-        check_field_types(EmbedConfig, raw, prefix)
-        return EmbedConfig(**raw)
 
 
 # Texts whose vectors one HashedEmbedder keeps; at d=768 that is at most

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 import logging
 
 import numpy as np
@@ -24,7 +25,7 @@ from claimsift.annotators import (
     smoothed_one_hot,
 )
 from claimsift.corpus import Claim, Post
-from claimsift.errors import AnnotatorError, ConfigError, ParseError
+from claimsift.errors import AnnotatorError, ConfigError, ParseError, from_json
 from claimsift.labels import STANCES, STANCE_INDEX, VERACITIES
 
 CLAIM = Claim("c9", "power is out downtown", None, (
@@ -199,10 +200,10 @@ def test_backend_config_validation(cfg, fragment):
 
 def test_backend_config_round_trip_and_unknown_keys():
     cfg = BackendConfig(kind="http", endpoint="http://x", timeout=3.0)
-    assert BackendConfig.from_dict(cfg.to_dict()) == cfg
+    assert from_json(BackendConfig, asdict(cfg), "sd_backend") == cfg
     with pytest.raises(ConfigError) as err:
-        BackendConfig.from_dict({"knd": "oracle"})
-    assert "unknown keys" in str(err.value)
+        from_json(BackendConfig, {"knd": "oracle"}, "sd_backend")
+    assert "sd_backend: unknown keys ['knd']" in str(err.value)
 
 
 def test_http_annotator_requires_http_kind():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import shutil
 import subprocess
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from claimsift import runstate
+from claimsift import cli, runstate
 from claimsift.annotators import OracleAnnotator
 from claimsift.cli import main
 from claimsift.corpus import SynthConfig, generate_synthetic, load_dataset, save_dataset
@@ -81,18 +82,48 @@ def test_synth_is_deterministic(tmp_path):
 
 
 def test_synth_config_file_with_flag_overrides(tmp_path, capsys):
+    """Each synth flag beats the config file's value of its field; the
+    file's other values, a table included, are kept."""
+    raw = {"n_claims": 4, "posts_per_claim": 3, "noise_post_fraction": 0.1,
+           "rng_seed": 5, "name": "cfg_made", "veracity_prior": [0.4, 0.2, 0.2, 0.2]}
     cfg = tmp_path / "gen.json"
-    cfg.write_text(
-        json.dumps({"n_claims": 4, "posts_per_claim": 3, "rng_seed": 5,
-                    "name": "cfg_made"}),
-        encoding="utf-8",
-    )
-    rc = main(["synth", "--config", str(cfg), "--out", str(tmp_path),
-               "--n-claims", "6"])
-    assert rc == 0
-    stats = json.loads(capsys.readouterr().out)
-    assert stats["claims"] == 6  # flag beats the config file
-    assert stats["path"].endswith("cfg_made.jsonl")
+    cfg.write_text(json.dumps(raw), encoding="utf-8")
+    file_values = {**raw, "veracity_prior": (0.4, 0.2, 0.2, 0.2)}
+    for flags, changed in (
+        (["--n-claims", "6"], {"n_claims": 6}),
+        (["--posts-per-claim", "5", "--noise-fraction", "0.6"],
+         {"posts_per_claim": 5, "noise_post_fraction": 0.6}),
+        (["--rng-seed", "8", "--name", "flagged"], {"rng_seed": 8, "name": "flagged"}),
+    ):
+        out = tmp_path / "_".join(flags)
+        rc = main(["synth", "--config", str(cfg), "--out", str(out)] + flags)
+        assert rc == 0
+        stats = json.loads(capsys.readouterr().out)
+        expected = SynthConfig(**{**file_values, **changed})
+        assert stats["path"] == str(out / f"{expected.name}.jsonl")
+        save_dataset(generate_synthetic(expected), tmp_path / "expected.jsonl")
+        assert (out / f"{expected.name}.jsonl").read_bytes() == \
+            (tmp_path / "expected.jsonl").read_bytes(), flags
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "config file not found: {path}"),
+    ("{not json", "config file {path} is not valid JSON: "
+                  "Expecting property name enclosed in double quotes"),
+    ("[1, 2]", "config file {path} must contain a JSON object"),
+], ids=["missing", "invalid-json", "array"])
+def test_synth_config_file_errors_are_train_usage_errors(tmp_path, capsys, text, message):
+    """synth and train read a config file alike: a missing file, invalid
+    JSON and a value that is not an object exit 2 with the same message."""
+    cfg = tmp_path / "c.json"
+    if text is not None:
+        cfg.write_text(text, encoding="utf-8")
+    expected = f"error: {message.format(path=cfg)}\n"
+    assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == expected
+    assert main(["train", "--config", str(cfg), "--dataset", "x", "--out", "y"]) == 2
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("raw,message", [
@@ -219,6 +250,32 @@ def test_train_writes_each_epochs_records_as_it_ends(tmp_path, monkeypatch):
     assert committed["state"]["epoch_index"] == 1
     assert committed["state"]["epoch"] is None
     assert committed["reports"] == committed["state"]["reports"] == [first]
+
+
+def test_failed_reports_write_keeps_the_previous_reports(tmp_path, monkeypatch):
+    """epoch_reports.json is replaced atomically: a write that raises in
+    epoch 2 leaves epoch 1's reports and no temporary file in the run
+    directory."""
+    data = tmp_path / "corpus.jsonl"
+    _write_corpus(data)
+    out = tmp_path / "run"
+    calls = []
+
+    @contextlib.contextmanager
+    def fail_the_second_write(path):
+        with runstate.atomic_write(path) as fh:
+            yield fh
+            calls.append(path)
+            if len(calls) == 2:
+                raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "atomic_write", fail_the_second_write)
+    with pytest.raises(OSError, match="disk full"):
+        main(["train", "--dataset", str(data), "--out", str(out)] + TRAIN_FLAGS)
+    assert calls == [out / "epoch_reports.json"] * 2
+    reports = json.loads((out / "epoch_reports.json").read_text(encoding="utf-8"))
+    assert [r["epoch"] for r in reports] == [1]
+    assert sorted(path.name for path in out.iterdir()) == sorted(TRAIN_ARTIFACTS)
 
 
 def test_interrupted_train_leaves_a_resumable_commit(tmp_path, monkeypatch):

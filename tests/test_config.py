@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import tempfile
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from claimsift import runstate
 from claimsift.annotators import BackendConfig
 from claimsift.config import (
     RunConfig,
-    apply_env,
-    apply_overrides,
     load_config,
     resolve_config,
     save_config,
 )
+from claimsift.corpus import SynthConfig
 from claimsift.errors import ConfigError
 from claimsift.state import EmbedConfig
 
@@ -77,6 +82,23 @@ def test_round_trip_through_file(tmp_path):
     assert raw["sd_backend"]["endpoint"] == "http://sd:1"
 
 
+def test_failed_save_keeps_the_previous_file(tmp_path, monkeypatch):
+    """save_config replaces the file atomically: a write that raises leaves
+    the previous file and no temporary file."""
+    path = tmp_path / "config.resolved.json"
+    save_config(RunConfig(epsilon=0.1), path)
+    before = path.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("device lost")
+
+    monkeypatch.setattr(runstate.os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="device lost"):
+        save_config(RunConfig(epsilon=0.9), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_from_dict_rejects_unknown_keys():
     with pytest.raises(ConfigError) as err:
         RunConfig.from_dict({"embed_dims": 8})
@@ -107,37 +129,46 @@ def test_load_config_errors(tmp_path):
         load_config(arr)
 
 
-def test_apply_env_overlays_endpoints():
-    config = RunConfig()
+def test_resolve_config_overlays_env_endpoints():
     env = {
         "SD_ENDPOINT": "http://sd:1",
         "RV_ENDPOINT": "http://rv:2",
         "EMBED_ENDPOINT": "http://emb:3",
     }
-    out = apply_env(config, env)
+    out = resolve_config(None, env=env)
     assert out.sd_backend.endpoint == "http://sd:1"
     assert out.rv_backend.endpoint == "http://rv:2"
     assert out.embed_backend.endpoint == "http://emb:3"
-    # untouched fields and the original object survive
+    # untouched fields survive
     assert out.sd_backend.kind == "oracle"
-    assert config.sd_backend.endpoint is None
     # empty values are ignored
-    same = apply_env(config, {"SD_ENDPOINT": ""})
+    same = resolve_config(None, env={"SD_ENDPOINT": ""})
     assert same.sd_backend.endpoint is None
 
 
-def test_apply_overrides_skips_none_and_reaches_backends():
-    config = RunConfig()
-    out = apply_overrides(config, {
+def test_resolve_config_skips_none_flags_and_reaches_backends(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"max_epochs": 3, "sd_backend": {"timeout": 2.0}}),
+                    encoding="utf-8")
+    out = resolve_config(path, overrides={
         "epsilon": 0.9,
         "max_epochs": None,  # unset flag: keep existing value
         "sd_endpoint": "http://sd:9",
-    })
+    }, env={})
     assert out.epsilon == 0.9
-    assert out.max_epochs == config.max_epochs
+    assert out.max_epochs == 3
     assert out.sd_backend.endpoint == "http://sd:9"
-    with pytest.raises(ConfigError, match="unknown config overrides"):
-        apply_overrides(config, {"epsilons": 0.2})
+    assert out.sd_backend.timeout == 2.0  # the endpoint joins the file's backend object
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['epsilons'\]"):
+        resolve_config(None, overrides={"epsilons": 0.2}, env={})
+
+
+def test_resolve_config_checks_the_file_before_the_flags(tmp_path):
+    """A wrong-typed file value is reported even when a flag replaces it."""
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"epsilon": "high"}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="epsilon: expected a number, got 'high'"):
+        resolve_config(path, overrides={"epsilon": 0.5}, env={})
 
 
 def test_resolve_config_precedence(tmp_path):
@@ -169,3 +200,93 @@ def test_resolve_config_precedence(tmp_path):
 def test_resolve_config_without_file_uses_defaults():
     out = resolve_config(None, overrides={}, env={})
     assert out == RunConfig()
+
+
+# ------------------------------------------------- the loader, by property
+
+_VALUES = {
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False) | st.integers(),
+    "bool": st.booleans(),
+    "str": st.text(),
+    "None": st.none(),
+}
+_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,),
+          "None": (type(None),)}
+_ANY_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+def _nested(f):
+    return f.default_factory if dataclasses.is_dataclass(f.default_factory) else None
+
+
+def _configs(cls):
+    """Configs of `cls` with a value of one of its JSON types in every field."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        nested = _nested(f)
+        values[f.name] = _configs(nested) if nested else st.one_of(
+            *(_VALUES[name] for name in f.type.split(" | ")))
+    return st.builds(cls, **values)
+
+
+def _paths(cls, prefix=""):
+    for f in dataclasses.fields(cls):
+        path = f"{prefix}.{f.name}" if prefix else f.name
+        yield path, f
+        if _nested(f):
+            yield from _paths(_nested(f), path)
+
+
+def _accepts(f, value) -> bool:
+    if _nested(f):
+        return type(value) is dict
+    if f.type.startswith("tuple"):  # a SynthConfig table: _ANY_JSON's lists are too short
+        return False
+    return any(type(value) in _TYPES[name] for name in f.type.split(" | "))
+
+
+def _synth_configs():
+    share = st.floats(0, 1)
+    row = st.tuples(share, share, share, share)
+    return st.builds(SynthConfig, n_claims=st.integers(), posts_per_claim=st.integers(),
+                     veracity_prior=row, stance_given_veracity=st.tuples(row, row, row, row),
+                     noise_post_fraction=_VALUES["float"], rng_seed=st.integers(),
+                     name=st.text())
+
+
+@settings(max_examples=50, deadline=None)
+@given(_configs(RunConfig))
+def test_any_run_config_round_trips_through_its_file(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        save_config(config, path)
+        assert load_config(path) == config
+
+
+@settings(max_examples=50, deadline=None)
+@given(_synth_configs())
+def test_any_synth_config_round_trips_through_asdict(config):
+    assert SynthConfig.from_dict(asdict(config)) == config
+    assert SynthConfig.from_dict(json.loads(json.dumps(asdict(config)))) == config
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([(RunConfig.from_dict, *p) for p in _paths(RunConfig)]
+                       + [(SynthConfig.from_dict, *p) for p in _paths(SynthConfig)]),
+       _ANY_JSON)
+def test_a_value_of_another_json_type_is_named_by_its_path(field_path, value):
+    """Any field, nested ones included, given a value of another JSON type
+    raises ConfigError whose message starts with the field's path."""
+    load, path, f = field_path
+    assume(not _accepts(f, value))
+    raw = value
+    for name in reversed(path.split(".")):
+        raw = {name: raw}
+    with pytest.raises(ConfigError) as err:
+        load(raw)
+    assert str(err.value).startswith(f"{path}: expected ")

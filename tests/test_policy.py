@@ -689,8 +689,9 @@ def test_warmup_schedule():
 # ----------------------------------------------------------- checkpoints
 
 def _write_policy(params, opt, path):
-    """Write the policy alone in the run-state container, as a run state
-    holds it and as older `policy.ckpt` files did."""
+    """Write the policy alone in the current run-state container, as a run
+    state holds it. Older `policy.ckpt` files had this layout in container
+    version 5, which no longer loads."""
     settings, arrays = encode_policy(params, opt)
     runstate.write_run_state(path, {"optimizer": settings}, arrays)
 

@@ -560,8 +560,9 @@ def test_run_state_holds_one_window_and_the_current_epochs_records(tmp_path):
 
 
 def test_policy_checkpoint_is_not_a_run_state(tmp_path):
-    """An older `policy.ckpt` is written in the same container but holds
-    only the policy, so resuming from one fails as a malformed run state."""
+    """A file in the current container that holds only the policy, as the
+    older `policy.ckpt` files did in version 5, is not a run state:
+    resuming from one fails as a malformed run state."""
     trainer = _trainer()
     trainer.run_epoch(limit=1)
     path = tmp_path / "policy.ckpt"
@@ -595,6 +596,17 @@ def test_run_state_with_a_deleted_config_field_is_rejected(tmp_path, key, value)
     state["config"][key] = value
     runstate.write_run_state(path, state, arrays)
     with pytest.raises(CheckpointError, match=f"unknown config keys.*{key}"):
+        _resume(path)
+
+
+@pytest.mark.parametrize("config", [[], "run", None], ids=["list", "str", "null"])
+def test_run_state_whose_config_is_not_an_object_is_rejected(tmp_path, config):
+    trainer = _trainer()
+    path = tmp_path / "run.state"
+    trainer.save_run_state(path)
+    state, arrays = runstate.read_run_state(path)
+    runstate.write_run_state(path, {**state, "config": config}, arrays)
+    with pytest.raises(CheckpointError, match="malformed run state.*config: expected an object"):
         _resume(path)
 
 

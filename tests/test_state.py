@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from claimsift.errors import ConfigError, EmbedError, StateError
+from claimsift.errors import ConfigError, EmbedError, StateError, from_json
 from claimsift.state import (
     EMBED_MEMO_SIZE,
     ContextAccumulator,
@@ -176,10 +177,10 @@ def test_embed_config_validation(cfg, fragment):
 
 def test_embed_config_round_trip_and_unknown_keys():
     cfg = EmbedConfig(kind="service", endpoint="http://x", timeout=5.0)
-    assert EmbedConfig.from_dict(cfg.to_dict()) == cfg
+    assert from_json(EmbedConfig, asdict(cfg), "embed_backend") == cfg
     with pytest.raises(ConfigError) as err:
-        EmbedConfig.from_dict({"knid": "hashed"})
-    assert "unknown keys" in str(err.value)
+        from_json(EmbedConfig, {"knid": "hashed"}, "embed_backend")
+    assert "embed_backend: unknown keys ['knid']" in str(err.value)
 
 
 # ------------------------------------------------------ accumulation
