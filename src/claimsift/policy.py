@@ -30,6 +30,11 @@ DISCARD = "discard"
 LEVEL_CLAIM = "claim"
 LEVEL_POST = "post"
 
+# Elements of a parameter that one pass of the in-place Adam step covers
+# (256 KiB of float64), so that its two temporaries stay small and cached
+# and a large w1 needs no full-size ones.
+ADAM_CHUNK = 1 << 15
+
 
 @dataclass
 class PolicyParams:
@@ -564,8 +569,10 @@ def reinforce_update(
     warning instead of corrupting the parameters. When a baseline is given,
     its current per-level averages shift the step weights, and the newest
     trajectory (the window's last entry) is folded in afterwards. Adam runs
-    in place, with two temporaries per parameter and the textbook order of
-    operations, so its results are bitwise those of the plain expressions.
+    in place, chunk by chunk of ADAM_CHUNK elements with two chunk-sized
+    temporaries, in the textbook order of operations; each element's
+    result depends only on its own inputs, so the results are bitwise
+    those of the plain expressions.
     """
     if not trajectories:
         return
@@ -591,15 +598,21 @@ def reinforce_update(
         (g_w1, optimizer.m_w1, optimizer.v_w1, params.w1),
         (g_w2, optimizer.m_w2, optimizer.v_w2, params.w2),
     ):
-        a, b = np.empty_like(w), np.empty_like(w)
-        m *= b1
-        m += np.multiply(g, 1.0 - b1, out=a)  # (1 - b1) g
-        v *= b2
-        v += np.multiply(np.square(g, out=a), 1.0 - b2, out=a)  # (1 - b2) g^2
-        np.divide(m, correction1, out=a)  # m_hat
-        np.divide(v, correction2, out=b)  # v_hat
-        np.add(np.sqrt(b, out=b), optimizer.eps, out=b)
-        w += np.divide(np.multiply(a, lr, out=a), b, out=a)  # lr m_hat / (...)
+        rows = max(1, ADAM_CHUNK * len(w) // w.size)  # leading rows per chunk
+        a = np.empty((min(rows, len(w)), *w.shape[1:]))
+        b = np.empty_like(a)
+        for lo in range(0, len(w), rows):
+            # slices along the first axis are views, whatever the layout
+            gc, mc, vc, wc = g[lo:lo + rows], m[lo:lo + rows], v[lo:lo + rows], w[lo:lo + rows]
+            ac, bc = a[:len(wc)], b[:len(wc)]
+            mc *= b1
+            mc += np.multiply(gc, 1.0 - b1, out=ac)  # (1 - b1) g
+            vc *= b2
+            vc += np.multiply(np.square(gc, out=ac), 1.0 - b2, out=ac)  # (1 - b2) g^2
+            np.divide(mc, correction1, out=ac)  # m_hat
+            np.divide(vc, correction2, out=bc)  # v_hat
+            np.add(np.sqrt(bc, out=bc), optimizer.eps, out=bc)
+            wc += np.divide(np.multiply(ac, lr, out=ac), bc, out=ac)  # lr m_hat / (...)
 
 
 _MOMENTS = ("m_w1", "v_w1", "m_w2", "v_w2")

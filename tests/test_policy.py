@@ -584,7 +584,10 @@ def test_adam_step_is_exact_for_single_weight():
     assert params.w1[0, 0] == pytest.approx(expected_w1, abs=1e-12)
 
 
-def test_in_place_adam_is_bitwise_the_textbook_update():
+@pytest.mark.parametrize("chunk", [None, 3])  # 3: w1 row by row, w2 in two chunks
+def test_in_place_adam_is_bitwise_the_textbook_update(chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(policy, "ADAM_CHUNK", chunk)
     rng = np.random.default_rng(17)
     params = init_params(6, 4, rng)
     textbook = params.copy()
