@@ -17,7 +17,7 @@ from claimsift.corpus import SynthConfig, generate_synthetic
 from claimsift.engine import Trainer
 from claimsift.metrics import evaluate
 from claimsift.policy import RETAIN, init_params
-from claimsift.state import ContextAccumulator, HashedEmbedder, decide_post
+from claimsift.state import HashedEmbedder, PostDecider
 
 
 def skewed_mix(weight=0.85):
@@ -38,12 +38,10 @@ def measure_gap(params, dataset, embedder, seed):
     action_rng = np.random.default_rng(seed + 1)
     marked, noise = [], []
     for claim in dataset.claims:
-        claim_vec = embedder.embed(claim.text)
-        context = ContextAccumulator(embedder.d)
+        decider = PostDecider(params, embedder, embedder.embed(claim.text))
         for post in claim.posts:
             annotation = annotate_post(sd, claim, post)
-            step = decide_post(params, action_rng, embedder, claim_vec, context,
-                               post.text, annotation)
+            step = decider.decide(action_rng, post.text, annotation)
             (noise if post.stance is None else marked).append(step.action == RETAIN)
     return float(np.mean(marked)), float(np.mean(noise))
 

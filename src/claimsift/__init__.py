@@ -82,6 +82,7 @@ from .state import (
     ContextAccumulator,
     EmbedConfig,
     HashedEmbedder,
+    PostDecider,
     ServiceEmbedder,
     build_embedder,
     build_state,

@@ -76,8 +76,8 @@ from .selection import ClaimSampler, PostSampler, TerminationTracker
 from .state import (
     STATE_PARTS,
     ContextAccumulator,
+    PostDecider,
     build_state,
-    decide_post,
     pack_claim_text,
 )
 
@@ -338,7 +338,7 @@ class Trainer:
             logger.warning("aborting claim %s: claim embedding failed: %s",
                            claim.claim_id, exc)
             return None, 1
-        post_context = ContextAccumulator(config.embed_dim)
+        decider = PostDecider(self.params, self.embedder, claim_vec)
         sampler = PostSampler(len(claim.posts), config.epsilon, self._sampler_rng)
         post_tracker = TerminationTracker(config.n_termination_posts)
         cap = min(len(claim.posts), config.max_posts)
@@ -356,8 +356,7 @@ class Trainer:
             post = claim.posts[index]
             try:
                 annotation = annotate_post(self.sd, claim, post)
-                step = decide_post(self.params, self._action_rng, self.embedder,
-                                   claim_vec, post_context, post.text, annotation)
+                step = decider.decide(self._action_rng, post.text, annotation)
             except (ParseError, AnnotatorError, EmbedError) as exc:
                 failures += 1
                 logger.warning("skipping post %s: %s", post.post_id, exc)

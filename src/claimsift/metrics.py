@@ -21,7 +21,7 @@ from .corpus import Claim, Dataset
 from .errors import AnnotatorError, EmbedError, EmptyEvaluation, ParseError
 from .labels import STANCES, VERACITIES
 from .policy import PolicyParams, RETAIN
-from .state import ContextAccumulator, decide_post
+from .state import PostDecider
 
 
 class ConfusionMatrix:
@@ -149,13 +149,11 @@ def _retained_by_policy(params: PolicyParams, rng: np.random.Generator, embedder
     """The annotated posts the policy retains, decided in thread order. A
     post whose embedding fails is skipped, as in training; a failed claim
     embedding raises EmbedError."""
-    claim_vec = embedder.embed(claim.text)
-    context = ContextAccumulator(embedder.d)
+    decider = PostDecider(params, embedder, embedder.embed(claim.text))
     retained = []
     for post, annotation in annotated:
         try:
-            step = decide_post(params, rng, embedder, claim_vec, context,
-                               post.text, annotation)
+            step = decider.decide(rng, post.text, annotation)
         except EmbedError:
             continue
         if step.action == RETAIN:
@@ -178,7 +176,7 @@ def evaluate(
     scored per claim; when a policy is given (with its embedder), posts are
     filtered through retain/discard decisions and the veracity backend sees
     only the retained ones. Each decision is training's own step,
-    `claimsift.state.decide_post`. What differs from training is the walk:
+    `claimsift.state.PostDecider`. What differs from training is the walk:
     every annotated post of the thread is decided in chronological order
     (no epsilon-greedy post order), with no `max_posts` cap and no
     post-level termination. A failed embedding is handled as in training:

@@ -92,33 +92,31 @@ def _sigmoid(z):
     )
 
 
-def _retain_probability(
-    params: PolicyParams, state: np.ndarray
-) -> tuple[np.ndarray, float, float]:
-    """(state as float64, logit, retain probability) for one state.
-
-    The probability is `_sigmoid` of the logit, with `exp(-|z|)` taken once.
-    """
+def _logit(params: PolicyParams, state: np.ndarray) -> tuple[np.ndarray, float]:
+    """(state as float64, logit) for one state."""
     state = np.asarray(state, dtype=np.float64)
     if state.shape != (params.state_dim,):
         raise PolicyError(
             f"state has shape {state.shape}, expected ({params.state_dim},)"
         )
-    z = float(_logits(params, state[None, :])[0])
+    return state, float(_logits(params, state[None, :])[0])
+
+
+def _probability(z: float) -> float:
+    """`_sigmoid` of one logit, with `exp(-|z|)` taken once."""
     e = float(np.exp(-abs(z)))
-    return state, z, (1.0 / (1.0 + e) if z >= 0.0 else e / (1.0 + e))
+    return 1.0 / (1.0 + e) if z >= 0.0 else e / (1.0 + e)
 
 
 def forward(params: PolicyParams, state: np.ndarray) -> float:
     """Retain probability for one state."""
-    return _retain_probability(params, state)[2]
+    return _probability(_logit(params, state)[1])
 
 
-def sample_action(
-    params: PolicyParams, state: np.ndarray, rng: np.random.Generator, level: str
-) -> Step:
-    """Draw retain/discard from the policy and record its log probability."""
-    state, z, p = _retain_probability(params, state)
+def draw(z: float, state: np.ndarray, rng: np.random.Generator, level: str) -> Step:
+    """Draw retain/discard for a state whose logit is `z`, and record the
+    drawn action's log probability."""
+    p = _probability(z)
     retain = rng.random() < p
     # log sigma(z) and log sigma(-z) via softplus, stable at saturation
     logprob = float(-np.logaddexp(0.0, -z)) if retain else float(-np.logaddexp(0.0, z))
@@ -129,6 +127,14 @@ def sample_action(
         level=level,
         p_retain=p,
     )
+
+
+def sample_action(
+    params: PolicyParams, state: np.ndarray, rng: np.random.Generator, level: str
+) -> Step:
+    """Draw retain/discard from the policy and record its log probability."""
+    state, z = _logit(params, state)
+    return draw(z, state, rng, level)
 
 
 Trajectory = tuple[Step, Sequence[Step]]

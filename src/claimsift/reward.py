@@ -100,9 +100,13 @@ class ReferenceStanceStats:
     """Per-veracity running mean of stance distributions from labeled claims.
 
     A class with no observations yet is cold: rewards that would consult it
-    come out 0 rather than guessing. Each observed class keeps its centered
-    mean and that vector's norm, as its last `update` left them.
+    come out 0 rather than guessing. An observed class's centered mean and
+    that vector's norm are computed when first asked for after its last
+    `update`, and kept until the next. Two statistics are equal when their
+    sums (bit for bit) and counts are.
     """
+
+    __slots__ = ("_sums", "_counts", "_centered")
 
     def __init__(self):
         self._sums = {v: np.zeros(4, dtype=np.float64) for v in VERACITIES}
@@ -117,9 +121,13 @@ class ReferenceStanceStats:
         stats = cls()
         stats._sums = dict(zip(VERACITIES, sums))
         stats._counts = dict(zip(VERACITIES, counts))
-        for veracity in VERACITIES:
-            stats._center(veracity)
         return stats
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReferenceStanceStats):
+            return NotImplemented
+        return self._counts == other._counts and all(
+            self._sums[v].tobytes() == other._sums[v].tobytes() for v in VERACITIES)
 
     def update(self, veracity: str, stance_distribution) -> None:
         if veracity not in VERACITIES:
@@ -127,12 +135,7 @@ class ReferenceStanceStats:
         arr = _check_distribution(stance_distribution, "stance distribution")
         self._sums[veracity] += arr
         self._counts[veracity] += 1
-        self._center(veracity)
-
-    def _center(self, veracity: str) -> None:
-        mean = self.mean(veracity)
-        if mean is not None:
-            self._centered[veracity] = _centered(mean)
+        self._centered.pop(veracity, None)
 
     def count(self, veracity: str) -> int:
         return self._counts[veracity]
@@ -148,9 +151,13 @@ class ReferenceStanceStats:
     def centered_mean(self, veracity: str) -> tuple[np.ndarray, float] | None:
         """The class mean minus the uniform distribution, and its norm;
         None for a cold class."""
-        if veracity not in VERACITIES:
-            raise RewardError(f"unknown veracity label {veracity!r}")
-        return self._centered.get(veracity)
+        centered = self._centered.get(veracity)
+        if centered is None:
+            mean = self.mean(veracity)  # raises for an unknown label
+            if mean is None:
+                return None
+            centered = self._centered[veracity] = _centered(mean)
+        return centered
 
     def snapshot(self) -> dict:
         return {v: self._counts[v] for v in VERACITIES}

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmbedError, StateError
+from .errors import ConfigError, EmbedError, PolicyError, StateError
 from .labels import STANCE_NAMES, VERACITY_NAMES
-from .policy import LEVEL_POST, RETAIN, PolicyParams, Step, sample_action
+from .policy import LEVEL_POST, RETAIN, PolicyParams, Step, draw
 from .transport import post_json
 
 
@@ -136,47 +136,92 @@ class ContextAccumulator:
 STATE_PARTS = ("claim", "context", "explanation")
 
 
+def _part(name: str, vec, width: int | None = None) -> np.ndarray:
+    """One state part as float64, checked to be a vector of `width`."""
+    arr = np.asarray(vec, dtype=np.float64)
+    if arr.ndim != 1:
+        raise StateError(f"{name} vector must be 1-dimensional")
+    if width is not None and arr.shape[0] != width:
+        raise StateError(f"{name} vector has width {arr.shape[0]}, expected {width}")
+    return arr
+
+
+def _finite(name: str, arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise StateError(f"{name} vector contains non-finite values")
+    return arr
+
+
 def build_state(
     claim_vec: np.ndarray, context_vec: np.ndarray, explanation_vec: np.ndarray
 ) -> np.ndarray:
     """Concatenate the three state components, enforcing equal widths."""
-    parts = []
-    width = None
-    for name, vec in zip(STATE_PARTS, (claim_vec, context_vec, explanation_vec)):
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.ndim != 1:
-            raise StateError(f"{name} vector must be 1-dimensional")
-        if width is None:
-            width = arr.shape[0]
-        elif arr.shape[0] != width:
-            raise StateError(
-                f"{name} vector has width {arr.shape[0]}, expected {width}"
-            )
-        parts.append(arr)
+    claim = _part("claim", claim_vec)
+    parts = [claim, *(_part(name, vec, claim.shape[0]) for name, vec
+                      in zip(STATE_PARTS[1:], (context_vec, explanation_vec)))]
     state = np.concatenate(parts)
     if not np.isfinite(state).all():  # one pass; name the part only on failure
         for name, arr in zip(STATE_PARTS, parts):
-            if not np.isfinite(arr).all():
-                raise StateError(f"{name} vector contains non-finite values")
+            _finite(name, arr)
     return state
 
 
-def decide_post(params: PolicyParams, rng: np.random.Generator, embedder,
-                claim_vec: np.ndarray, context: ContextAccumulator,
-                post_text: str, annotation) -> Step:
-    """One post's retain/discard decision, as training and evaluation make it.
+class PostDecider:
+    """The post decisions of one claim step, as training and evaluation
+    make them, under parameters that do not change while it is used.
 
-    The state is the claim vector, the context's running mean and the
-    embedding of the stance annotation's explanation. On retain, the
-    embedding of the packed post text is added to `context`; an EmbedError
-    leaves `context` as it was.
+    A post's state is the claim vector, the running mean of `context` and
+    the embedding of the stance annotation's explanation, concatenated as
+    `build_state` does. Its logit sums each part times that part's columns
+    of `w1`, so a part is multiplied only when it changes: the claim once,
+    the context mean at the first decision after a retain, an explanation
+    once per embedding. Only the grouping of float64 sums differs from
+    multiplying the concatenated state, which is what a Step holds.
+
+    The embedder is asked for every explanation, and a product is reused
+    only when it returns the very array it returned for that text before,
+    as HashedEmbedder's memo does. Each part is checked as it enters, with
+    `build_state`'s errors. On retain, the embedding of the packed post text
+    is added to `context`, which starts empty; an EmbedError leaves it as
+    it was.
     """
-    state = build_state(claim_vec, context.mean(), embedder.embed(annotation.explanation))
-    step = sample_action(params, state, rng, LEVEL_POST)
-    if step.action == RETAIN:
-        context.add(embedder.embed(
-            pack_post_text(post_text, annotation.label, annotation.explanation)))
-    return step
+
+    def __init__(self, params: PolicyParams, embedder, claim_vec: np.ndarray):
+        claim = _finite("claim", _part("claim", claim_vec))
+        d = claim.shape[0]
+        if params.state_dim != len(STATE_PARTS) * d:
+            raise PolicyError(f"state has shape ({len(STATE_PARTS) * d},), "
+                              f"expected ({params.state_dim},)")
+        self.context = ContextAccumulator(d)
+        self._w2, self._embedder, self._claim = params.w2, embedder, claim
+        self._w1 = [params.w1[:, k * d:(k + 1) * d] for k in range(len(STATE_PARTS))]
+        self._claim_pre = self._w1[0] @ claim
+        # the context mean, and its pre-activation plus the claim's; None
+        # until the first decision after the mean changed
+        self._mean = self._base = None
+        # explanation text -> (its embedding as returned, as float64, product)
+        self._explanations: dict[str, tuple] = {}
+
+    def decide(self, rng: np.random.Generator, post_text: str, annotation) -> Step:
+        """One post's retain/discard decision."""
+        text = annotation.explanation
+        embedding = self._embedder.embed(text)
+        known = self._explanations.get(text)
+        if known is None or known[0] is not embedding:
+            vec = _finite("explanation", _part("explanation", embedding, self.context.d))
+            known = self._explanations[text] = (embedding, vec, self._w1[2] @ vec)
+        _embedding, explanation, product = known
+        if self._base is None:
+            self._mean = _finite("context", self.context.mean())
+            self._base = self._claim_pre + self._w1[1] @ self._mean
+        z = float(np.maximum(self._base + product, 0.0) @ self._w2)
+        step = draw(z, np.concatenate((self._claim, self._mean, explanation)), rng,
+                    LEVEL_POST)
+        if step.action == RETAIN:
+            self.context.add(self._embedder.embed(
+                pack_post_text(post_text, annotation.label, text)))
+            self._base = None
+        return step
 
 
 def pack_post_text(post_text: str, stance_label: str, explanation: str) -> str:

@@ -117,6 +117,29 @@ def test_reference_stats_running_mean():
     assert refs.snapshot() == {"N": 0, "T": 2, "F": 0, "U": 0}
 
 
+def test_restored_reference_stats_center_as_the_saved_ones_did():
+    rng = np.random.default_rng(8)
+    refs = ReferenceStanceStats()
+    for veracity in ("T", "F", "T", "U", "T"):
+        refs.update(veracity, rng.dirichlet(np.ones(4)))
+    restored = ReferenceStanceStats.restore([refs._sums[v].copy() for v in VERACITIES],
+                                            [refs.count(v) for v in VERACITIES])
+    assert restored._centered == {}  # nothing is centered before it is asked for
+    assert restored == refs
+    for veracity in VERACITIES:
+        got, want = restored.centered_mean(veracity), refs.centered_mean(veracity)
+        if want is None:
+            assert got is None and veracity == "N"
+            continue
+        assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+    # an update drops the class's centered mean; the next one is recomputed
+    restored.update("T", UNIFORM)
+    refs.update("T", UNIFORM)
+    assert restored.centered_mean("T")[0].tobytes() == refs.centered_mean("T")[0].tobytes()
+    with pytest.raises(RewardError):
+        restored.centered_mean("X")
+
+
 def test_reference_stats_validation():
     refs = ReferenceStanceStats()
     with pytest.raises(RewardError):

@@ -4,17 +4,24 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from claimsift.errors import ConfigError, EmbedError, StateError, from_json
+from claimsift import engine
+from claimsift.annotators import OracleAnnotator
+from claimsift.config import RunConfig
+from claimsift.corpus import SynthConfig, generate_synthetic
+from claimsift.errors import ConfigError, EmbedError, PolicyError, StateError, from_json
+from claimsift.policy import LEVEL_POST, RETAIN, PolicyParams, init_params, sample_action
 from claimsift.state import (
     EMBED_MEMO_SIZE,
     ContextAccumulator,
     EmbedConfig,
     HashedEmbedder,
+    PostDecider,
     ServiceEmbedder,
     build_embedder,
     build_state,
@@ -247,3 +254,157 @@ def test_pack_text_forms():
     assert pack_post_text("big flood", "Q", "") == "big flood Question"
     assert pack_claim_text("dam burst", "T", "confirmed") == "dam burst True Rumor confirmed"
     assert pack_claim_text("dam burst", "N", "") == "dam burst Non-Rumor"
+
+
+# ----------------------------------------------------------- decisions
+
+class ReferenceDecider:
+    """A post decision on the concatenated state: `build_state` and
+    `sample_action`, with the context added to on retain."""
+
+    def __init__(self, params, embedder, claim_vec):
+        self.params, self.embedder, self.claim_vec = params, embedder, claim_vec
+        self.context = ContextAccumulator(len(claim_vec))
+
+    def decide(self, rng, post_text, annotation):
+        state = build_state(self.claim_vec, self.context.mean(),
+                            self.embedder.embed(annotation.explanation))
+        step = sample_action(self.params, state, rng, LEVEL_POST)
+        if step.action == RETAIN:
+            self.context.add(self.embedder.embed(
+                pack_post_text(post_text, annotation.label, annotation.explanation)))
+        return step
+
+
+class ScriptedEmbedder(HashedEmbedder):
+    """Counts its calls, raises EmbedError for the texts in `fail`, and with
+    `fresh` returns a new array on every call, as ServiceEmbedder does."""
+
+    def __init__(self, d, fail=(), fresh=False):
+        super().__init__(d)
+        self.fail, self.fresh, self.calls = set(fail), fresh, 0
+
+    def embed(self, text):
+        self.calls += 1
+        if text in self.fail:
+            raise EmbedError(f"no embedding for {text!r}")
+        vec = super().embed(text)
+        return vec.copy() if self.fresh else vec
+
+
+def _decide_all(decider, rng, posts):
+    """Each post's Step, or the EmbedError it raised, and the context after it."""
+    out = []
+    for text, annotation in posts:
+        try:
+            result = decider.decide(rng, text, annotation)
+        except EmbedError as exc:
+            result = str(exc)
+        out.append((result, decider.context.count, decider.context.mean().tobytes()))
+    return out
+
+
+EXPLANATIONS = ("", "eyewitness account", "refutes the claim", "asks for a source")
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.integers(1, 6), h=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       posts=st.lists(st.tuples(st.integers(0, 3), st.sampled_from("SDQC"),
+                                st.booleans()), min_size=1, max_size=25),
+       fresh=st.booleans(), scale=st.floats(0.1, 4.0))
+def test_post_decider_matches_the_concatenated_state(d, h, seed, posts, fresh, scale):
+    rng = np.random.default_rng(seed)
+    params = PolicyParams(w1=rng.uniform(-scale, scale, (h, 3 * d)),
+                          w2=rng.uniform(-scale, scale, h))
+    claim_vec = rng.normal(size=d)
+    thread = [(f"post {i} text {i % 3}", SimpleNamespace(label=label,
+                                                         explanation=EXPLANATIONS[k]))
+              for i, (k, label, _fails) in enumerate(posts)]
+    # the packed text of a post marked to fail cannot be embedded
+    fail = {pack_post_text(text, a.label, a.explanation)
+            for (text, a), (_k, _label, fails) in zip(thread, posts) if fails}
+    sides = []
+    for make in (PostDecider, ReferenceDecider):
+        embedder = ScriptedEmbedder(d, fail, fresh)
+        action_rng = np.random.default_rng(seed + 1)
+        sides.append((_decide_all(make(params, embedder, claim_vec), action_rng, thread),
+                      action_rng.bit_generator.state, embedder.calls))
+    (got, got_rng, got_calls), (want, want_rng, want_calls) = sides
+    assert got_rng == want_rng and got_calls == want_calls
+    for (step, count, mean), (ref, ref_count, ref_mean) in zip(got, want):
+        assert (count, mean) == (ref_count, ref_mean)
+        if isinstance(ref, str):  # an EmbedError after a retain left the context
+            assert step == ref
+            continue
+        assert (step.action, step.level) == (ref.action, ref.level)
+        assert step.state.tobytes() == ref.state.tobytes()
+        assert abs(step.p_retain - ref.p_retain) <= 1e-12
+        assert abs(step.logprob - ref.logprob) <= 1e-12
+
+
+def test_post_decider_asks_the_embedder_for_every_post():
+    params = init_params(12, 3, np.random.default_rng(0))
+    embedder = ScriptedEmbedder(4)
+    decider = PostDecider(params, embedder, np.ones(4))
+    rng = np.random.default_rng(1)
+    annotation = SimpleNamespace(label="S", explanation="same words")
+    steps = [decider.decide(rng, f"post {i}", annotation) for i in range(10)]
+    retains = sum(step.action == RETAIN for step in steps)
+    assert embedder.calls == 10 + retains  # the memo saves products, not calls
+    assert 0 < retains < 10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_post_decider_checks_each_part_as_it_enters(bad):
+    params = PolicyParams(w1=np.ones((3, 12)), w2=np.full(3, 10.0))  # always retains
+    with pytest.raises(StateError, match="^claim vector contains non-finite values$"):
+        PostDecider(params, HashedEmbedder(4), np.array([0.0, bad, 0.0, 0.0]))
+    with pytest.raises(StateError, match="^claim vector must be 1-dimensional$"):
+        PostDecider(params, HashedEmbedder(4), np.ones((2, 2)))
+    with pytest.raises(PolicyError, match=r"state has shape \(9,\), expected \(12,\)"):
+        PostDecider(params, HashedEmbedder(3), np.ones(3))
+
+    class Table:
+        d = 4
+        vectors = {"wide": np.ones(5), "bad": np.array([1.0, bad, 0.0, 0.0]),
+                   pack_post_text("poison", "S", "ok"): np.array([bad, 0.0, 0.0, 0.0])}
+
+        def embed(self, text):
+            return self.vectors.get(text, np.full(4, 0.5))
+
+    rng = np.random.default_rng(2)
+    decider = PostDecider(params, Table(), np.ones(4))
+    with pytest.raises(StateError, match="^explanation vector has width 5, expected 4$"):
+        decider.decide(rng, "p", SimpleNamespace(label="S", explanation="wide"))
+    with pytest.raises(StateError, match="^explanation vector contains non-finite"):
+        decider.decide(rng, "p", SimpleNamespace(label="S", explanation="bad"))
+    # a retained post whose context embedding is not finite: the next
+    # decision finds it in the context mean
+    ok = SimpleNamespace(label="S", explanation="ok")
+    assert decider.decide(rng, "poison", ok).action == RETAIN
+    with pytest.raises(StateError, match="^context vector contains non-finite"):
+        decider.decide(rng, "p", ok)
+
+
+def _paper_width_run(monkeypatch, decider):
+    monkeypatch.setattr(engine, "PostDecider", decider)
+    config = RunConfig(embed_dim=768, hidden_dim=128, max_epochs=2, learning_rate=1e-3)
+    dataset = generate_synthetic(SynthConfig(n_claims=4, posts_per_claim=6, rng_seed=4))
+    trainer = engine.Trainer(
+        config, dataset, OracleAnnotator(rng=np.random.default_rng((0, 10))),
+        OracleAnnotator(rng=np.random.default_rng((0, 11))),
+        HashedEmbedder(config.embed_dim))
+    events = []
+    trainer.set_event_sink(events.append)
+    trainer.train()
+    decisions = [(e["claim_id"], e["level"], e["action"], e["reward"]) for e in events]
+    return trainer.params, decisions
+
+
+def test_training_at_paper_width_ends_with_the_reference_params(monkeypatch):
+    params, decisions = _paper_width_run(monkeypatch, PostDecider)
+    ref_params, ref_decisions = _paper_width_run(monkeypatch, ReferenceDecider)
+    assert decisions == ref_decisions
+    assert {step[2] for step in decisions} == {"retain", "discard"}
+    assert params.w1.tobytes() == ref_params.w1.tobytes()
+    assert params.w2.tobytes() == ref_params.w2.tobytes()
