@@ -584,10 +584,7 @@ def test_adam_step_is_exact_for_single_weight():
     assert params.w1[0, 0] == pytest.approx(expected_w1, abs=1e-12)
 
 
-@pytest.mark.parametrize("chunk", [None, 3])  # 3: w1 row by row, w2 in two chunks
-def test_in_place_adam_is_bitwise_the_textbook_update(chunk, monkeypatch):
-    if chunk is not None:
-        monkeypatch.setattr(policy, "ADAM_CHUNK", chunk)
+def test_in_place_adam_is_bitwise_the_textbook_update():
     rng = np.random.default_rng(17)
     params = init_params(6, 4, rng)
     textbook = params.copy()
@@ -612,6 +609,11 @@ def test_in_place_adam_is_bitwise_the_textbook_update(chunk, monkeypatch):
                           (opt.m_w1, m[0]), (opt.m_w2, m[1]),
                           (opt.v_w1, v[0]), (opt.v_w2, v[1])):
             assert got.tobytes() == want.tobytes()
+
+
+def test_adam_in_chunks_is_bitwise_the_textbook_update(monkeypatch):
+    monkeypatch.setattr(policy, "ADAM_CHUNK", 3)  # w1 row by row, w2 in two chunks
+    test_in_place_adam_is_bitwise_the_textbook_update()
 
 
 def test_update_ascends_objective():
