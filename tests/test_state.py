@@ -278,7 +278,9 @@ class ReferenceDecider:
 
 class ScriptedEmbedder(HashedEmbedder):
     """Counts its calls, raises EmbedError for the texts in `fail`, and with
-    `fresh` returns a new array on every call, as ServiceEmbedder does."""
+    `fresh` returns a new array on every call, as ServiceEmbedder does, whose
+    values drift with the call count, so that a product reused for a text
+    whose array is new would show."""
 
     def __init__(self, d, fail=(), fresh=False):
         super().__init__(d)
@@ -289,7 +291,7 @@ class ScriptedEmbedder(HashedEmbedder):
         if text in self.fail:
             raise EmbedError(f"no embedding for {text!r}")
         vec = super().embed(text)
-        return vec.copy() if self.fresh else vec
+        return vec * (1.0 + 0.01 * self.calls) if self.fresh else vec
 
 
 def _decide_all(decider, rng, posts):
