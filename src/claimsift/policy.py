@@ -169,10 +169,20 @@ class ReplayTable:
     post rewards as a view of the reward column that holds until the table
     next changes. Two tables are equal when they hold the same rows in the
     same factored layout.
+
+    The table also keeps the row-sized buffers that `objective` and
+    `gradients` work in: three float64 `(capacity, hidden)` buffers and a
+    bool one, allocated on the first update and again only when the
+    capacity grows or the hidden width changes, so that a steady-state
+    update allocates nothing that scales with rows times hidden. They are
+    private scratch: not compared by `==`, not part of the run state, and
+    not reentrant, so one table must not be updated from two threads at
+    once.
     """
 
     _COLUMNS = ("_index", "_retain", "_reward", "_claim", "_posts")
-    __slots__ = (*_COLUMNS, "_rows", "_starts", "_bounds", "_blocks", "_sizes", "_keys")
+    __slots__ = (*_COLUMNS, "_rows", "_starts", "_bounds", "_blocks", "_sizes", "_keys",
+                 "_work")
 
     def __init__(self, widths: Sequence[int], capacity: int = 0):
         """An empty table whose states are the concatenation of parts of
@@ -191,6 +201,7 @@ class ReplayTable:
         self._posts = np.empty(capacity, dtype=np.int64)
         self._rows = 0
         self._starts: list[int] = []
+        self._work: tuple[np.ndarray, ...] = ()
 
     @classmethod
     def of(cls, trajectories: Sequence[Trajectory]) -> "ReplayTable":
@@ -390,6 +401,15 @@ class ReplayTable:
                     (key, [renumber[i] for i in rows if used[i]])
                     for key, rows in keys.items()) if rows}
 
+    def _workspace(self, hidden: int) -> tuple[np.ndarray, ...]:
+        """Views of the table's rows in the three float buffers and the
+        bool one (see the class docstring), each `(rows, hidden)`."""
+        capacity = len(self._index)
+        if not self._work or self._work[0].shape != (capacity, hidden):
+            self._work = (*(np.empty((capacity, hidden)) for _ in range(3)),
+                          np.empty((capacity, hidden), dtype=bool))
+        return tuple(buffer[:self._rows] for buffer in self._work)
+
     def _grow(self, capacity: int) -> None:
         n = self._rows
         for name in self._COLUMNS:
@@ -405,13 +425,21 @@ def _table(trajectories: ReplayTable | Sequence[Trajectory]) -> ReplayTable:
     return ReplayTable.of(trajectories)
 
 
-def _segment_sums(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Row `i` is the sum of the rows of `values` whose index is `i`, added
-    in row order, for every `i` from 0 to `index.max()`, each of which
-    occurs. A stable sort and `np.add.reduceat` make it deterministic."""
+def _segment_sums(values: np.ndarray, index: np.ndarray, rows: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """Row `i` of the result is the sum of the rows of `values` whose index
+    is `i`, for every `i` from 0 to `index.max()`, each of which occurs.
+    The rows are sorted stably by index into `rows`, and `np.add.reduceat`
+    sums each run of equal indices into `out`; both buffers have at least
+    as many rows as `values`. How `reduceat` groups a run's additions is
+    numpy's own, neither a loop in row order nor `sum(axis=0)`, but it is
+    fixed for a given numpy build, so the sums are deterministic."""
     order = np.argsort(index, kind="stable")
     starts = np.flatnonzero(np.diff(index[order], prepend=-1))
-    return np.add.reduceat(values[order], starts, axis=0)
+    # mode="clip" writes straight into `rows` (the table keeps every index
+    # in range); the default "raise" would buffer the whole result
+    sorted_rows = np.take(values, order, axis=0, out=rows[:len(order)], mode="clip")
+    return np.add.reduceat(sorted_rows, starts, axis=0, out=out[:len(starts)])
 
 
 def _factors(table: ReplayTable) -> list[tuple[int, int, np.ndarray, np.ndarray | None]]:
@@ -427,17 +455,20 @@ def _factors(table: ReplayTable) -> list[tuple[int, int, np.ndarray, np.ndarray 
     return factors
 
 
-def _pre_activations(params: PolicyParams, factors) -> np.ndarray:
-    """`states @ w1.T` of a table's rows, as the sum over its `_factors`
-    of each part's distinct vectors times its columns of `w1`, gathered by
-    row."""
-    pre = None
-    for start, stop, block, index in factors:
-        part = block @ params.w1[:, start:stop].T
-        if index is not None:
-            part = part[index]
-        pre = part if pre is None else np.add(pre, part, out=pre)
-    return pre
+def _pre_activations(params: PolicyParams, factors, pre: np.ndarray,
+                     gathered: np.ndarray, products: np.ndarray) -> None:
+    """`states @ w1.T` of a table's rows, written into `pre`: the sum over
+    its `_factors` of each part's distinct vectors times its columns of
+    `w1` (formed in `products`), gathered by row (into `gathered`)."""
+    for k, (start, stop, block, index) in enumerate(factors):
+        part = pre if k == 0 else gathered
+        if index is None:
+            np.matmul(block, params.w1[:, start:stop].T, out=part)
+        else:
+            product = np.matmul(block, params.w1[:, start:stop].T, out=products[:len(block)])
+            np.take(product, index, axis=0, out=part, mode="clip")
+        if k:
+            np.add(pre, part, out=pre)
 
 
 def objective(
@@ -451,7 +482,9 @@ def objective(
     if not trajectories:
         return 0.0
     table = _table(trajectories)
-    z = np.maximum(_pre_activations(params, _factors(table)), 0.0) @ params.w2
+    pre, gathered, products, _gate = table._workspace(params.hidden_dim)
+    _pre_activations(params, _factors(table), pre, gathered, products)
+    z = np.maximum(pre, 0.0, out=pre) @ params.w2
     log_retain = -np.logaddexp(0.0, -z)
     log_discard = -np.logaddexp(0.0, z)
     logp = np.where(table.retain, log_retain, log_discard)
@@ -464,31 +497,37 @@ def gradients(
     claim_shift: float = 0.0,
     post_shift: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic objective gradients (d/dw1, d/dw2).
+    """Analytic objective gradients (d/dw1, d/dw2), fresh arrays the caller
+    owns.
 
     Per step, d objective / d logit is (1 - p) for retain and -p for discard,
     times the step weight; the relu subgradient at exactly 0 is 0. Each
     part's columns of d/dw1 are the per-vector sums of the back-propagated
     rows times the part's distinct vectors, so each distinct vector is
     multiplied once; only the grouping of the float64 sums differs from
-    multiplying the stacked states.
+    multiplying the stacked states. The row-sized intermediates live in the
+    table's workspace: the first buffer holds the pre-activations, then the
+    hidden layer in place once the gate is taken, then the back-propagated
+    rows in place once d/dw2 is formed.
     """
     if not trajectories:
         return np.zeros_like(params.w1), np.zeros_like(params.w2)
     table = _table(trajectories)
     weights = table.weights(claim_shift, post_shift)
     factors = _factors(table)
-    pre = _pre_activations(params, factors)
-    hidden = np.maximum(pre, 0.0)
+    pre, gathered, products, gate = table._workspace(params.hidden_dim)
+    _pre_activations(params, factors, pre, gathered, products)
+    np.greater(pre, 0.0, out=gate)
+    hidden = np.maximum(pre, 0.0, out=pre)
     z = hidden @ params.w2
     p = _sigmoid(z)
     g_z = np.where(table.retain, 1.0 - p, -p) * weights
     g_w2 = hidden.T @ g_z
-    gate = (pre > 0.0).astype(np.float64)
-    back = (g_z[:, None] * params.w2[None, :]) * gate
+    back = np.multiply(g_z[:, None], params.w2[None, :], out=hidden)
+    np.multiply(back, gate, out=back)  # a bool gate multiplies as 1.0 or 0.0
     g_w1 = np.empty_like(params.w1)
     for start, stop, block, index in factors:
-        sums = back if index is None else _segment_sums(back, index)
+        sums = back if index is None else _segment_sums(back, index, gathered, products)
         np.matmul(sums.T, block, out=g_w1[:, start:stop])
     return g_w1, g_w2
 

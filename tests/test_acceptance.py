@@ -27,7 +27,6 @@ from claimsift.policy import (
     gradients,
     init_params,
     objective,
-    sample_action,
 )
 from claimsift.prompts import (
     STANCE_TEMPLATE,
@@ -37,12 +36,7 @@ from claimsift.prompts import (
 )
 from claimsift.reward import centered_cosine, sign_similarity
 from claimsift.selection import GREEDY, PoolExhausted, PostSampler, TerminationTracker
-from claimsift.state import (
-    ContextAccumulator,
-    HashedEmbedder,
-    build_state,
-    pack_post_text,
-)
+from claimsift.state import HashedEmbedder, PostDecider
 
 
 def _summary(criterion: int, description: str, detail: str = "") -> None:
@@ -212,28 +206,20 @@ def _skewed_stance_mix(weight):
 
 
 def _retain_rate_gap(params, dataset, embedder):
-    """Retain-rate difference between stance-bearing and noise posts."""
+    """Retain-rate difference between stance-bearing and noise posts, each
+    post decided as training and `evaluate` decide it (`PostDecider`)."""
     sd = OracleAnnotator(rng=np.random.default_rng(909))
     action_rng = np.random.default_rng(4242)
     retained_marked, retained_noise = [], []
     for claim in dataset.claims:
-        claim_vec = embedder.embed(claim.text)
-        context = ContextAccumulator(embedder.d)
+        decider = PostDecider(params, embedder, embedder.embed(claim.text))
         for post in claim.posts:
-            annotation = annotate_post(sd, claim, post)
-            post_vec = embedder.embed(
-                pack_post_text(post.text, annotation.label,
-                               annotation.explanation)
-            )
-            state = build_state(claim_vec, context.mean(), post_vec)
-            step = sample_action(params, state, action_rng, LEVEL_POST)
+            step = decider.decide(action_rng, post.text, annotate_post(sd, claim, post))
             retained = step.action == RETAIN
             if post.stance is None:
                 retained_noise.append(retained)
             else:
                 retained_marked.append(retained)
-            if retained:
-                context.add(post_vec)
     return float(np.mean(retained_marked) - np.mean(retained_noise))
 
 

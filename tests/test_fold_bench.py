@@ -13,9 +13,9 @@ spec = importlib.util.spec_from_file_location("fold_bench", TOOL)
 fold_bench = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(fold_bench)
 
-METRICS = {"setup_s": {"name": "setup_s", "unit": "s", "better": "lower"},
+METRICS = {"setup_s": {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
            "train_claims_per_s": {"name": "train_claims_per_s", "unit": "1/s",
-                                  "better": "higher"}}
+                                  "better": "higher", "bound": 0.25}}
 
 
 def _write_runs(checkout: Path, workload: str, runs: dict[int, tuple]) -> None:
@@ -80,3 +80,38 @@ def test_seeds_fold_only_the_requested_range_and_refuse_a_missing_run(tmp_path, 
     assert not out.exists()
     with pytest.raises(SystemExit):
         fold_bench.main([*sides, "--seeds", "3-1"])
+
+
+PARENT = [1.00 + 0.01 * k for k in range(10)]  # quartiles 1.0225 and 1.0675
+WIDE = [0.6, 1.4] * 5  # quartiles 0.6 and 1.4: a spread of 80% of the median
+
+
+@pytest.mark.parametrize("parent, change, verdict", [
+    (PARENT, [v - 0.1 for v in PARENT], "gain"),
+    # 8 wins and 2 ties: ties count for neither side, so 8/10 is no gain
+    (PARENT, [v - 0.1 for v in PARENT[:8]] + PARENT[8:], "within bound"),
+    (PARENT, [v * 1.3 for v in PARENT], "worse"),
+    (WIDE, [v - 0.05 for v in WIDE[:5]] + [v + 0.05 for v in WIDE[5:]], "unresolved"),
+    (PARENT, [v + 0.01 for v in PARENT], "within bound"),
+    # 9 wins, but the medians differ by less than the parent's quartiles
+    (PARENT, [v - 0.02 for v in PARENT[:9]] + [2.0], "within bound"),
+])
+def test_verdict_per_metric(parent, change, verdict):
+    """setup_s (lower is better, bound 0.25) over ten pairs."""
+    def runs(values):
+        return {"full_buffer": {seed: {"correct": True, "failed": 0, "metrics": {
+            "setup_s": {"value": v}}} for seed, v in enumerate(values)}}
+
+    folded = fold_bench.fold(runs(parent), runs(change), METRICS)
+    assert folded["full_buffer"]["metrics"]["setup_s"]["verdict"] == verdict
+
+
+def test_verdict_follows_the_direction_of_a_metric():
+    """For a higher-is-better metric, the same spreads give the mirrored
+    verdicts."""
+    spec = METRICS["train_claims_per_s"]
+    before = fold_bench.summary(PARENT)
+    assert fold_bench.verdict(before, fold_bench.summary([v + 0.1 for v in PARENT]),
+                              10, 10, False, spec["bound"]) == "gain"
+    assert fold_bench.verdict(before, fold_bench.summary([v * 0.7 for v in PARENT]),
+                              0, 10, False, spec["bound"]) == "worse"

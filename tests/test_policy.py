@@ -436,6 +436,114 @@ def test_factored_gradients_match_at_trainer_width():
     _assert_matches_reference(params, table, trajectories, (0.3, -0.2))
 
 
+def _trainer_sized_table(rng, rows, capacity, width=768, pools=64):
+    """A table of at least `rows` rows of three `width`-wide thirds drawn
+    from pools, made one trajectory at a time so that no list of states
+    is kept."""
+    pool = rng.normal(size=(3, pools, width))
+    table = ReplayTable((width,) * 3, capacity=capacity)
+    while len(table.retain) < rows:
+        steps = [Step(np.concatenate(pool[[0, 1, 2], rng.integers(pools, size=3)]),
+                      RETAIN if rng.random() < 0.5 else DISCARD, 0.0, level, 0.5,
+                      int(rng.integers(-1, 2)))
+                 for level in (LEVEL_CLAIM, *[LEVEL_POST] * int(rng.integers(0, 21)))]
+        table.append(steps[0], steps[1:])
+    return table
+
+
+def test_steady_state_update_allocates_nothing_that_scales_with_rows():
+    """At d=768 and h=128, once a table's workspace exists and its capacity
+    is not crossed, the peak memory one update allocates does not grow
+    with its rows: at about 900 and 1,800 rows it differs by less than
+    256 KiB (each float64 rows-by-hidden array is 0.9 to 1.8 MiB)."""
+    import tracemalloc
+
+    rng = np.random.default_rng(17)
+    params = init_params(3 * 768, 128, rng)
+    peaks = []
+    for rows in (900, 1800):
+        table = _trainer_sized_table(rng, rows, capacity=2048)
+        optimizer = OptimizerState()
+        reinforce_update(params, optimizer, table, RewardBaseline())
+        tracemalloc.start()
+        try:
+            reinforce_update(params, optimizer, table, RewardBaseline())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 256 * 1024, peaks
+
+
+def _arrays(value):
+    """The numpy arrays in a table attribute: an array, or a list or
+    tuple of them."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [a for item in value for a in _arrays(item)]
+    return []
+
+
+def test_gradients_are_fresh_arrays_the_workspace_does_not_touch():
+    """Two `gradients` calls on one table, with different params, return
+    arrays that share no memory with each other or with the table; the
+    first result is unchanged by the second call, and an `objective` call
+    in between changes nothing."""
+    rng = np.random.default_rng(23)
+    table = ReplayTable((6,) * 3)
+    for claim_step, post_steps in _pooled_trajectories(rng, 6, 4, 30):
+        table.append(claim_step, post_steps)
+    first, second = init_params(18, 5, rng), init_params(18, 5, rng)
+
+    g1 = gradients(first, table, 0.2, -0.1)
+    kept = [g.copy() for g in g1]
+    value = objective(second, table)
+    g2 = gradients(second, table)
+    again = gradients(first, table, 0.2, -0.1)
+
+    owned = [a for name in ReplayTable.__slots__ for a in _arrays(getattr(table, name))]
+    assert table._work  # the workspace exists, so the check below covers it
+    for g in (*g1, *g2):
+        assert not any(np.shares_memory(g, other) for other in (*owned, *g1, *g2)
+                       if other is not g)
+    assert all(g.tobytes() == k.tobytes() for g, k in zip(g1, kept))
+    assert all(g.tobytes() == k.tobytes() for g, k in zip(again, kept))
+    assert value == objective(second, table)
+    narrow = init_params(18, 3, rng)  # a new hidden width reallocates
+    assert gradients(narrow, table)[0].shape == (3, 18)
+    assert all(g.tobytes() == k.tobytes()
+               for g, k in zip(gradients(first, table, 0.2, -0.1), kept))
+
+
+@pytest.mark.parametrize("pools", [3, None])
+def test_workspace_results_are_bitwise_those_of_a_fresh_table(pools):
+    """A table whose workspace has served updates, grown past a doubling of
+    its capacity and trimmed by `del table[:-k]`, gives bitwise the
+    gradients and objective of a fresh table of the same rows and layout:
+    no stale buffer content reaches a result, and `reduceat` into a slice
+    of the workspace groups as into a buffer of exactly the rows."""
+    rng = np.random.default_rng(31)
+    params = init_params(12, 6, rng)
+    table = ReplayTable((4,) * 3, capacity=8)
+    for k, (claim_step, post_steps) in enumerate(
+            _pooled_trajectories(rng, 4, pools, 40, max_posts=9)):
+        table.append(claim_step, post_steps)
+        gradients(params, table, 0.1, 0.3)
+        if k % 5 == 4:
+            del table[:-int(rng.integers(1, 4))]
+        fresh = ReplayTable.adopt(
+            [block.copy() for block, _index in table.parts],
+            np.stack([index for _block, index in table.parts], axis=1),
+            table.retain.copy(), table.reward.copy(),
+            [len(post_rewards) for _claim_reward, post_rewards in table])
+        assert fresh == table
+        for got, want in zip(gradients(params, table, -0.2, 0.4),
+                             gradients(params, fresh, -0.2, 0.4)):
+            assert got.tobytes() == want.tobytes()
+        assert objective(params, table) == objective(params, fresh)
+    assert len(table._index) > 8  # the capacity doubled on the way
+
+
 def test_replay_table_deletes_only_leading_slices():
     table = ReplayTable((1, 1))
     for reward in (1, -1, 0):

@@ -8,8 +8,21 @@ has no run on one side of a workload is refused (exit 1), so that a stray
 run left in either checkout is never folded in. Per
 workload and end-to-end metric the output holds both sides' values by seed,
 their medians and quartiles, the change's median against the parent's in
-percent, and the number of pairs the change won (a tie is not a win).
-Directions ("lower" or "higher" is better) come from BENCHMARK.json.
+percent, the number of pairs the change won (a tie is not a win), and a
+verdict:
+
+    gain          the change won at least 9/10 of the pairs, and its median
+                  is better than the parent's by more than the distance
+                  between the parent's quartiles;
+    worse         its median is worse than the parent's by more than the
+                  metric's bound, as a fraction of the parent's median;
+    unresolved    the parent's quartile distance, as a fraction of its
+                  median, exceeds the bound, so the runs spread too widely
+                  to tell;
+    within bound  otherwise.
+
+Directions ("lower" or "higher" is better) and bounds come from
+BENCHMARK.json.
 
 Usage, from the root of a checkout:
 
@@ -74,6 +87,21 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def verdict(before: dict, after: dict, won: int, pairs: int, lower: bool,
+            bound: float) -> str:
+    """One of "gain", "worse", "unresolved" and "within bound" (see the
+    module docstring), from both sides' `summary` and the pairs won."""
+    gain = (before["median"] - after["median"]) if lower else (after["median"] - before["median"])
+    spread = before["q3"] - before["q1"]
+    if 10 * won >= 9 * pairs and gain > spread:
+        return "gain"
+    if -gain > bound * abs(before["median"]):
+        return "worse"
+    if spread > bound * abs(before["median"]):
+        return "unresolved"
+    return "within bound"
+
+
 def fold(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]],
          metrics: dict[str, dict]) -> dict:
     workloads = {}
@@ -104,6 +132,7 @@ def fold(parent: dict[str, dict[int, dict]], change: dict[str, dict[int, dict]],
                 "change_pct": 100.0 * (after["median"] / before["median"] - 1.0)
                 if before["median"] else None,
                 "pairs_won": won, "pairs": len(seeds),
+                "verdict": verdict(before, after, won, len(seeds), lower, spec["bound"]),
             }
         workloads[workload] = entry
     return workloads
@@ -140,7 +169,7 @@ def main(argv=None) -> int:
             pct = "n/a" if m["change_pct"] is None else f"{m['change_pct']:+.1f}%"
             print(f"  {name:20s} {m['parent']['median']:12.4g} -> "
                   f"{m['change']['median']:12.4g} {m['unit']:4s} {pct:>8s}  "
-                  f"won {m['pairs_won']}/{m['pairs']}")
+                  f"won {m['pairs_won']:2d}/{m['pairs']}  {m['verdict']}")
     print(f"wrote {args.out}")
     return 0
 
