@@ -4,9 +4,10 @@ Subcommands: train, evaluate, synth. All outputs land under the given
 output directory with stable filenames. `train` commits each epoch as it
 ends: it appends the epoch's annotation records and fine-tune examples to
 the run directory, fsyncs the four JSONL files, then atomically and durably
-replaces `run_state.ckpt` and `epoch_reports.json` (`runstate.atomic_write`).
-So the trainer holds no more than one epoch of records, and a killed run
-leaves its last finished epoch.
+replaces `run_state.ckpt` and `epoch_reports.json` (`runstate.atomic_write`;
+`evaluate --out` writes `metrics.json` the same way). So the trainer holds
+no more than one epoch of records, and a killed run leaves its last
+finished epoch.
 """
 
 from __future__ import annotations
@@ -127,7 +128,8 @@ def cmd_evaluate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.json").write_text(report.to_json() + "\n", encoding="utf-8")
+        with atomic_write(out / "metrics.json") as fh:
+            fh.write((report.to_json() + "\n").encode("utf-8"))
     return 0
 
 

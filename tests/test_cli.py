@@ -391,6 +391,31 @@ def test_evaluate_prints_report_and_writes_metrics(tmp_path, capsys):
     assert (out / "metrics.json").read_text(encoding="utf-8") == printed.rstrip("\n") + "\n"
 
 
+def test_failed_metrics_write_keeps_the_previous_metrics(tmp_path, monkeypatch, capsys):
+    """metrics.json is replaced atomically: a write that raises leaves the
+    previous metrics and no temporary file in the output directory."""
+    data = tmp_path / "corpus.jsonl"
+    _write_corpus(data)
+    out = tmp_path / "metrics"
+    assert main(["evaluate", "--dataset", str(data), "--out", str(out)]) == 0
+    before = (out / "metrics.json").read_bytes()
+    calls = []
+
+    @contextlib.contextmanager
+    def fail_the_write(path):
+        with runstate.atomic_write(path) as fh:
+            yield fh
+            calls.append(path)
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "atomic_write", fail_the_write)
+    with pytest.raises(OSError, match="disk full"):
+        main(["evaluate", "--dataset", str(data), "--out", str(out)])
+    assert calls == [out / "metrics.json"]
+    assert (out / "metrics.json").read_bytes() == before
+    assert [path.name for path in out.iterdir()] == ["metrics.json"]
+
+
 def test_evaluate_with_policy_checkpoint(trained_run, capsys):
     data, out = trained_run
     rc = main([

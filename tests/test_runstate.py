@@ -1,6 +1,6 @@
 """Run-state file format: bit-exact round trips, rejection of damaged or
-crafted files, and atomic writes, on both sides of the size from which the
-checksum runs on a worker thread."""
+crafted files, and atomic writes, for small files and for files holding a
+multi-MiB array."""
 
 from __future__ import annotations
 
@@ -9,14 +9,13 @@ import os
 import pickle
 import struct
 import tempfile
-import threading
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from claimsift import engine, runstate
 from claimsift.annotators import OracleAnnotator
@@ -397,11 +396,45 @@ def _inline_encoding(state, arrays):
     body = struct.pack("<Q", len(manifest)) + manifest
     for a in arrays.values():
         body += bytes(-(20 + len(body)) % 8) + a.astype("<f8").tobytes()
+    body += bytes(-(20 + len(body)) % 8)  # only a file without arrays needs it
     head = runstate.MAGIC + struct.pack("<IQ", 6, len(body))
     return head + body + struct.pack("<I", zlib.crc32(head + body))
 
 
-BIG = 5 * 2**17  # a 5 MiB array: three read slices
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    state=st.dictionaries(st.text(), _JSON, max_size=5),
+    arrays_=st.dictionaries(
+        st.text(),
+        arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+               elements=st.floats(width=64)),
+        max_size=4),
+)
+def test_random_manifests_and_arrays_round_trip(state, arrays_):
+    """Any JSON-able state and any float64 arrays, zero-size dimensions,
+    NaN, -0.0 and inf included, are written as the reference encoding and
+    read back equal, the arrays bitwise."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.state"
+        runstate.write_run_state(path, state, arrays_)
+        blob = path.read_bytes()
+        read_state, read_arrays = runstate.read_run_state(path)
+    assert blob == _inline_encoding(state, arrays_)
+    assert read_state == state
+    assert {k: (a.shape, a.tobytes()) for k, a in read_arrays.items()} == {
+        k: (a.shape, a.tobytes()) for k, a in arrays_.items()}
+
+
+BIG = 5 * 2**17  # a 5 MiB array
 
 
 def _arrays(n):
@@ -410,30 +443,15 @@ def _arrays(n):
             "tail": np.array([np.nan, -0.0, np.inf])}
 
 
-class _RecordingZlib:
-    """zlib that records the name of the thread each crc32 call runs on."""
-
-    def __init__(self):
-        self.threads = set()
-
-    def crc32(self, data, value=0):
-        self.threads.add(threading.current_thread().name)
-        return zlib.crc32(data, value)
-
-
-@pytest.mark.parametrize("n", [100, BIG], ids=["below-cutover", "above-cutover"])
-def test_written_bytes_are_the_reference_encoding(tmp_path, monkeypatch, n):
-    """On both sides of the cutover the file is the reference encoding:
-    version 6 and a trailer that is the crc32 of every byte before it. Only
-    above the cutover does the crc32 run off the calling thread."""
+@pytest.mark.parametrize("n", [100, BIG], ids=["small", "large"])
+def test_written_bytes_are_the_reference_encoding(tmp_path, n):
+    """With a small array and with a multi-MiB one, the file is the
+    reference encoding: version 6 and a trailer that is the crc32 of every
+    byte before it."""
     state, arrays = {"name": "\u00e9t\u00e9", "n": n}, _arrays(n)
-    spy = _RecordingZlib()
-    monkeypatch.setattr(runstate, "zlib", spy)
     path = tmp_path / "run.state"
     runstate.write_run_state(path, state, arrays)
     blob = path.read_bytes()
-    above = len(blob) >= runstate.THREAD_CUTOVER
-    assert above == (n == BIG)
     assert blob == _inline_encoding(state, arrays)
     assert struct.unpack_from("<I", blob, len(runstate.MAGIC))[0] == runstate.VERSION == 6
     assert struct.unpack("<I", blob[-4:])[0] == zlib.crc32(blob[:-4])
@@ -441,45 +459,40 @@ def test_written_bytes_are_the_reference_encoding(tmp_path, monkeypatch, n):
     assert read_state == state
     assert {k: a.tobytes() for k, a in read_arrays.items()} == {
         k: a.tobytes() for k, a in arrays.items()}
-    assert spy.threads == ({"run-state crc32"} if above
-                           else {threading.current_thread().name})
 
 
-def test_damage_in_any_read_slice_is_rejected(tmp_path):
-    """Above the cutover, a byte flip in each read slice of a large array,
-    or elsewhere in the file, and a truncation inside a slice, all fail, and
-    no checksum thread is left running."""
+def test_damage_inside_a_large_array_is_rejected(tmp_path):
+    """A byte flip at the start, middle or end of a multi-MiB array, or
+    elsewhere in the file, and a truncation inside that array, all fail."""
     arrays = _arrays(BIG)
     path = tmp_path / "run.state"
     runstate.write_run_state(path, {}, arrays)
     blob = path.read_bytes()
     start = blob.index(arrays["big"][:2].tobytes())
-    step = runstate.READ_SLICE
-    threads = threading.active_count()
+    end = start + 8 * BIG
     damaged = tmp_path / "damaged.state"
     head = (0, 9, 13)  # magic, version, body length
-    for i in (*head, start - 1, start, start + step - 1, start + step,
-              start + 2 * step + 5, start + 8 * BIG - 1, len(blob) - 5, len(blob) - 1):
+    for i in (*head, start - 1, start, start + 1, (start + end) // 2, end - 1, end,
+              len(blob) - 5, len(blob) - 1):
         flipped = bytearray(blob)
         flipped[i] ^= 0x01
         damaged.write_bytes(flipped)
         with pytest.raises(CheckpointError,
                            match=None if i in head else "checksum mismatch"):
             runstate.read_run_state(damaged)
-    for n in (start + step // 2, start + step + 3, start + 2 * step + step // 4,
-              len(blob) - 1):
+    for n in (start + 3, (start + end) // 2, end - 1, len(blob) - 1):
         damaged.write_bytes(blob[:n])
         with pytest.raises(CheckpointError, match="truncated"):
             runstate.read_run_state(damaged)
-    assert threading.active_count() == threads
 
 
 class _FailingReads:
-    """A binary file whose third readinto fails: the second slice of the
+    """A binary file whose second readinto raises `error`: the read of the
     large array of `_arrays(BIG)`."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, error):
         self._fh = fh
+        self._error = error
         self.calls = 0
 
     def __enter__(self):
@@ -493,30 +506,27 @@ class _FailingReads:
 
     def readinto(self, buffer):
         self.calls += 1
-        if self.calls == 3:
-            raise OSError("read error")
+        if self.calls == 2:
+            raise self._error
         return self._fh.readinto(buffer)
 
 
 @pytest.mark.parametrize("fault", ["readinto", "crc32"])
-def test_read_failing_inside_an_array_leaves_no_thread(tmp_path, monkeypatch, fault):
-    """A read error on the calling thread, or a crc32 error on the worker,
-    part-way through a large array reaches the caller as itself, and the
-    checksum thread is gone."""
+def test_read_failing_inside_an_array_raises_its_own_error(tmp_path, monkeypatch, fault):
+    """A read error or a crc32 error on the large array reaches the caller
+    as itself."""
     path = tmp_path / "run.state"
     runstate.write_run_state(path, {}, _arrays(BIG))
-    threads = threading.active_count()
     if fault == "readinto":
-        monkeypatch.setattr(runstate, "open", lambda *a: _FailingReads(open(*a)),
+        error = OSError("read error")
+        monkeypatch.setattr(runstate, "open", lambda *a: _FailingReads(open(*a), error),
                             raising=False)
-    else:  # head, length, manifest, padding, w, padding, then the big array's slices
-        failing = _FailingZlib(fail_on=8)
+    else:  # head, length, manifest, padding, w, padding, then the large array
+        failing = _FailingZlib(fail_on=7)
         monkeypatch.setattr(runstate, "zlib", failing)
     with pytest.raises(OSError) as caught:
         runstate.read_run_state(path)
-    if fault == "crc32":
-        assert caught.value is failing.raised
-    assert threading.active_count() == threads
+    assert caught.value is (error if fault == "readinto" else failing.raised)
 
 
 @pytest.mark.parametrize("version", [2, 3, 4])
@@ -698,22 +708,21 @@ def _failing_fsync(fd):
 
 
 @pytest.mark.parametrize("fault,size", [
-    ("mid-write", "below-cutover"), ("fsync", "below-cutover"),
-    ("mid-write", "above-cutover"), ("fsync", "above-cutover"),
-], ids=["mid-write", "fsync", "mid-write-above-cutover", "fsync-above-cutover"])
+    ("mid-write", "small"), ("fsync", "small"),
+    ("mid-write", "large"), ("fsync", "large"),
+], ids=["mid-write", "fsync", "mid-write-large", "fsync-large"])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, fault, size):
-    """A failed save leaves the previous file and no temporary file; a crc32
-    that fails on the worker thread raises its own exception in the caller,
-    and no checksum thread outlives the save."""
-    config = None if size == "below-cutover" else RunConfig(
+    """A failed save, of a small file or of one holding a multi-MiB array,
+    leaves the previous file and no temporary file; a crc32 that fails
+    raises its own exception in the caller."""
+    config = None if size == "small" else RunConfig(
         embed_dim=256, hidden_dim=400, max_epochs=2, learning_rate=1e-3, rng_seed=9)
     trainer = _trainer(config)
     path = tmp_path / "run.state"
     trainer.save_run_state(path)
     before = path.read_bytes()
-    assert (len(before) >= runstate.THREAD_CUTOVER) == (size == "above-cutover")
+    assert (len(before) >= 2 << 20) == (size == "large")
     trainer.run_epoch(limit=2)
-    threads = threading.active_count()
     failing = _FailingZlib()
     if fault == "mid-write":
         monkeypatch.setattr(runstate, "zlib", failing)
@@ -725,4 +734,3 @@ def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, fault, size):
         assert caught.value is failing.raised
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.state"]
-    assert threading.active_count() == threads
