@@ -66,7 +66,7 @@ def write_run_state(path: str | Path, state: dict, arrays: dict) -> None:
     for value in arrays.values():
         layout.append((_pad(offset), value))
         offset += _pad(offset) + value.nbytes
-    end_padding = _pad(offset)  # nonzero only when there are no arrays
+    end_padding = _pad(offset)  # the body ends on an 8-byte offset even without arrays
     offset += end_padding
     chunks = (
         _HEAD.pack(MAGIC, VERSION, offset - _HEAD.size), _U64.pack(len(manifest)),
