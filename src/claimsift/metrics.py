@@ -10,15 +10,18 @@ silently dropped.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .annotators import annotate_claim, annotate_post
+from .annotators import Annotation, annotate_claim, annotate_post
 from .corpus import Claim, Dataset
-from .errors import AnnotatorError, EmbedError, EmptyEvaluation, ParseError
+from .errors import (
+    AnnotatorError, ConfigError, EmbedError, EmptyEvaluation, ParseError,
+)
 from .labels import STANCES, VERACITIES
 from .policy import PolicyParams, RETAIN
 from .state import PostDecider
@@ -107,11 +110,12 @@ class EvalReport:
 
 
 def _task_metrics(
-    task: str, pairs: list[tuple[str, str]], labels: Sequence[str],
-    n_instances: int, abstentions: int,
+    task: str, results: list[tuple[str, Annotation | None]], labels: Sequence[str],
 ) -> TaskMetrics | None:
-    if n_instances == 0:
+    """Scores of (gold label, annotation) results; None marks an abstention."""
+    if not results:
         return None
+    pairs = [(gold, ann.label) for gold, ann in results if ann is not None]
     if not pairs:
         raise EmptyEvaluation(
             f"all {task} instances abstained; nothing to score"
@@ -119,9 +123,9 @@ def _task_metrics(
     cm = ConfusionMatrix.from_pairs(pairs, labels)
     return TaskMetrics(
         task=task,
-        n_instances=n_instances,
+        n_instances=len(results),
         n_scored=len(pairs),
-        abstentions=abstentions,
+        abstentions=len(results) - len(pairs),
         micro_f1=micro_f1(cm),
         macro_f1=macro_f1(cm),
         per_class=per_class_f1(cm),
@@ -129,19 +133,31 @@ def _task_metrics(
     )
 
 
-def _annotate_thread(sd_backend, claim: Claim, max_in_flight: int) -> list:
-    """Stance-annotate every post of a thread; None marks failures."""
+def _stance(sd_backend, claim: Claim, post) -> Annotation | None:
+    """A post's stance annotation; None when the backend fails or its reply
+    stays unparseable."""
+    try:
+        return annotate_post(sd_backend, claim, post)
+    except (ParseError, AnnotatorError):
+        return None
 
-    def one(post):
-        try:
-            return annotate_post(sd_backend, claim, post)
-        except (ParseError, AnnotatorError):
-            return None
 
-    if getattr(sd_backend, "concurrency_safe", False) and max_in_flight > 1:
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            return list(pool.map(one, claim.posts))
-    return [one(post) for post in claim.posts]
+def _verdict(rv_backend, claim: Claim, retained: list | None) -> Annotation | None:
+    """A claim's veracity annotation; None when the backend fails, its reply
+    stays unparseable, or there is no retained list to send."""
+    if retained is None:
+        return None
+    try:
+        return annotate_claim(rv_backend, claim, retained)
+    except (ParseError, AnnotatorError):
+        return None
+
+
+def _now(fn, *args) -> Future:
+    """Call fn on the caller thread; its result as a finished future."""
+    future: Future = Future()
+    future.set_result(fn(*args))
+    return future
 
 
 def _retained_by_policy(params: PolicyParams, rng: np.random.Generator, embedder,
@@ -159,6 +175,29 @@ def _retained_by_policy(params: PolicyParams, rng: np.random.Generator, embedder
         if step.action == RETAIN:
             retained.append((post, annotation))
     return retained
+
+
+def _pipeline(claims, sd_backend, rv_backend, sd_run, rv_run, decide, verdicts) -> None:
+    """`evaluate`'s walk with one claim of look-ahead. `sd_run`/`rv_run`
+    submit a call to the pool or make it at once; either way they return a
+    future. Verdicts are appended in claim order, each once the next
+    claim's veracity call is queued, so an unexpected error surfaces a
+    claim later at most."""
+    def queue_stances(claim: Claim) -> list[Future]:
+        return [sd_run(_stance, sd_backend, claim, post) for post in claim.posts]
+
+    queued = queue_stances(claims[0])
+    pending: deque[tuple[str, Future]] = deque()
+    for i, claim in enumerate(claims):
+        futures = queued
+        queued = queue_stances(claims[i + 1]) if i + 1 < len(claims) else []
+        retained = decide(claim, [future.result() for future in futures])
+        if claim.veracity is not None:
+            pending.append((claim.veracity, rv_run(_verdict, rv_backend, claim, retained)))
+        while len(pending) > 1:
+            gold, future = pending.popleft()
+            verdicts.append((gold, future.result()))
+    verdicts.extend((gold, future.result()) for gold, future in pending)
 
 
 def evaluate(
@@ -182,62 +221,67 @@ def evaluate(
     post-level termination. A failed embedding is handled as in training:
     a post whose embedding fails is skipped, and a claim whose embedding
     fails abstains on veracity.
+
+    `max_in_flight` (default: `sd_backend.config.max_in_flight`, else 1;
+    below 1 is a ConfigError) bounds the annotation requests in flight,
+    stance and veracity together.
+    Above 1, the calls of a `concurrency_safe` backend go to one pool of
+    that many threads: the next claim's stance calls are queued before this
+    claim's are awaited, and a claim's veracity call is queued behind them,
+    so it overlaps the next claim's stance calls. Every other call runs on
+    the caller thread, one at a time. Decisions are made on the caller
+    thread in claim order with the one rng, so the report equals that of
+    the sequential walk.
     """
     if len(dataset) == 0:
         raise EmptyEvaluation("dataset has no claims")
     if params is not None and embedder is None:
         raise EmptyEvaluation("policy evaluation requires an embedder")
-    in_flight = max_in_flight or getattr(
-        getattr(sd_backend, "config", None), "max_in_flight", 1
-    )
+    if max_in_flight is None:
+        max_in_flight = getattr(getattr(sd_backend, "config", None), "max_in_flight", 1)
+    elif max_in_flight < 1:
+        raise ConfigError("max_in_flight: must be >= 1")
     rng = np.random.default_rng(rng_seed)
+    stances: list[tuple[str, Annotation | None]] = []
+    verdicts: list[tuple[str, Annotation | None]] = []
 
-    stance_pairs: list[tuple[str, str]] = []
-    stance_instances = 0
-    stance_abstentions = 0
-    veracity_pairs: list[tuple[str, str]] = []
-    veracity_instances = 0
-    veracity_abstentions = 0
-
-    for claim in dataset.claims:
-        annotations = _annotate_thread(sd_backend, claim, in_flight)
-        for post, annotation in zip(claim.posts, annotations):
-            if post.stance is not None:
-                stance_instances += 1
-                if annotation is None:
-                    stance_abstentions += 1
-                else:
-                    stance_pairs.append((post.stance, annotation.label))
-
+    def decide(claim: Claim, annotations: list) -> list | None:
+        """Score the claim's stances; the posts its veracity call sees, or
+        None when the claim has no embedding."""
+        stances.extend(
+            (post.stance, ann) for post, ann in zip(claim.posts, annotations)
+            if post.stance is not None
+        )
         annotated = [
             (post, ann) for post, ann in zip(claim.posts, annotations)
             if ann is not None
         ]
+        if params is None:
+            return annotated
         try:
-            retained = annotated if params is None else _retained_by_policy(
-                params, rng, embedder, claim, annotated)
+            return _retained_by_policy(params, rng, embedder, claim, annotated)
         except EmbedError:
-            retained = None  # without a claim embedding there is no verdict
-        if claim.veracity is not None:
-            veracity_instances += 1
-            try:
-                verdict = None if retained is None else annotate_claim(
-                    rv_backend, claim, retained)
-            except (ParseError, AnnotatorError):
-                verdict = None
-            if verdict is None:
-                veracity_abstentions += 1
-            else:
-                veracity_pairs.append((claim.veracity, verdict.label))
+            return None
 
-    if stance_instances == 0 and veracity_instances == 0:
+    sd_pooled = max_in_flight > 1 and getattr(sd_backend, "concurrency_safe", False)
+    rv_pooled = max_in_flight > 1 and getattr(rv_backend, "concurrency_safe", False)
+    if not (sd_pooled or rv_pooled):
+        for claim in dataset.claims:
+            retained = decide(claim, [_stance(sd_backend, claim, p) for p in claim.posts])
+            if claim.veracity is not None:
+                verdicts.append((claim.veracity, _verdict(rv_backend, claim, retained)))
+    else:
+        pool = ThreadPoolExecutor(max_workers=max_in_flight)
+        try:
+            _pipeline(dataset.claims, sd_backend, rv_backend,
+                      pool.submit if sd_pooled else _now,
+                      pool.submit if rv_pooled else _now, decide, verdicts)
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    if not stances and not verdicts:
         raise EmptyEvaluation("dataset has no gold labels for either task")
     return EvalReport(
-        stance=_task_metrics(
-            "stance", stance_pairs, STANCES, stance_instances, stance_abstentions
-        ),
-        veracity=_task_metrics(
-            "veracity", veracity_pairs, VERACITIES,
-            veracity_instances, veracity_abstentions,
-        ),
+        stance=_task_metrics("stance", stances, STANCES),
+        veracity=_task_metrics("veracity", verdicts, VERACITIES),
     )

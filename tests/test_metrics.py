@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import re
+import threading
+import time
+import zlib
 
 import numpy as np
 import pytest
 
 from claimsift.annotators import BackendReply, OracleAnnotator
 from claimsift.corpus import Claim, Dataset, Post, SynthConfig, generate_synthetic
-from claimsift.errors import AnnotatorError, EmptyEvaluation
+from claimsift.errors import AnnotatorError, ConfigError, EmptyEvaluation
 from claimsift.labels import STANCES, STANCE_NAMES, VERACITIES, VERACITY_NAMES
 from claimsift.metrics import (
     ConfusionMatrix,
@@ -20,6 +23,7 @@ from claimsift.metrics import (
     per_class_f1,
 )
 from claimsift.policy import PolicyParams
+from claimsift.prompts import build_stance_prompt
 from claimsift.state import HashedEmbedder
 
 
@@ -184,3 +188,185 @@ def test_evaluate_requires_gold_labels():
     ))
     with pytest.raises(EmptyEvaluation, match="no gold labels"):
         evaluate(ds, PerfectBackend(), PerfectBackend())
+
+
+@pytest.mark.parametrize("max_in_flight", [0, -1])
+def test_evaluate_rejects_max_in_flight_below_one(max_in_flight):
+    with pytest.raises(ConfigError, match="max_in_flight: must be >= 1"):
+        evaluate(_tiny_dataset(), PerfectBackend(), PerfectBackend(),
+                 max_in_flight=max_in_flight)
+
+
+# ------------------------------------------------------ evaluate, pipelined
+
+class Gauge:
+    """Annotation calls in flight across backends, guarded by one lock: the
+    most in flight at once, whether a veracity call ran beside a stance
+    call, and how many calls have started."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.now = {"stance": 0, "veracity": 0}
+        self.peak = 0
+        self.overlapped = False
+        self.starts = 0
+
+    def enter(self, task):
+        with self.lock:
+            self.starts += 1
+            self.now[task] += 1
+            self.peak = max(self.peak, sum(self.now.values()))
+            if self.now["stance"] and self.now["veracity"]:
+                self.overlapped = True
+
+    def leave(self, task):
+        with self.lock:
+            self.now[task] -= 1
+
+
+def _crc(prompt):
+    return zlib.crc32(prompt.encode("utf-8"))
+
+
+class DelayedBackend(PerfectBackend):
+    """Thread-safe fake annotator whose reply and delay (1-5 ms) are pure
+    functions of the prompt, so concurrent calls finish out of order. With
+    `faults`, a sixth of the prompts fail with AnnotatorError and another
+    sixth get an unparseable reply. A prompt for which `explode(prompt)`
+    holds raises RuntimeError at once; one for which `slow(prompt)` holds
+    takes 0.2 s."""
+
+    def __init__(self, gauge, faults=False, explode=None, slow=None):
+        super().__init__()
+        self.gauge = gauge
+        self.faults = faults
+        self.explode = explode
+        self.slow = slow
+        self.prompts = []
+
+    def complete(self, task, prompt):
+        self.gauge.enter(task)
+        try:
+            self.prompts.append(prompt)
+            if self.explode is not None and self.explode(prompt):
+                raise RuntimeError("scripted bug")
+            crc = _crc(prompt)
+            slow = self.slow is not None and self.slow(prompt)
+            time.sleep(0.2 if slow else (1 + crc % 5) / 1000)
+            if self.faults and crc % 6 == 0:
+                raise AnnotatorError("scripted failure")
+            if self.faults and crc % 6 == 1:
+                return BackendReply(raw="no idea")
+            reply = super().complete(task, prompt)
+            return BackendReply(raw="", label=reply.label, explanation=f"reason {crc % 3}")
+        finally:
+            self.gauge.leave(task)
+
+
+class CallerThreadOracle(OracleAnnotator):
+    """The oracle, recording each prompt with the thread that sent it."""
+
+    def __init__(self, rng):
+        super().__init__(rng=rng)
+        self.calls = []
+
+    def complete(self, task, prompt):
+        self.calls.append((threading.get_ident(), prompt))
+        return super().complete(task, prompt)
+
+
+def _mixed_policy():
+    rng = np.random.default_rng(11)
+    return PolicyParams(w1=rng.normal(size=(4, 24)), w2=3.0 * rng.normal(size=4))
+
+
+def _pipelined_and_sequential(dataset, max_in_flight, faults=False, params=None):
+    runs = []
+    for in_flight in (max_in_flight, 1):
+        gauge = Gauge()
+        rv = DelayedBackend(gauge, faults)
+        report = evaluate(dataset, DelayedBackend(gauge, faults), rv,
+                          embedder=HashedEmbedder(8), params=params,
+                          max_in_flight=in_flight)
+        runs.append((report, gauge, sorted(rv.prompts)))
+    return runs
+
+
+@pytest.mark.parametrize("max_in_flight", [1, 2, 3])
+@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
+def test_pipelined_evaluate_keeps_the_bound_and_the_sequential_report(max_in_flight, faults):
+    ds = generate_synthetic(SynthConfig(n_claims=6, posts_per_claim=5, rng_seed=3))
+    (report, gauge, verdict_prompts), (reference, _g, reference_prompts) = \
+        _pipelined_and_sequential(ds, max_in_flight, faults, _mixed_policy())
+    assert gauge.peak == max_in_flight
+    assert gauge.overlapped == (max_in_flight > 1)
+    assert report.to_dict() == reference.to_dict()
+    assert verdict_prompts == reference_prompts  # the same posts were retained
+    retained = sum(prompt.count("\nPost ") for prompt in reference_prompts)
+    assert 0 < retained < report.stance.n_scored  # the policy discards some
+    if faults:
+        assert report.stance.abstentions > 0
+        assert report.veracity.abstentions > 0
+
+
+def test_pipelined_evaluate_passes_empty_threads_and_unlabeled_claims():
+    synthetic = generate_synthetic(SynthConfig(n_claims=4, posts_per_claim=4, rng_seed=5))
+    first, second, third, last = synthetic.claims
+    ds = Dataset("edges", (
+        Claim("empty-first", "a claim nobody answered [truth:t]", "T", ()),
+        first,
+        Claim(second.claim_id, second.text, None, second.posts),
+        Claim("empty-unlabeled", "an unlabeled quiet claim", None, ()),
+        third,
+        Claim(last.claim_id, last.text, last.veracity, ()),
+    ))
+    (report, gauge, verdict_prompts), (reference, _g, reference_prompts) = \
+        _pipelined_and_sequential(ds, 2)
+    assert report.to_dict() == reference.to_dict()
+    assert verdict_prompts == reference_prompts
+    assert report.veracity.n_instances == len(verdict_prompts) == 4
+    assert report.stance.n_instances == reference.stance.n_instances > 0
+
+
+@pytest.mark.parametrize("oracle_side", ["rv", "sd"])
+def test_a_sequential_backend_is_called_on_the_caller_thread_in_claim_order(oracle_side):
+    ds = generate_synthetic(SynthConfig(n_claims=6, posts_per_claim=5, rng_seed=3))
+    caller = threading.get_ident()
+    reports, oracles = [], []
+    for in_flight in (2, 1):
+        oracle = CallerThreadOracle(rng=7)
+        other = DelayedBackend(Gauge())
+        sd, rv = (other, oracle) if oracle_side == "rv" else (oracle, other)
+        reports.append(evaluate(ds, sd, rv, embedder=HashedEmbedder(8),
+                                params=_mixed_policy(), max_in_flight=in_flight))
+        oracles.append(oracle)
+    pipelined, sequential = oracles
+    assert {thread for thread, _prompt in pipelined.calls} == {caller}
+    assert pipelined.calls == sequential.calls
+    assert reports[0].to_dict() == reports[1].to_dict()
+
+
+@pytest.mark.parametrize("task", ["stance", "veracity"])
+def test_an_unexpected_error_propagates_and_cancels_the_queued_calls(task):
+    # Claim 2's first stance call (or its veracity call) raises while both
+    # workers are held by slow calls; claim 3's calls, already queued behind
+    # them, never start.
+    ds = generate_synthetic(SynthConfig(n_claims=6, posts_per_claim=5, rng_seed=3))
+    claims = ds.claims
+    gauge = Gauge()
+    if task == "stance":
+        first = build_stance_prompt(claims[2], claims[2].posts[0])
+        sd = DelayedBackend(gauge, explode=first.__eq__,
+                            slow=lambda prompt: claims[2].text in prompt)
+        rv = DelayedBackend(gauge)
+    else:
+        sd = DelayedBackend(gauge, slow=lambda prompt: claims[4].text in prompt)
+        rv = DelayedBackend(gauge, explode=lambda prompt: claims[2].text in prompt)
+    with pytest.raises(RuntimeError, match="scripted bug"):
+        evaluate(ds, sd, rv, max_in_flight=2)
+    started = gauge.starts
+    assert gauge.now == {"stance": 0, "veracity": 0}
+    asked = sd.prompts if task == "stance" else rv.prompts
+    assert not any(claims[3].text in prompt for prompt in asked)
+    time.sleep(0.05)
+    assert gauge.starts == started
