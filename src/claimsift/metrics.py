@@ -177,17 +177,18 @@ def _retained_by_policy(params: PolicyParams, rng: np.random.Generator, embedder
     return retained
 
 
-def _pipeline(claims, sd_backend, rv_backend, sd_run, rv_run, decide, verdicts) -> None:
-    """`evaluate`'s walk with one claim of look-ahead. `sd_run`/`rv_run`
-    submit a call to the pool or make it at once; either way they return a
-    future. Verdicts are appended in claim order, each once the next
-    claim's veracity call is queued, so an unexpected error surfaces a
-    claim later at most."""
+def _pipeline(claims, sd_backend, rv_backend, sd_run, rv_run, decide) -> list:
+    """`evaluate`'s walk with one claim of look-ahead; the (gold, verdict)
+    pairs in claim order. `sd_run`/`rv_run` submit a call to the pool or
+    make it at once; either way they return a future. Each verdict is
+    collected once the next claim's veracity call is queued, so an
+    unexpected error surfaces a claim later at most."""
     def queue_stances(claim: Claim) -> list[Future]:
         return [sd_run(_stance, sd_backend, claim, post) for post in claim.posts]
 
     queued = queue_stances(claims[0])
     pending: deque[tuple[str, Future]] = deque()
+    verdicts = []
     for i, claim in enumerate(claims):
         futures = queued
         queued = queue_stances(claims[i + 1]) if i + 1 < len(claims) else []
@@ -198,6 +199,7 @@ def _pipeline(claims, sd_backend, rv_backend, sd_run, rv_run, decide, verdicts) 
             gold, future = pending.popleft()
             verdicts.append((gold, future.result()))
     verdicts.extend((gold, future.result()) for gold, future in pending)
+    return verdicts
 
 
 def evaluate(
@@ -224,14 +226,13 @@ def evaluate(
 
     `max_in_flight` (default: `sd_backend.config.max_in_flight`, else 1;
     below 1 is a ConfigError) bounds the annotation requests in flight,
-    stance and veracity together.
-    Above 1, the calls of a `concurrency_safe` backend go to one pool of
-    that many threads: the next claim's stance calls are queued before this
-    claim's are awaited, and a claim's veracity call is queued behind them,
-    so it overlaps the next claim's stance calls. Every other call runs on
-    the caller thread, one at a time. Decisions are made on the caller
-    thread in claim order with the one rng, so the report equals that of
-    the sequential walk.
+    stance and veracity together. Above 1, the calls of a
+    `concurrency_safe` backend go to one pool of that many threads: the
+    next claim's stance calls are queued before this claim's are awaited,
+    and a claim's veracity call is queued behind them, so it overlaps the
+    next claim's stance calls. Every other call runs on the caller thread,
+    one at a time. Decisions are made on the caller thread in claim order
+    with the one rng, so the report equals that of the sequential walk.
     """
     if len(dataset) == 0:
         raise EmptyEvaluation("dataset has no claims")
@@ -243,19 +244,16 @@ def evaluate(
         raise ConfigError("max_in_flight: must be >= 1")
     rng = np.random.default_rng(rng_seed)
     stances: list[tuple[str, Annotation | None]] = []
-    verdicts: list[tuple[str, Annotation | None]] = []
 
     def decide(claim: Claim, annotations: list) -> list | None:
         """Score the claim's stances; the posts its veracity call sees, or
         None when the claim has no embedding."""
-        stances.extend(
-            (post.stance, ann) for post, ann in zip(claim.posts, annotations)
-            if post.stance is not None
-        )
-        annotated = [
-            (post, ann) for post, ann in zip(claim.posts, annotations)
-            if ann is not None
-        ]
+        annotated = []
+        for post, ann in zip(claim.posts, annotations):
+            if post.stance is not None:
+                stances.append((post.stance, ann))
+            if ann is not None:
+                annotated.append((post, ann))
         if params is None:
             return annotated
         try:
@@ -266,6 +264,7 @@ def evaluate(
     sd_pooled = max_in_flight > 1 and getattr(sd_backend, "concurrency_safe", False)
     rv_pooled = max_in_flight > 1 and getattr(rv_backend, "concurrency_safe", False)
     if not (sd_pooled or rv_pooled):
+        verdicts: list[tuple[str, Annotation | None]] = []
         for claim in dataset.claims:
             retained = decide(claim, [_stance(sd_backend, claim, p) for p in claim.posts])
             if claim.veracity is not None:
@@ -273,9 +272,9 @@ def evaluate(
     else:
         pool = ThreadPoolExecutor(max_workers=max_in_flight)
         try:
-            _pipeline(dataset.claims, sd_backend, rv_backend,
-                      pool.submit if sd_pooled else _now,
-                      pool.submit if rv_pooled else _now, decide, verdicts)
+            verdicts = _pipeline(dataset.claims, sd_backend, rv_backend,
+                                 pool.submit if sd_pooled else _now,
+                                 pool.submit if rv_pooled else _now, decide)
         finally:
             pool.shutdown(cancel_futures=True)
 

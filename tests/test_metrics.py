@@ -349,8 +349,8 @@ def test_a_sequential_backend_is_called_on_the_caller_thread_in_claim_order(orac
 @pytest.mark.parametrize("task", ["stance", "veracity"])
 def test_an_unexpected_error_propagates_and_cancels_the_queued_calls(task):
     # Claim 2's first stance call (or its veracity call) raises while both
-    # workers are held by slow calls; claim 3's calls, already queued behind
-    # them, never start.
+    # workers are held by slow calls; what is queued behind them, claim 3's
+    # stance calls (or its veracity call), never starts.
     ds = generate_synthetic(SynthConfig(n_claims=6, posts_per_claim=5, rng_seed=3))
     claims = ds.claims
     gauge = Gauge()
