@@ -10,8 +10,7 @@ silently dropped.
 from __future__ import annotations
 
 import json
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -153,11 +152,33 @@ def _verdict(rv_backend, claim: Claim, retained: list | None) -> Annotation | No
         return None
 
 
-def _now(fn, *args) -> Future:
-    """Call fn on the caller thread; its result as a finished future."""
-    future: Future = Future()
-    future.set_result(fn(*args))
-    return future
+class _Deferred:
+    """A call made on the caller thread when its result is asked for: the
+    sequential stand-in for a pooled stance call, so the calls run in the
+    order their results are read."""
+
+    __slots__ = ("_fn", "_args")
+
+    def __init__(self, fn, *args):
+        self._fn = fn
+        self._args = args
+
+    def result(self):
+        return self._fn(*self._args)
+
+
+class _Done:
+    """A call made at once on the caller thread: the sequential stand-in
+    for a pooled veracity call, so it runs before the next claim's stance
+    calls, as in the sequential walk."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, fn, *args):
+        self._value = fn(*args)
+
+    def result(self):
+        return self._value
 
 
 def _retained_by_policy(params: PolicyParams, rng: np.random.Generator, embedder,
@@ -180,25 +201,27 @@ def _retained_by_policy(params: PolicyParams, rng: np.random.Generator, embedder
 def _pipeline(claims, sd_backend, rv_backend, sd_run, rv_run, decide) -> list:
     """`evaluate`'s walk with one claim of look-ahead; the (gold, verdict)
     pairs in claim order. `sd_run`/`rv_run` submit a call to the pool or
-    make it at once; either way they return a future. Each verdict is
-    collected once the next claim's veracity call is queued, so an
-    unexpected error surfaces a claim later at most."""
-    def queue_stances(claim: Claim) -> list[Future]:
+    stand in for it on the caller thread; either way they return an object
+    whose `result()` is the call's. Each verdict is collected once the next
+    claim's veracity call is queued, so an unexpected error surfaces a
+    claim later at most."""
+    def queue_stances(claim: Claim) -> list:
         return [sd_run(_stance, sd_backend, claim, post) for post in claim.posts]
 
     queued = queue_stances(claims[0])
-    pending: deque[tuple[str, Future]] = deque()
+    held = None  # the previous labeled claim's (gold, veracity future)
     verdicts = []
     for i, claim in enumerate(claims):
         futures = queued
         queued = queue_stances(claims[i + 1]) if i + 1 < len(claims) else []
         retained = decide(claim, [future.result() for future in futures])
         if claim.veracity is not None:
-            pending.append((claim.veracity, rv_run(_verdict, rv_backend, claim, retained)))
-        while len(pending) > 1:
-            gold, future = pending.popleft()
-            verdicts.append((gold, future.result()))
-    verdicts.extend((gold, future.result()) for gold, future in pending)
+            future = rv_run(_verdict, rv_backend, claim, retained)
+            if held is not None:
+                verdicts.append((held[0], held[1].result()))
+            held = (claim.veracity, future)
+    if held is not None:
+        verdicts.append((held[0], held[1].result()))
     return verdicts
 
 
@@ -231,8 +254,9 @@ def evaluate(
     next claim's stance calls are queued before this claim's are awaited,
     and a claim's veracity call is queued behind them, so it overlaps the
     next claim's stance calls. Every other call runs on the caller thread,
-    one at a time. Decisions are made on the caller thread in claim order
-    with the one rng, so the report equals that of the sequential walk.
+    one at a time, where the sequential walk makes it. Decisions are made
+    on the caller thread in claim order with the one rng, so the report
+    equals that of the sequential walk.
     """
     if len(dataset) == 0:
         raise EmptyEvaluation("dataset has no claims")
@@ -263,19 +287,13 @@ def evaluate(
 
     sd_pooled = max_in_flight > 1 and getattr(sd_backend, "concurrency_safe", False)
     rv_pooled = max_in_flight > 1 and getattr(rv_backend, "concurrency_safe", False)
-    if not (sd_pooled or rv_pooled):
-        verdicts: list[tuple[str, Annotation | None]] = []
-        for claim in dataset.claims:
-            retained = decide(claim, [_stance(sd_backend, claim, p) for p in claim.posts])
-            if claim.veracity is not None:
-                verdicts.append((claim.veracity, _verdict(rv_backend, claim, retained)))
-    else:
-        pool = ThreadPoolExecutor(max_workers=max_in_flight)
-        try:
-            verdicts = _pipeline(dataset.claims, sd_backend, rv_backend,
-                                 pool.submit if sd_pooled else _now,
-                                 pool.submit if rv_pooled else _now, decide)
-        finally:
+    pool = ThreadPoolExecutor(max_workers=max_in_flight) if sd_pooled or rv_pooled else None
+    try:
+        verdicts = _pipeline(dataset.claims, sd_backend, rv_backend,
+                             pool.submit if sd_pooled else _Deferred,
+                             pool.submit if rv_pooled else _Done, decide)
+    finally:
+        if pool is not None:
             pool.shutdown(cancel_futures=True)
 
     if not stances and not verdicts:

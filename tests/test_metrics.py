@@ -202,7 +202,8 @@ def test_evaluate_rejects_max_in_flight_below_one(max_in_flight):
 class Gauge:
     """Annotation calls in flight across backends, guarded by one lock: the
     most in flight at once, whether a veracity call ran beside a stance
-    call, and how many calls have started."""
+    call, how many calls have started, and each call's start and end in
+    the order they happened."""
 
     def __init__(self):
         self.lock = threading.Lock()
@@ -210,18 +211,21 @@ class Gauge:
         self.peak = 0
         self.overlapped = False
         self.starts = 0
+        self.events = []
 
-    def enter(self, task):
+    def enter(self, task, prompt):
         with self.lock:
             self.starts += 1
+            self.events.append(("start", task, prompt))
             self.now[task] += 1
             self.peak = max(self.peak, sum(self.now.values()))
             if self.now["stance"] and self.now["veracity"]:
                 self.overlapped = True
 
-    def leave(self, task):
+    def leave(self, task, prompt):
         with self.lock:
             self.now[task] -= 1
+            self.events.append(("end", task, prompt))
 
 
 def _crc(prompt):
@@ -245,7 +249,7 @@ class DelayedBackend(PerfectBackend):
         self.prompts = []
 
     def complete(self, task, prompt):
-        self.gauge.enter(task)
+        self.gauge.enter(task, prompt)
         try:
             self.prompts.append(prompt)
             if self.explode is not None and self.explode(prompt):
@@ -260,18 +264,18 @@ class DelayedBackend(PerfectBackend):
             reply = super().complete(task, prompt)
             return BackendReply(raw="", label=reply.label, explanation=f"reason {crc % 3}")
         finally:
-            self.gauge.leave(task)
+            self.gauge.leave(task, prompt)
 
 
 class CallerThreadOracle(OracleAnnotator):
-    """The oracle, recording each prompt with the thread that sent it."""
+    """The oracle, recording each call's thread, task and prompt."""
 
     def __init__(self, rng):
         super().__init__(rng=rng)
         self.calls = []
 
     def complete(self, task, prompt):
-        self.calls.append((threading.get_ident(), prompt))
+        self.calls.append((threading.get_ident(), task, prompt))
         return super().complete(task, prompt)
 
 
@@ -341,9 +345,37 @@ def test_a_sequential_backend_is_called_on_the_caller_thread_in_claim_order(orac
                                 params=_mixed_policy(), max_in_flight=in_flight))
         oracles.append(oracle)
     pipelined, sequential = oracles
-    assert {thread for thread, _prompt in pipelined.calls} == {caller}
+    assert {thread for thread, _task, _prompt in pipelined.calls} == {caller}
     assert pipelined.calls == sequential.calls
     assert reports[0].to_dict() == reports[1].to_dict()
+
+
+def test_one_sequential_backend_on_both_sides_is_called_in_the_sequential_order():
+    # No look-ahead on the caller thread: each claim's stance calls, then
+    # its veracity call, before the next claim's first call.
+    ds = generate_synthetic(SynthConfig(n_claims=4, posts_per_claim=3, rng_seed=3))
+    oracle = CallerThreadOracle(rng=7)
+    evaluate(ds, oracle, oracle, max_in_flight=2)
+    expected = [(task, claim.claim_id) for claim in ds.claims
+                for task in ["stance"] * len(claim.posts) + ["veracity"]]
+    called = [(task, claim.claim_id) for _thread, task, prompt in oracle.calls
+              for claim in ds.claims if claim.text in prompt]
+    assert called == expected
+
+
+def test_the_next_claims_stance_calls_start_while_this_claims_are_awaited():
+    # Claim 0's first stance call is slow; the other worker finishes claim
+    # 0's remaining posts and, with one claim of look-ahead, goes on to
+    # claim 1's stance calls before the slow one ends.
+    ds = generate_synthetic(SynthConfig(n_claims=3, posts_per_claim=3, rng_seed=3))
+    claims = ds.claims
+    slow_prompt = build_stance_prompt(claims[0], claims[0].posts[0])
+    gauge = Gauge()
+    evaluate(ds, DelayedBackend(gauge, slow=slow_prompt.__eq__), DelayedBackend(gauge),
+             max_in_flight=2)
+    slow_end = gauge.events.index(("end", "stance", slow_prompt))
+    assert any(task == "stance" and claims[1].text in prompt
+               for event, task, prompt in gauge.events[:slow_end] if event == "start")
 
 
 @pytest.mark.parametrize("task", ["stance", "veracity"])
