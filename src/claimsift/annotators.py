@@ -4,7 +4,8 @@ Two interchangeable backends produce stance and veracity annotations from
 prompts: an HTTP client speaking a small JSON protocol, and a scripted oracle
 that reads hidden markers out of synthetic corpus text. Both return a
 BackendReply; the annotate_* functions turn replies into validated
-annotations with full label distributions.
+annotations with full label distributions. A backend's `max_in_flight` is
+how many of its requests may be in flight at once.
 """
 
 from __future__ import annotations
@@ -139,22 +140,21 @@ class OracleAnnotator:
     where matched_fraction is the share of listed posts whose stance equals
     the dominant stance for the true veracity. No marker or no listed posts
     falls back to an exact uniform distribution whose label is the canonical
-    argmax. Not safe for concurrent use: draws consume a shared generator.
+    argmax. Every reply carries its distribution. One request at a time:
+    draws consume a shared generator.
     """
 
-    concurrency_safe = False
+    max_in_flight = 1
 
     def __init__(
         self,
         accuracy: float = 0.9,
-        smoothing_alpha: float = 0.1,
         rng: np.random.Generator | int = 0,
         modal_stance: dict[str, str] | None = None,
     ):
         if not 0.0 < accuracy <= 1.0:
             raise ConfigError("oracle accuracy must be in (0, 1]")
         self.accuracy = accuracy
-        self.smoothing_alpha = smoothing_alpha
         self.modal_stance = dict(modal_stance or modal_stance_map())
         if isinstance(rng, (int, np.integer)):
             rng = np.random.default_rng(int(rng))
@@ -255,10 +255,9 @@ class HttpAnnotator:
     passed on as received and checked by the parser. Requests go through
     claimsift.transport.post_json (three attempts; a 3xx or 4xx fails at once).
     POST {endpoint}/finetune with {"task", "examples"} (and
-    an "origin" tag for warm-up corpora) returns a job token.
+    an "origin" tag for warm-up corpora) returns a job token. Safe for
+    concurrent use, up to the config's `max_in_flight` requests at a time.
     """
-
-    concurrency_safe = True
 
     def __init__(self, config: BackendConfig):
         config.validate()
@@ -266,6 +265,7 @@ class HttpAnnotator:
             raise ConfigError("HttpAnnotator requires kind='http'")
         self.config = config
         self.smoothing_alpha = config.smoothing_alpha
+        self.max_in_flight = config.max_in_flight
 
     def _post(self, route: str, body: dict) -> dict:
         return post_json(self.config.endpoint.rstrip("/") + route, body,
@@ -293,11 +293,7 @@ def make_backend(config: BackendConfig, rng: np.random.Generator | int = 0):
     config.validate()
     if config.kind == "http":
         return HttpAnnotator(config)
-    return OracleAnnotator(
-        accuracy=config.oracle_accuracy,
-        smoothing_alpha=config.smoothing_alpha,
-        rng=rng,
-    )
+    return OracleAnnotator(accuracy=config.oracle_accuracy, rng=rng)
 
 
 def _validated_distribution(distribution, label_index: int, raw: str) -> np.ndarray:

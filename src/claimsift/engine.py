@@ -448,8 +448,7 @@ class Trainer:
                 )
             )
 
-        retained_ids = {post.post_id for post, _annotation in retained_pairs}
-        for post, annotation, _step in annotated:
+        for post, annotation, step in annotated:
             self.annotation_records.append(
                 {
                     "epoch": self.epoch_index,
@@ -458,7 +457,7 @@ class Trainer:
                     "post_text": post.text,
                     "stance": annotation.label,
                     "explanation": annotation.explanation,
-                    "retained": post.post_id in retained_ids,
+                    "retained": step.action == RETAIN,
                 }
             )
 

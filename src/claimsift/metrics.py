@@ -18,9 +18,7 @@ import numpy as np
 
 from .annotators import Annotation, annotate_claim, annotate_post
 from .corpus import Claim, Dataset
-from .errors import (
-    AnnotatorError, ConfigError, EmbedError, EmptyEvaluation, ParseError,
-)
+from .errors import AnnotatorError, EmbedError, EmptyEvaluation, ParseError
 from .labels import STANCES, VERACITIES
 from .policy import PolicyParams, RETAIN
 from .state import PostDecider
@@ -232,7 +230,6 @@ def evaluate(
     embedder=None,
     params: PolicyParams | None = None,
     rng_seed: int = 12345,
-    max_in_flight: int | None = None,
 ) -> EvalReport:
     """Score both tasks on a labeled corpus.
 
@@ -247,25 +244,20 @@ def evaluate(
     a post whose embedding fails is skipped, and a claim whose embedding
     fails abstains on veracity.
 
-    `max_in_flight` (default: `sd_backend.config.max_in_flight`, else 1;
-    below 1 is a ConfigError) bounds the annotation requests in flight,
-    stance and veracity together. Above 1, the calls of a
-    `concurrency_safe` backend go to one pool of that many threads: the
-    next claim's stance calls are queued before this claim's are awaited,
-    and a claim's veracity call is queued behind them, so it overlaps the
-    next claim's stance calls. Every other call runs on the caller thread,
-    one at a time, where the sequential walk makes it. Decisions are made
-    on the caller thread in claim order with the one rng, so the report
+    Each backend's `max_in_flight` attribute (1 when it has none) bounds
+    its own requests in flight. The calls of the backends above 1 go to
+    one pool, sized to the smaller of their bounds: the next claim's
+    stance calls are queued before this claim's are awaited, and a claim's
+    veracity call is queued behind them, so it overlaps the next claim's
+    stance calls. A backend at 1 is called on the caller thread, one call
+    at a time, where the sequential walk makes it. Decisions are made on
+    the caller thread in claim order with the one rng, so the report
     equals that of the sequential walk.
     """
     if len(dataset) == 0:
         raise EmptyEvaluation("dataset has no claims")
     if params is not None and embedder is None:
         raise EmptyEvaluation("policy evaluation requires an embedder")
-    if max_in_flight is None:
-        max_in_flight = getattr(getattr(sd_backend, "config", None), "max_in_flight", 1)
-    elif max_in_flight < 1:
-        raise ConfigError("max_in_flight: must be >= 1")
     rng = np.random.default_rng(rng_seed)
     stances: list[tuple[str, Annotation | None]] = []
 
@@ -285,13 +277,14 @@ def evaluate(
         except EmbedError:
             return None
 
-    sd_pooled = max_in_flight > 1 and getattr(sd_backend, "concurrency_safe", False)
-    rv_pooled = max_in_flight > 1 and getattr(rv_backend, "concurrency_safe", False)
-    pool = ThreadPoolExecutor(max_workers=max_in_flight) if sd_pooled or rv_pooled else None
+    sd_bound, rv_bound = (getattr(backend, "max_in_flight", 1)
+                          for backend in (sd_backend, rv_backend))
+    pooled = [bound for bound in (sd_bound, rv_bound) if bound > 1]
+    pool = ThreadPoolExecutor(max_workers=min(pooled)) if pooled else None
     try:
         verdicts = _pipeline(dataset.claims, sd_backend, rv_backend,
-                             pool.submit if sd_pooled else _Deferred,
-                             pool.submit if rv_pooled else _Done, decide)
+                             pool.submit if sd_bound > 1 else _Deferred,
+                             pool.submit if rv_bound > 1 else _Done, decide)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

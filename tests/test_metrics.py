@@ -11,9 +11,9 @@ import zlib
 import numpy as np
 import pytest
 
-from claimsift.annotators import BackendReply, OracleAnnotator
+from claimsift.annotators import BackendConfig, BackendReply, OracleAnnotator, make_backend
 from claimsift.corpus import Claim, Dataset, Post, SynthConfig, generate_synthetic
-from claimsift.errors import AnnotatorError, ConfigError, EmptyEvaluation
+from claimsift.errors import AnnotatorError, EmptyEvaluation
 from claimsift.labels import STANCES, STANCE_NAMES, VERACITIES, VERACITY_NAMES
 from claimsift.metrics import (
     ConfusionMatrix,
@@ -73,11 +73,11 @@ def test_empty_matrix_raises():
 class PerfectBackend:
     """Stateless backend that reads the synthetic markers verbatim."""
 
-    concurrency_safe = True
     smoothing_alpha = 0.1
 
-    def __init__(self, fail_token: str | None = None):
+    def __init__(self, fail_token: str | None = None, max_in_flight: int = 1):
         self.fail_token = fail_token
+        self.max_in_flight = max_in_flight
 
     def complete(self, task, prompt):
         if self.fail_token and self.fail_token in prompt:
@@ -166,8 +166,8 @@ def test_evaluate_all_retain_policy_matches_no_policy():
 
 def test_evaluate_concurrent_path_matches_sequential():
     ds = generate_synthetic(SynthConfig(n_claims=6, posts_per_claim=5, rng_seed=3))
-    seq = evaluate(ds, PerfectBackend(), PerfectBackend(), max_in_flight=1)
-    par = evaluate(ds, PerfectBackend(), PerfectBackend(), max_in_flight=4)
+    seq = evaluate(ds, PerfectBackend(), PerfectBackend())
+    par = evaluate(ds, PerfectBackend(max_in_flight=4), PerfectBackend(max_in_flight=4))
     assert par.to_dict() == seq.to_dict()
 
 
@@ -190,25 +190,21 @@ def test_evaluate_requires_gold_labels():
         evaluate(ds, PerfectBackend(), PerfectBackend())
 
 
-@pytest.mark.parametrize("max_in_flight", [0, -1])
-def test_evaluate_rejects_max_in_flight_below_one(max_in_flight):
-    with pytest.raises(ConfigError, match="max_in_flight: must be >= 1"):
-        evaluate(_tiny_dataset(), PerfectBackend(), PerfectBackend(),
-                 max_in_flight=max_in_flight)
-
-
 # ------------------------------------------------------ evaluate, pipelined
 
 class Gauge:
     """Annotation calls in flight across backends, guarded by one lock: the
-    most in flight at once, whether a veracity call ran beside a stance
-    call, how many calls have started, and each call's start and end in
-    the order they happened."""
+    most in flight at once, overall and per task, whether a veracity call
+    ran beside a stance call, the threads each task was called on, how many
+    calls have started, and each call's start and end in the order they
+    happened."""
 
     def __init__(self):
         self.lock = threading.Lock()
         self.now = {"stance": 0, "veracity": 0}
         self.peak = 0
+        self.task_peaks = {"stance": 0, "veracity": 0}
+        self.threads = {"stance": set(), "veracity": set()}
         self.overlapped = False
         self.starts = 0
         self.events = []
@@ -217,8 +213,10 @@ class Gauge:
         with self.lock:
             self.starts += 1
             self.events.append(("start", task, prompt))
+            self.threads[task].add(threading.get_ident())
             self.now[task] += 1
             self.peak = max(self.peak, sum(self.now.values()))
+            self.task_peaks[task] = max(self.task_peaks[task], self.now[task])
             if self.now["stance"] and self.now["veracity"]:
                 self.overlapped = True
 
@@ -240,8 +238,8 @@ class DelayedBackend(PerfectBackend):
     holds raises RuntimeError at once; one for which `slow(prompt)` holds
     takes 0.2 s."""
 
-    def __init__(self, gauge, faults=False, explode=None, slow=None):
-        super().__init__()
+    def __init__(self, gauge, faults=False, explode=None, slow=None, max_in_flight=1):
+        super().__init__(max_in_flight=max_in_flight)
         self.gauge = gauge
         self.faults = faults
         self.explode = explode
@@ -268,15 +266,21 @@ class DelayedBackend(PerfectBackend):
 
 
 class CallerThreadOracle(OracleAnnotator):
-    """The oracle, recording each call's thread, task and prompt."""
+    """The oracle, recording each call's thread, task and prompt, and
+    entering the gauge while it answers."""
 
-    def __init__(self, rng):
+    def __init__(self, rng, gauge=None):
         super().__init__(rng=rng)
+        self.gauge = gauge or Gauge()
         self.calls = []
 
     def complete(self, task, prompt):
         self.calls.append((threading.get_ident(), task, prompt))
-        return super().complete(task, prompt)
+        self.gauge.enter(task, prompt)
+        try:
+            return super().complete(task, prompt)
+        finally:
+            self.gauge.leave(task, prompt)
 
 
 def _mixed_policy():
@@ -284,14 +288,15 @@ def _mixed_policy():
     return PolicyParams(w1=rng.normal(size=(4, 24)), w2=3.0 * rng.normal(size=4))
 
 
-def _pipelined_and_sequential(dataset, max_in_flight, faults=False, params=None):
+def _pipelined_and_sequential(dataset, sd_bound, rv_bound=None, faults=False, params=None):
+    """(report, gauge, sorted veracity prompts) of `evaluate` on two
+    DelayedBackends with the given bounds (rv's defaults to sd's), then
+    of the same with both bounds at 1."""
     runs = []
-    for in_flight in (max_in_flight, 1):
+    for bounds in ((sd_bound, rv_bound or sd_bound), (1, 1)):
         gauge = Gauge()
-        rv = DelayedBackend(gauge, faults)
-        report = evaluate(dataset, DelayedBackend(gauge, faults), rv,
-                          embedder=HashedEmbedder(8), params=params,
-                          max_in_flight=in_flight)
+        sd, rv = (DelayedBackend(gauge, faults, max_in_flight=bound) for bound in bounds)
+        report = evaluate(dataset, sd, rv, embedder=HashedEmbedder(8), params=params)
         runs.append((report, gauge, sorted(rv.prompts)))
     return runs
 
@@ -301,7 +306,7 @@ def _pipelined_and_sequential(dataset, max_in_flight, faults=False, params=None)
 def test_pipelined_evaluate_keeps_the_bound_and_the_sequential_report(max_in_flight, faults):
     ds = generate_synthetic(SynthConfig(n_claims=6, posts_per_claim=5, rng_seed=3))
     (report, gauge, verdict_prompts), (reference, _g, reference_prompts) = \
-        _pipelined_and_sequential(ds, max_in_flight, faults, _mixed_policy())
+        _pipelined_and_sequential(ds, max_in_flight, faults=faults, params=_mixed_policy())
     assert gauge.peak == max_in_flight
     assert gauge.overlapped == (max_in_flight > 1)
     assert report.to_dict() == reference.to_dict()
@@ -339,10 +344,10 @@ def test_a_sequential_backend_is_called_on_the_caller_thread_in_claim_order(orac
     reports, oracles = [], []
     for in_flight in (2, 1):
         oracle = CallerThreadOracle(rng=7)
-        other = DelayedBackend(Gauge())
+        other = DelayedBackend(Gauge(), max_in_flight=in_flight)
         sd, rv = (other, oracle) if oracle_side == "rv" else (oracle, other)
         reports.append(evaluate(ds, sd, rv, embedder=HashedEmbedder(8),
-                                params=_mixed_policy(), max_in_flight=in_flight))
+                                params=_mixed_policy()))
         oracles.append(oracle)
     pipelined, sequential = oracles
     assert {thread for thread, _task, _prompt in pipelined.calls} == {caller}
@@ -355,12 +360,70 @@ def test_one_sequential_backend_on_both_sides_is_called_in_the_sequential_order(
     # its veracity call, before the next claim's first call.
     ds = generate_synthetic(SynthConfig(n_claims=4, posts_per_claim=3, rng_seed=3))
     oracle = CallerThreadOracle(rng=7)
-    evaluate(ds, oracle, oracle, max_in_flight=2)
+    evaluate(ds, oracle, oracle)
     expected = [(task, claim.claim_id) for claim in ds.claims
                 for task in ["stance"] * len(claim.posts) + ["veracity"]]
     called = [(task, claim.claim_id) for _thread, task, prompt in oracle.calls
               for claim in ds.claims if claim.text in prompt]
     assert called == expected
+
+
+def test_a_backend_at_one_is_called_on_the_caller_thread_beside_a_pooled_one():
+    ds = generate_synthetic(SynthConfig(n_claims=6, posts_per_claim=5, rng_seed=3))
+    (report, gauge, verdict_prompts), (reference, _g, reference_prompts) = \
+        _pipelined_and_sequential(ds, 3, 1, params=_mixed_policy())
+    assert gauge.threads["veracity"] == {threading.get_ident()}
+    assert gauge.task_peaks["stance"] == 3
+    assert report.to_dict() == reference.to_dict()
+    assert verdict_prompts == reference_prompts
+
+
+def test_the_pool_is_sized_to_the_smaller_bound():
+    ds = generate_synthetic(SynthConfig(n_claims=6, posts_per_claim=5, rng_seed=3))
+    (report, gauge, verdict_prompts), (reference, _g, reference_prompts) = \
+        _pipelined_and_sequential(ds, 3, 2, params=_mixed_policy())
+    assert gauge.peak == 2
+    assert gauge.overlapped
+    assert report.to_dict() == reference.to_dict()
+    assert verdict_prompts == reference_prompts
+
+
+def test_a_pooled_veracity_backend_overlaps_a_sequential_stance_backend():
+    # Claim 0's veracity call takes 0.2 s, so claim 1's stance calls, made
+    # on the caller thread, run while it is in flight.
+    ds = generate_synthetic(SynthConfig(n_claims=6, posts_per_claim=5, rng_seed=3))
+    caller = threading.get_ident()
+    runs = []
+    for bound in (2, 1):
+        gauge = Gauge()
+        oracle = CallerThreadOracle(rng=7, gauge=gauge)
+        rv = DelayedBackend(gauge, slow=lambda prompt: ds.claims[0].text in prompt,
+                            max_in_flight=bound)
+        report = evaluate(ds, oracle, rv, embedder=HashedEmbedder(8), params=_mixed_policy())
+        runs.append((report, gauge, oracle.calls))
+    (report, gauge, calls), (reference, sequential, reference_calls) = runs
+    assert gauge.overlapped and not sequential.overlapped
+    assert gauge.threads["stance"] == {caller}
+    assert caller not in gauge.threads["veracity"]
+    assert calls == reference_calls
+    assert report.to_dict() == reference.to_dict()
+
+
+def test_an_oracle_built_with_a_bound_above_one_stays_on_the_caller_thread():
+    ds = generate_synthetic(SynthConfig(n_claims=4, posts_per_claim=3, rng_seed=3))
+    oracle = make_backend(BackendConfig(max_in_flight=8), rng=7)
+    complete, threads = oracle.complete, set()
+
+    def recorded(task, prompt):
+        threads.add(threading.get_ident())
+        return complete(task, prompt)
+
+    oracle.complete = recorded
+    report = evaluate(ds, oracle, oracle, embedder=HashedEmbedder(8), params=_mixed_policy())
+    assert threads == {threading.get_ident()}
+    reference = OracleAnnotator(rng=7)
+    assert report.to_dict() == evaluate(ds, reference, reference, embedder=HashedEmbedder(8),
+                                        params=_mixed_policy()).to_dict()
 
 
 def test_the_next_claims_stance_calls_start_while_this_claims_are_awaited():
@@ -371,8 +434,8 @@ def test_the_next_claims_stance_calls_start_while_this_claims_are_awaited():
     claims = ds.claims
     slow_prompt = build_stance_prompt(claims[0], claims[0].posts[0])
     gauge = Gauge()
-    evaluate(ds, DelayedBackend(gauge, slow=slow_prompt.__eq__), DelayedBackend(gauge),
-             max_in_flight=2)
+    evaluate(ds, DelayedBackend(gauge, slow=slow_prompt.__eq__, max_in_flight=2),
+             DelayedBackend(gauge, max_in_flight=2))
     slow_end = gauge.events.index(("end", "stance", slow_prompt))
     assert any(task == "stance" and claims[1].text in prompt
                for event, task, prompt in gauge.events[:slow_end] if event == "start")
@@ -389,13 +452,15 @@ def test_an_unexpected_error_propagates_and_cancels_the_queued_calls(task):
     if task == "stance":
         first = build_stance_prompt(claims[2], claims[2].posts[0])
         sd = DelayedBackend(gauge, explode=first.__eq__,
-                            slow=lambda prompt: claims[2].text in prompt)
-        rv = DelayedBackend(gauge)
+                            slow=lambda prompt: claims[2].text in prompt, max_in_flight=2)
+        rv = DelayedBackend(gauge, max_in_flight=2)
     else:
-        sd = DelayedBackend(gauge, slow=lambda prompt: claims[4].text in prompt)
-        rv = DelayedBackend(gauge, explode=lambda prompt: claims[2].text in prompt)
+        sd = DelayedBackend(gauge, slow=lambda prompt: claims[4].text in prompt,
+                            max_in_flight=2)
+        rv = DelayedBackend(gauge, explode=lambda prompt: claims[2].text in prompt,
+                            max_in_flight=2)
     with pytest.raises(RuntimeError, match="scripted bug"):
-        evaluate(ds, sd, rv, max_in_flight=2)
+        evaluate(ds, sd, rv)
     started = gauge.starts
     assert gauge.now == {"stance": 0, "veracity": 0}
     asked = sd.prompts if task == "stance" else rv.prompts

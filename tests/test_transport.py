@@ -23,8 +23,9 @@ from claimsift.metrics import evaluate
 from claimsift.state import ServiceEmbedder
 
 
-def _http(server) -> HttpAnnotator:
-    return HttpAnnotator(BackendConfig(kind="http", endpoint=server.url, timeout=2.0))
+def _http(server, max_in_flight: int = 4) -> HttpAnnotator:
+    return HttpAnnotator(BackendConfig(kind="http", endpoint=server.url, timeout=2.0,
+                                       max_in_flight=max_in_flight))
 
 
 def _oracle_reply(body):
@@ -70,10 +71,9 @@ def test_connection_closed_by_server_is_replaced_without_a_retry(keep_alive_serv
 def test_threaded_evaluate_opens_at_most_max_in_flight_connections(keep_alive_server):
     keep_alive_server.set_default("/annotate", _oracle_reply)
     dataset = generate_synthetic(SynthConfig(n_claims=4, posts_per_claim=5, rng_seed=3))
-    sd, rv = _http(keep_alive_server), _http(keep_alive_server)
-    threaded = evaluate(dataset, sd, rv, max_in_flight=2)
+    threaded = evaluate(dataset, _http(keep_alive_server, 2), _http(keep_alive_server, 2))
     assert len(set(keep_alive_server.client_ports)) <= 2
-    sequential = evaluate(dataset, sd, rv, max_in_flight=1)
+    sequential = evaluate(dataset, _http(keep_alive_server, 1), _http(keep_alive_server, 1))
     assert asdict(threaded) == asdict(sequential)
     assert len(keep_alive_server.requests) == 2 * (4 * 5 + 4)
 
