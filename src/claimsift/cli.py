@@ -8,6 +8,10 @@ replaces `run_state.ckpt` and `epoch_reports.json` (`runstate.atomic_write`;
 `evaluate --out` writes `metrics.json` the same way). So the trainer holds
 no more than one epoch of records, and a killed run leaves its last
 finished epoch.
+
+The trainer reads no clock: `train` stamps each `run_log.jsonl` line's `ts`
+and times each epoch's `wall_time_s` in `epoch_reports.json`, from the end
+of the previous commit (or the start of training) to the end of the epoch.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +72,7 @@ def cmd_train(args) -> int:
     trainer = Trainer(config, dataset, sd, rv, embedder)
     save_config(config, out / "config.resolved.json")
 
+    wall_times: list[float] = []
     with (
         (out / "run_log.jsonl").open("w", encoding="utf-8") as log,
         (out / "annotations.jsonl").open("w", encoding="utf-8") as annotations,
@@ -74,6 +80,8 @@ def cmd_train(args) -> int:
         (out / "finetune_veracity.jsonl").open("w", encoding="utf-8") as ft_veracity,
     ):
         def on_epoch(report) -> None:
+            nonlocal since
+            wall_times.append(time.perf_counter() - since)
             # the trainer drops these records when the next epoch begins
             for record in trainer.annotation_records:
                 annotations.write(json.dumps(record, ensure_ascii=False) + "\n")
@@ -84,7 +92,9 @@ def cmd_train(args) -> int:
                 fh.flush()
                 os.fsync(fh.fileno())
             trainer.save_run_state(out / "run_state.ckpt")
-            reports = json.dumps([r.to_dict() for r in trainer.reports], indent=2) + "\n"
+            reports = json.dumps([{**r.to_dict(), "wall_time_s": wall}
+                                  for r, wall in zip(trainer.reports, wall_times)],
+                                 indent=2) + "\n"
             with atomic_write(out / "epoch_reports.json") as fh:
                 fh.write(reports.encode("utf-8"))
             print(
@@ -94,8 +104,11 @@ def cmd_train(args) -> int:
                 f"mean_post_reward={report.mean_post_reward:+.3f}"
                 + (" [terminated]" if report.terminated else "")
             )
+            since = time.perf_counter()
 
-        trainer.set_event_sink(lambda event: log.write(json.dumps(event) + "\n"))
+        trainer.set_event_sink(
+            lambda event: log.write(json.dumps({"ts": time.time(), **event}) + "\n"))
+        since = time.perf_counter()
         trainer.train(on_epoch=on_epoch)
         trainer.set_event_sink(None)
 

@@ -19,7 +19,6 @@ none of them.
 from __future__ import annotations
 
 import logging
-import time
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -112,13 +111,11 @@ class Trajectory:
 
 @dataclass
 class _Epoch:
-    """The epoch in progress: its claim sampler, its counters (and the wall
-    time of its claim steps) and the fine-tune examples kept so far, which go
-    to the backends as it ends."""
+    """The epoch in progress: its claim sampler, its counters and the
+    fine-tune examples kept so far, which go to the backends as it ends."""
 
     sampler: ClaimSampler
-    counts: dict = field(default_factory=lambda: {
-        **dict.fromkeys(_COUNTERS, 0), "wall": 0.0})
+    counts: dict = field(default_factory=lambda: dict.fromkeys(_COUNTERS, 0))
     stance: list[FineTuneExample] = field(default_factory=list)
     veracity: list[FineTuneExample] = field(default_factory=list)
 
@@ -140,7 +137,6 @@ class EpochReport:
     finetune_veracity_examples: int
     post_terminations: int
     terminated: bool
-    wall_time_s: float
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -273,9 +269,7 @@ class Trainer:
 
     def _emit(self, **fields) -> None:
         if self._event_sink is not None:
-            event = {"ts": time.time(), "epoch": self.epoch_index}
-            event.update(fields)
-            self._event_sink(event)
+            self._event_sink({"epoch": self.epoch_index, **fields})
 
     def _claim_embedding(self, claim: Claim) -> np.ndarray:
         vec = self._claim_vecs.get(claim.claim_id)
@@ -502,7 +496,6 @@ class Trainer:
         self.finetune_veracity = []
 
     def _step_claim(self) -> None:
-        t0 = time.perf_counter()
         acc = self._epoch.counts
         claim_id = self._epoch.sampler.sample()
         claim = self._claims[claim_id]
@@ -510,7 +503,6 @@ class Trainer:
         acc["annotator_failures"] += failures
         if trajectory is None:
             acc["claims_aborted"] += 1
-            acc["wall"] += time.perf_counter() - t0
             return
         self.buffer.append(trajectory.claim_step, trajectory.post_steps)
         if self.config.buffer_window is not None:
@@ -537,7 +529,6 @@ class Trainer:
                 claim_id=claim_id, level=step.level, action=step.action,
                 reward=step.reward, cosine=cosine, p_retain=step.p_retain,
             )
-        acc["wall"] += time.perf_counter() - t0
 
     def _epoch_has_work(self) -> bool:
         return not self.claim_tracker.fired and self._epoch.sampler.remaining > 0
@@ -566,7 +557,6 @@ class Trainer:
             finetune_veracity_examples=len(epoch.veracity),
             post_terminations=acc["post_terminations"],
             terminated=self.terminated,
-            wall_time_s=acc["wall"],
         )
         self.reports.append(report)
         return report
@@ -616,13 +606,15 @@ class Trainer:
         per-step values, and the replay table's index columns and distinct
         vectors as it holds them) are stored as raw arrays; all else goes
         into the JSON manifest. The epoch in progress, `null` between
-        epochs, holds its records and fine-tune examples so far.
+        epochs, holds its records and fine-tune examples so far. No clock
+        is read and `out_dir` is stored as null, so the bytes are a function
+        of the corpus, the rest of the config and the seed alone.
         """
         settings, policy_arrays = encode_policy(self.params, self.optimizer)
         epoch = self._epoch
         parts = self.buffer.parts
         state = {
-            "config": asdict(self.config),
+            "config": {**asdict(self.config), "out_dir": None},
             "fingerprint": list(self._fingerprint),
             "seed_ids": sorted(self.seed_ids),
             "optimizer": settings,
@@ -707,7 +699,7 @@ class Trainer:
                                        trainer._sampler_rng)
                 sampler.last_branch = epoch["last_branch"]
                 trainer._epoch = _Epoch(
-                    sampler, {k: epoch["counts"][k] for k in (*_COUNTERS, "wall")},
+                    sampler, {k: epoch["counts"][k] for k in _COUNTERS},
                     [FineTuneExample(*e) for e in epoch["stance"]],
                     [FineTuneExample(*e) for e in epoch["veracity"]])
                 trainer.annotation_records = [dict(zip(_RECORD_FIELDS, row))

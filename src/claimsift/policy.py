@@ -442,31 +442,16 @@ def _segment_sums(values: np.ndarray, index: np.ndarray, rows: np.ndarray,
     return np.add.reduceat(sorted_rows, starts, axis=0, out=out[:len(starts)])
 
 
-def _factors(table: ReplayTable) -> list[tuple[int, int, np.ndarray, np.ndarray | None]]:
-    """Per part: its `(start, stop)` columns of a state, its distinct
-    vectors, and its row indices; None in place of indices 0, 1, 2, ...,
-    where every row holds a vector of its own, in row order, and gathering
-    or summing by them would only copy."""
-    factors = []
-    for (start, stop), (block, index) in zip(table.bounds, table.parts):
-        if len(block) == len(index) and (index == np.arange(len(index))).all():
-            index = None
-        factors.append((start, stop, block, index))
-    return factors
-
-
-def _pre_activations(params: PolicyParams, factors, pre: np.ndarray,
+def _pre_activations(params: PolicyParams, table: ReplayTable, pre: np.ndarray,
                      gathered: np.ndarray, products: np.ndarray) -> None:
     """`states @ w1.T` of a table's rows, written into `pre`: the sum over
-    its `_factors` of each part's distinct vectors times its columns of
-    `w1` (formed in `products`), gathered by row (into `gathered`)."""
-    for k, (start, stop, block, index) in enumerate(factors):
+    its parts of each part's distinct vectors times its `(start, stop)`
+    columns of `w1` (formed in `products`), gathered by the part's row
+    indices (into `gathered`)."""
+    for k, ((start, stop), (block, index)) in enumerate(zip(table.bounds, table.parts)):
         part = pre if k == 0 else gathered
-        if index is None:
-            np.matmul(block, params.w1[:, start:stop].T, out=part)
-        else:
-            product = np.matmul(block, params.w1[:, start:stop].T, out=products[:len(block)])
-            np.take(product, index, axis=0, out=part, mode="clip")
+        product = np.matmul(block, params.w1[:, start:stop].T, out=products[:len(block)])
+        np.take(product, index, axis=0, out=part, mode="clip")
         if k:
             np.add(pre, part, out=pre)
 
@@ -483,7 +468,7 @@ def objective(
         return 0.0
     table = _table(trajectories)
     pre, gathered, products, _gate = table._workspace(params.hidden_dim)
-    _pre_activations(params, _factors(table), pre, gathered, products)
+    _pre_activations(params, table, pre, gathered, products)
     z = np.maximum(pre, 0.0, out=pre) @ params.w2
     log_retain = -np.logaddexp(0.0, -z)
     log_discard = -np.logaddexp(0.0, z)
@@ -505,18 +490,19 @@ def gradients(
     part's columns of d/dw1 are the per-vector sums of the back-propagated
     rows times the part's distinct vectors, so each distinct vector is
     multiplied once; only the grouping of the float64 sums differs from
-    multiplying the stacked states. The row-sized intermediates live in the
-    table's workspace: the first buffer holds the pre-activations, then the
-    hidden layer in place once the gate is taken, then the back-propagated
-    rows in place once d/dw2 is formed.
+    multiplying the stacked states. A part whose every row holds a vector
+    of its own takes the same path, where the gather and the sums copy
+    rows. The row-sized intermediates live in the table's workspace: the
+    first buffer holds the pre-activations, then the hidden layer in place
+    once the gate is taken, then the back-propagated rows in place once
+    d/dw2 is formed.
     """
     if not trajectories:
         return np.zeros_like(params.w1), np.zeros_like(params.w2)
     table = _table(trajectories)
     weights = table.weights(claim_shift, post_shift)
-    factors = _factors(table)
     pre, gathered, products, gate = table._workspace(params.hidden_dim)
-    _pre_activations(params, factors, pre, gathered, products)
+    _pre_activations(params, table, pre, gathered, products)
     np.greater(pre, 0.0, out=gate)
     hidden = np.maximum(pre, 0.0, out=pre)
     z = hidden @ params.w2
@@ -526,8 +512,8 @@ def gradients(
     back = np.multiply(g_z[:, None], params.w2[None, :], out=hidden)
     np.multiply(back, gate, out=back)  # a bool gate multiplies as 1.0 or 0.0
     g_w1 = np.empty_like(params.w1)
-    for start, stop, block, index in factors:
-        sums = back if index is None else _segment_sums(back, index, gathered, products)
+    for (start, stop), (block, index) in zip(table.bounds, table.parts):
+        sums = _segment_sums(back, index, gathered, products)
         np.matmul(sums.T, block, out=g_w1[:, start:stop])
     return g_w1, g_w2
 

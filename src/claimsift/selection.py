@@ -111,7 +111,7 @@ class TerminationTracker:
     """Halts a level after n consecutive unit rewards.
 
     observe() returns True once the run of reward == 1 observations reaches
-    n; the tracker then latches and ignores further input until reset().
+    n; the tracker then latches and ignores further input.
     """
 
     def __init__(self, n: int):
@@ -131,7 +131,3 @@ class TerminationTracker:
         if self.current_run >= self.n:
             self.fired = True
         return self.fired
-
-    def reset(self) -> None:
-        self.current_run = 0
-        self.fired = False

@@ -286,9 +286,7 @@ def test_criterion_6_termination_counts_continuous_unit_rewards():
     assert fired_at == 10  # the zero at step 5 restarts the count
     assert tracker.fired
     tracker.observe(0)
-    assert tracker.fired  # latched until reset
-    tracker.reset()
-    assert not tracker.fired
+    assert tracker.fired  # latched
     _summary(6, "termination fires after five continuous unit rewards and latches")
 
 
@@ -320,10 +318,7 @@ def test_criterion_7_mid_epoch_resume_is_exact(tmp_path):
     )
     resumed_report = resumed.run_epoch()
 
-    original, restored = report.to_dict(), resumed_report.to_dict()
-    original.pop("wall_time_s")
-    restored.pop("wall_time_s")
-    assert original == restored
+    assert report == resumed_report
     np.testing.assert_array_equal(trainer.params.w1, resumed.params.w1)
     np.testing.assert_array_equal(trainer.params.w2, resumed.params.w2)
     _summary(7, "mid-epoch resume reproduces the epoch report and parameters")

@@ -167,7 +167,8 @@ def test_train_writes_artifact_inventory(trained_run):
         for line in (out / "run_log.jsonl").read_text(encoding="utf-8").splitlines()
     ]
     assert events, "run log should capture per-step events"
-    assert all("level" in e and "p_retain" in e for e in events)
+    assert all(list(e)[:2] == ["ts", "epoch"] and "p_retain" in e for e in events)
+    assert all(r["wall_time_s"] >= 0.0 for r in reports)  # measured by train
     resolved = json.loads((out / "config.resolved.json").read_text(encoding="utf-8"))
     assert resolved["embed_dim"] == 16
     assert resolved["max_epochs"] == 2
@@ -184,30 +185,14 @@ def test_train_is_deterministic_apart_from_timing(tmp_path):
         assert rc == 0
         outs.append(out)
 
-    def reports_sans_wall(out):
-        reports = json.loads((out / "epoch_reports.json").read_text(encoding="utf-8"))
-        for r in reports:
-            r.pop("wall_time_s")
-        return reports
-
     def log_sans_ts(out):
         lines = (out / "run_log.jsonl").read_text(encoding="utf-8").splitlines()
-        events = [json.loads(line) for line in lines]
-        for e in events:
-            e.pop("ts")
-        return events
+        return [{k: v for k, v in json.loads(line).items() if k != "ts"} for line in lines]
 
-    def state_sans_wall(out):
-        state, arrays = runstate.read_run_state(out / "run_state.ckpt")
-        assert state["config"].pop("out_dir") == str(out)
-        for r in state["reports"]:
-            r.pop("wall_time_s")
-        return state, {name: value.tobytes() for name, value in arrays.items()}
-
-    assert reports_sans_wall(outs[0]) == reports_sans_wall(outs[1])
     assert log_sans_ts(outs[0]) == log_sans_ts(outs[1])
-    assert state_sans_wall(outs[0]) == state_sans_wall(outs[1])
-    for name in ("annotations.jsonl", "finetune_stance.jsonl", "finetune_veracity.jsonl"):
+    # the run state holds the reports but neither a clock reading nor --out
+    for name in ("run_state.ckpt", "annotations.jsonl", "finetune_stance.jsonl",
+                 "finetune_veracity.jsonl"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
@@ -249,7 +234,9 @@ def test_train_writes_each_epochs_records_as_it_ends(tmp_path, monkeypatch):
         assert final.startswith(text) and len(final) > len(text), name
     assert committed["state"]["epoch_index"] == 1
     assert committed["state"]["epoch"] is None
-    assert committed["reports"] == committed["state"]["reports"] == [first]
+    assert committed["reports"] == [first]
+    assert committed["state"]["reports"] == [
+        {k: v for k, v in first.items() if k != "wall_time_s"}]
 
 
 def test_failed_reports_write_keeps_the_previous_reports(tmp_path, monkeypatch):
@@ -307,10 +294,10 @@ def test_interrupted_train_leaves_a_resumable_commit(tmp_path, monkeypatch):
         cut / "run_state.ckpt", load_dataset(data), OracleAnnotator(rng=0),
         OracleAnnotator(rng=0), HashedEmbedder(16))
     resumed.train()
-    _state, expected = runstate.read_run_state(whole / "run_state.ckpt")
     assert resumed.epoch_index == 3
-    for name in ("w1", "w2"):
-        assert getattr(resumed.params, name).tobytes() == expected[name].tobytes()
+    resumed.save_run_state(tmp_path / "resumed.ckpt")
+    assert (tmp_path / "resumed.ckpt").read_bytes() == \
+        (whole / "run_state.ckpt").read_bytes()
 
     first = state["reports"][0]
     events = [json.loads(line) for line in

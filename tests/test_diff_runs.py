@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from claimsift import runstate
 from claimsift.cli import main
 from claimsift.corpus import SynthConfig, generate_synthetic, save_dataset
 
@@ -40,7 +41,7 @@ def test_identical_runs_are_reported_identical(two_runs, capsys):
     lines = len((two_runs[0] / "run_log.jsonl").read_text().splitlines())
     assert f"decisions: identical ({lines} lines)" in out
     assert "max |dp_retain|: 0" in out
-    assert "w1: bitwise equal" in out and "w2: bitwise equal" in out
+    assert "run_state.ckpt: identical" in out
 
 
 def test_a_flipped_action_is_reported_at_its_line(two_runs, tmp_path, capsys):
@@ -57,16 +58,24 @@ def test_a_flipped_action_is_reported_at_its_line(two_runs, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "decisions: differ at line 5: action " in out
     assert "max |dp_retain|: 0.001" in out
-    assert "w1: bitwise equal" in out
+    assert "run_state.ckpt: identical" in out
 
 
-def test_a_short_log_and_changed_params_are_differences(two_runs):
+def test_a_short_log_and_changed_params_are_differences(two_runs, tmp_path, capsys):
     a, b = (diff_runs.read_log(run) for run in two_runs)
     report = diff_runs.compare_logs(a, b[:-1])
     assert report["first_difference"] == len(a)
     assert "ends" in report["detail"]
-    params = {"w1": diff_runs.np.ones((2, 2)), "w2": diff_runs.np.ones(2)}
-    moved = {"w1": params["w1"] * (1 + 1e-9), "w2": diff_runs.np.ones(3)}
-    diffs = diff_runs.compare_params(params, moved)
-    assert diffs["w1"] == pytest.approx(1e-9)
-    assert diffs["w2"].startswith("shapes differ")
+
+    moved = tmp_path / "moved"
+    shutil.copytree(two_runs[1], moved)
+    state, arrays = runstate.read_run_state(moved / "run_state.ckpt")
+    arrays["w1"] = arrays["w1"] * (1 + 1e-9)
+    runstate.write_run_state(moved / "run_state.ckpt", state, arrays)
+    byte = diff_runs.first_differing_byte((two_runs[1] / "run_state.ckpt").read_bytes(),
+                                          (moved / "run_state.ckpt").read_bytes())
+    assert diff_runs.main([str(two_runs[0]), str(moved)]) == 1
+    out = capsys.readouterr().out
+    assert "decisions: identical" in out and f"run_state.ckpt: differ at byte {byte}" in out
+    assert [diff_runs.first_differing_byte(b"abc", other)
+            for other in (b"abd", b"ab", b"abc")] == [3, 3, None]

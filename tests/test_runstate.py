@@ -4,6 +4,7 @@ multi-MiB array."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import pickle
@@ -128,9 +129,6 @@ def test_mid_epoch_trainer_round_trips_bit_exactly(tmp_path, config):
     assert _snapshot(resumed) == _snapshot(trainer)
     trainer.run_epoch()
     resumed.run_epoch()
-    for run in (trainer, resumed):
-        for report in run.reports:
-            report.wall_time_s = 0.0
     assert _snapshot(resumed) == _snapshot(trainer)
 
 
@@ -159,10 +157,6 @@ class _RecordingOracle(OracleAnnotator):
     def finetune(self, task, examples, origin="selected"):
         self.finetunes.append((task, examples, origin))
         return super().finetune(task, examples, origin)
-
-
-def _without(items, key):
-    return [{k: v for k, v in item.items() if k != key} for item in items]
 
 
 @pytest.mark.parametrize("config", [
@@ -205,16 +199,59 @@ def test_resume_from_an_epoch_boundary_matches_an_uninterrupted_run(tmp_path, co
     for a, b in ((whole.params.w1, resumed.params.w1),
                  (whole.params.w2, resumed.params.w2)):
         assert a.tobytes() == b.tobytes()
-    assert _without(resumed_events, "ts") == _without(
-        [e for e in whole_events if e["epoch"] == 2], "ts")
-    assert _without([r.to_dict() for r in resumed.reports], "wall_time_s") == \
-        _without([r.to_dict() for r in whole.reports], "wall_time_s")
+    assert resumed_events == [e for e in whole_events if e["epoch"] == 2]
+    assert resumed.reports == whole.reports
     assert resumed.annotation_records == whole.annotation_records
     assert resumed.finetune_stance == whole.finetune_stance
     assert resumed.finetune_veracity == whole.finetune_veracity
     assert resumed.sd.finetunes == whole.sd.finetunes[sent[0]:]
     assert resumed.rv.finetunes == whole.rv.finetunes[sent[1]:]
     assert resumed.sd.finetunes and resumed.rv.finetunes
+
+
+@pytest.mark.parametrize("config", [
+    dict(incremental_veracity=True, use_baseline=True, buffer_window=1),
+    dict(buffer_window=None),
+    dict(max_posts=2, n_termination_posts=1),
+], ids=["incremental", "full_buffer", "few_posts"])
+def test_run_state_bytes_are_a_function_of_the_inputs_alone(tmp_path, monkeypatch,
+                                                            config):
+    """Two trainers of one seed, run under different clocks and configured
+    with different output directories, save the same bytes mid-epoch and
+    at the end."""
+    saved = []
+    for run, (start, tick) in (("a", (0.0, 1e-3)), ("b", (1.7e9, 3.25))):
+        # clocks that move on by `tick` at every reading
+        monkeypatch.setattr("time.perf_counter", itertools.count(start, tick).__next__)
+        monkeypatch.setattr("time.time", itertools.count(start, tick).__next__)
+        trainer = _trainer(RunConfig(embed_dim=D, hidden_dim=H, max_epochs=2,
+                                     learning_rate=1e-3, rng_seed=9,
+                                     out_dir=str(tmp_path / run), **config))
+        trainer.run_epoch()
+        assert trainer.run_epoch(limit=3) is None
+        trainer.save_run_state(tmp_path / f"{run}-mid.state")
+        trainer.train()
+        trainer.save_run_state(tmp_path / f"{run}-end.state")
+        saved.append([(tmp_path / f"{run}-{at}.state").read_bytes()
+                      for at in ("mid", "end")])
+    assert saved[0] == saved[1]
+    assert saved[0][0] != saved[0][1]
+
+
+def test_run_state_with_timed_reports_is_rejected_but_its_policy_loads(tmp_path):
+    """A run state saved while reports carried `wall_time_s` does not
+    resume; `load_checkpoint` still reads its policy."""
+    trainer = _trainer()
+    trainer.run_epoch()
+    path = tmp_path / "run.state"
+    trainer.save_run_state(path)
+    state, arrays = runstate.read_run_state(path)
+    for report in state["reports"]:
+        report["wall_time_s"] = 0.25
+    runstate.write_run_state(path, state, arrays)
+    with pytest.raises(CheckpointError, match="malformed run state.*wall_time_s"):
+        _resume(path)
+    assert _plain(load_checkpoint(path)) == _plain((trainer.params, trainer.optimizer))
 
 
 @pytest.mark.parametrize("limit", [2, None], ids=["mid-epoch", "boundary"])

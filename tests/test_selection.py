@@ -165,18 +165,15 @@ def test_termination_run_resets_on_non_unit_reward():
     assert tracker.observe(1) is True
 
 
-def test_termination_latches_until_reset():
+def test_termination_latches():
     tracker = TerminationTracker(2)
     tracker.observe(1)
     tracker.observe(1)
     assert tracker.fired
-    # latched: a bad reward no longer clears it
+    # latched: a bad reward no longer clears it or its run
     assert tracker.observe(-1) is True
     assert tracker.fired
-    tracker.reset()
-    assert not tracker.fired
-    assert tracker.current_run == 0
-    assert tracker.observe(1) is False
+    assert tracker.current_run == 2
 
 
 def test_termination_threshold_validation():

@@ -7,15 +7,17 @@ Usage, from the root of a checkout:
 Each line of a run's `run_log.jsonl` is one decision. The runs decided alike
 when their logs have as many lines and every pair of lines has the same
 claim_id, level, action and reward (`ts` is not compared). The tool prints
-the first line where they differ, if any; the largest |Δp_retain| and
-|Δcosine| over the lines before it; and whether the final `w1` and `w2` in
-`run_state.ckpt` are bitwise equal, or else each one's largest relative
-difference (the largest |a - b| over the largest |a|).
+the first line where they differ, if any, and the largest |Δp_retain| and
+|Δcosine| over the lines before it. It then compares the two
+`run_state.ckpt` files byte for byte, as `cmp` does: the trainer reads no
+clock and stores no run directory, so the whole run state (policy, Adam
+moments, replay table, baselines and rng states) of one seed on one corpus
+is the same file, and the first differing byte is printed if it is not.
 
 A change that only regroups float64 sums, or is meant to be bit-exact, is
-checked with it: the exit status is 0 when the decisions and both parameter
-arrays are identical, 1 when either differs, and 2 when a run directory
-cannot be read.
+checked with it: the exit status is 0 when the decisions and the run states
+are identical, 1 when either differs, and 2 when a run directory cannot be
+read.
 """
 
 from __future__ import annotations
@@ -25,16 +27,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-
-from claimsift.errors import CheckpointError  # noqa: E402
-from claimsift.runstate import read_run_state  # noqa: E402
-
 DECISION = ("claim_id", "level", "action", "reward")
-PARAMS = ("w1", "w2")
 
 
 def read_log(run_dir: Path) -> list[dict]:
@@ -62,20 +55,14 @@ def compare_logs(a: list[dict], b: list[dict]) -> dict:
             "max_dp_retain": dp, "max_dcosine": dcos}
 
 
-def compare_params(a: dict, b: dict) -> dict[str, float | str | None]:
-    """Per parameter: None when bitwise equal, else the largest relative
-    difference, or a note when the shapes differ."""
-    out: dict[str, float | str | None] = {}
-    for name in PARAMS:
-        x, y = a[name], b[name]
-        if x.shape != y.shape:
-            out[name] = f"shapes differ: {x.shape} != {y.shape}"
-        elif x.tobytes() == y.tobytes():
-            out[name] = None
-        else:
-            scale = float(np.max(np.abs(x))) or 1.0
-            out[name] = float(np.max(np.abs(x - y))) / scale
-    return out
+def first_differing_byte(a: bytes, b: bytes) -> int | None:
+    """The 1-based offset of the first byte where `a` and `b` differ, as
+    `cmp` counts, or one past the shorter when it is a prefix of the
+    longer; None when they are equal."""
+    if a == b:
+        return None
+    return next((i for i, (x, y) in enumerate(zip(a, b), start=1) if x != y),
+                min(len(a), len(b)) + 1)
 
 
 def main(argv=None) -> int:
@@ -85,9 +72,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         logs = compare_logs(read_log(args.run_a), read_log(args.run_b))
-        params = compare_params(*(read_run_state(run / "run_state.ckpt")[1]
-                                  for run in (args.run_a, args.run_b)))
-    except (OSError, ValueError, KeyError, CheckpointError) as exc:
+        state_byte = first_differing_byte(*((run / "run_state.ckpt").read_bytes()
+                                            for run in (args.run_a, args.run_b)))
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if logs["first_difference"] is None:
@@ -96,15 +83,11 @@ def main(argv=None) -> int:
         print(f"decisions: differ at line {logs['first_difference']}: {logs['detail']}")
     print(f"max |dp_retain|: {logs['max_dp_retain']:.3g}")
     print(f"max |dcosine|: {logs['max_dcosine']:.3g}")
-    for name, diff in params.items():
-        if diff is None:
-            print(f"{name}: bitwise equal")
-        elif isinstance(diff, str):
-            print(f"{name}: {diff}")
-        else:
-            print(f"{name}: largest relative difference {diff:.3g}")
-    same = logs["first_difference"] is None and all(d is None for d in params.values())
-    return 0 if same else 1
+    if state_byte is None:
+        print("run_state.ckpt: identical")
+    else:
+        print(f"run_state.ckpt: differ at byte {state_byte}")
+    return 0 if logs["first_difference"] is None and state_byte is None else 1
 
 
 if __name__ == "__main__":
