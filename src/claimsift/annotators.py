@@ -5,7 +5,8 @@ prompts: an HTTP client speaking a small JSON protocol, and a scripted oracle
 that reads hidden markers out of synthetic corpus text. Both return a
 BackendReply; the annotate_* functions turn replies into validated
 annotations with full label distributions. A backend's `max_in_flight` is
-how many of its requests may be in flight at once.
+how many of its requests may be in flight at once; `bounded_runners` is
+the one place that rule is applied.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import json
 import logging
 import re
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -297,17 +300,23 @@ def make_backend(config: BackendConfig, rng: np.random.Generator | int = 0):
 
 
 def _validated_distribution(distribution, label_index: int, raw: str) -> np.ndarray:
+    """The reply's distribution, its negative entries (none below -1e-9)
+    clipped to 0. The sum is checked on the clipped vector, the one the
+    rewards check again."""
     try:
         arr = np.asarray(distribution, dtype=np.float64)
     except (TypeError, ValueError):
         raise ParseError("distribution must be 4 finite values", raw=raw) from None
     if arr.shape != (4,) or not np.isfinite(arr).all():
         raise ParseError("distribution must be 4 finite values", raw=raw)
-    if arr.min() < -1e-9 or abs(float(arr.sum()) - 1.0) > 1e-6:
+    if arr.min() < -1e-9:
+        raise ParseError("distribution must lie on the probability simplex", raw=raw)
+    arr = np.maximum(arr, 0.0)  # np.clip(arr, 0.0, None), without its dispatch
+    if abs(float(arr.sum()) - 1.0) > 1e-6:
         raise ParseError("distribution must lie on the probability simplex", raw=raw)
     if arr.argmax() != label_index:
         raise ParseError("distribution argmax disagrees with the label", raw=raw)
-    return np.maximum(arr, 0.0)  # np.clip(arr, 0.0, None), without its dispatch
+    return arr
 
 
 # Per task: the label normalizer, the free-text parser and the label order.
@@ -368,6 +377,60 @@ def annotate_claim(
     """Veracity-annotate a claim given its retained, stance-labeled posts."""
     prompt = build_veracity_prompt(claim, [(p, a.label) for p, a in retained])
     return _annotate(backend, TASK_VERACITY, prompt)
+
+
+class Deferred:
+    """A call made on the caller thread when its result is asked for: a
+    stand-in for a pooled call, for calls that are to run in the order
+    their results are read."""
+
+    __slots__ = ("_fn", "_args")
+
+    def __init__(self, fn, *args):
+        self._fn = fn
+        self._args = args
+
+    def result(self):
+        return self._fn(*self._args)
+
+
+class Done:
+    """A call made at once on the caller thread: a stand-in for a pooled
+    call, for a call that is to run where it is queued."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, fn, *args):
+        self._value = fn(*args)
+
+    def result(self):
+        return self._value
+
+
+@contextmanager
+def bounded_runners(sd_backend, rv_backend, sd_stand_in, rv_stand_in):
+    """`(sd_run, rv_run)` for calls to the two backends, each within its
+    own `max_in_flight` (1 when a backend has none).
+
+    `run(fn, *args)` queues the call `fn(*args)` and returns an object whose
+    `result()` is the call's. The calls of the backends above 1 go to one
+    pool, sized to the smaller of their bounds, so neither backend has more
+    requests in flight than its bound, even when `sd_backend` is
+    `rv_backend`. A backend at 1 is called on the caller thread through its
+    stand-in, `Deferred` or `Done`; with both at 1 no pool and no thread is
+    made. On exit, calls not yet started are cancelled and running ones are
+    waited for, so no thread outlives the block.
+    """
+    sd_bound, rv_bound = (getattr(backend, "max_in_flight", 1)
+                          for backend in (sd_backend, rv_backend))
+    pooled = [bound for bound in (sd_bound, rv_bound) if bound > 1]
+    pool = ThreadPoolExecutor(max_workers=min(pooled)) if pooled else None
+    try:
+        yield (pool.submit if sd_bound > 1 else sd_stand_in,
+               pool.submit if rv_bound > 1 else rv_stand_in)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def fine_tune(backend, examples: Sequence[FineTuneExample]) -> str | None:

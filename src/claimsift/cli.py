@@ -171,7 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--config", help="JSON run config")
     train.add_argument("--dataset", help="training corpus (JSONL)")
     train.add_argument("--out", dest="out_dir", help="output directory for run artifacts")
-    train.add_argument("--rng-seed", type=int)
+    train.add_argument("--rng-seed", type=int,
+                       help="rng_seed, the run's seed: the seed split, the "
+                            "policy's initial parameters, sampling and decisions, "
+                            "and the oracle backends")
     train.add_argument("--epsilon", type=float)
     train.add_argument("--max-epochs", type=int)
     train.add_argument("--seed-fraction", type=float)
@@ -191,7 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--checkpoint",
                     help="a run's run_state.ckpt; its policy filters the posts")
     ev.add_argument("--out", help="directory for metrics.json")
-    ev.add_argument("--rng-seed", type=int)
+    ev.add_argument("--rng-seed", type=int,
+                    help="rng_seed, which here seeds only the oracle backends; "
+                         "the policy's decisions use the config's eval_seed, "
+                         "which this flag does not set")
     ev.add_argument("--sd-endpoint")
     ev.add_argument("--rv-endpoint")
     ev.add_argument("--embed-endpoint")

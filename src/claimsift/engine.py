@@ -21,17 +21,21 @@ from __future__ import annotations
 import logging
 import zlib
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .annotators import (
+    Deferred,
+    Done,
     FineTuneExample,
     TASK_STANCE,
     TASK_VERACITY,
     annotate_claim,
     annotate_post,
+    bounded_runners,
     fine_tune,
     format_stance_target,
     format_veracity_target,
@@ -112,7 +116,8 @@ class Trajectory:
 @dataclass
 class _Epoch:
     """The epoch in progress: its claim sampler, its counters and the
-    fine-tune examples kept so far, which go to the backends as it ends."""
+    fine-tune examples kept so far. As it ends, its stance and veracity
+    examples go to their backends together (`Trainer._send_pair`)."""
 
     sampler: ClaimSampler
     counts: dict = field(default_factory=lambda: dict.fromkeys(_COUNTERS, 0))
@@ -179,6 +184,17 @@ def _array(arrays: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def _example_rows(examples: list[FineTuneExample]) -> list[tuple]:
     return [(e.task, e.prompt, e.target, e.label_origin) for e in examples]
+
+
+def _error_of(call: Callable[[], object] | None) -> Exception | None:
+    """Make the call; the error it raised, or None when it returned or there
+    is no call."""
+    try:
+        if call is not None:
+            call()
+    except Exception as exc:
+        return exc
+    return None
 
 
 class Trainer:
@@ -284,9 +300,14 @@ class Trainer:
         HTTP stance backends receive the configured prompt/target corpus;
         HTTP veracity backends receive the seed claims with their trusted
         labels over raw threads. Oracle backends skip with a logged notice.
+        Both corpora are read and checked before either request is made;
+        the two requests then go out together (`_send_pair`). A failed
+        request raises, the stance one's error first, and the warm-up
+        counts as not done.
         """
         if self._pretrained:
             return
+        stance = veracity = None
         if self.config.sd_backend.kind == "http":
             if not self.config.sd_pretrain_path:
                 raise ConfigError(
@@ -294,7 +315,7 @@ class Trainer:
                     "http backend"
                 )
             records = _load_prompt_target_jsonl(self.config.sd_pretrain_path)
-            self.sd.finetune(TASK_STANCE, records, origin="pretrain")
+            stance = partial(self.sd.finetune, TASK_STANCE, records, origin="pretrain")
         else:
             logger.info("stance warm-up skipped: oracle backend")
         if self.config.rv_backend.kind == "http":
@@ -315,10 +336,30 @@ class Trainer:
                     "seed_fraction: no seed claims available for veracity warm-up "
                     "with an http backend"
                 )
-            self.rv.finetune(TASK_VERACITY, examples, origin="pretrain")
+            veracity = partial(self.rv.finetune, TASK_VERACITY, examples, origin="pretrain")
         else:
             logger.info("veracity warm-up skipped: oracle backend")
+        self._send_pair(stance, veracity)
         self._pretrained = True
+
+    def _send_pair(self, stance: Callable[[], object] | None,
+                   veracity: Callable[[], object] | None) -> None:
+        """Make a stance backend call and a veracity backend call that do not
+        depend on each other (None for no call), each within its backend's
+        `max_in_flight` (`annotators.bounded_runners`).
+
+        The veracity call is queued first and a call at 1 runs on the caller
+        thread, so it overlaps the other call when that one is pooled; with
+        both at 1 no thread is made and the stance call runs first. Both
+        calls finish before an error of either is raised, the stance call's
+        first.
+        """
+        with bounded_runners(self.sd, self.rv, Done, Deferred) as (sd_run, rv_run):
+            queued = rv_run(_error_of, veracity), sd_run(_error_of, stance)
+            veracity_error, stance_error = (call.result() for call in queued)
+        for error in (stance_error, veracity_error):
+            if error is not None:
+                raise error
 
     # ------------------------------------------------------------- claim step
 
@@ -534,9 +575,12 @@ class Trainer:
         return not self.claim_tracker.fired and self._epoch.sampler.remaining > 0
 
     def _finish_epoch(self) -> EpochReport:
+        """End the epoch: send its stance and veracity fine-tune examples to
+        their backends together (`_send_pair`; `fine_tune` logs and goes on
+        past a failed request) and report it."""
         epoch, self._epoch = self._epoch, None
-        fine_tune(self.sd, epoch.stance)
-        fine_tune(self.rv, epoch.veracity)
+        self._send_pair(partial(fine_tune, self.sd, epoch.stance),
+                        partial(fine_tune, self.rv, epoch.veracity))
         self.finetune_stance, self.finetune_veracity = epoch.stance, epoch.veracity
         acc = epoch.counts
         posts = acc["posts_annotated"]

@@ -10,13 +10,19 @@ silently dropped.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .annotators import Annotation, annotate_claim, annotate_post
+from .annotators import (
+    Annotation,
+    Deferred,
+    Done,
+    annotate_claim,
+    annotate_post,
+    bounded_runners,
+)
 from .corpus import Claim, Dataset
 from .errors import AnnotatorError, EmbedError, EmptyEvaluation, ParseError
 from .labels import STANCES, VERACITIES
@@ -150,35 +156,6 @@ def _verdict(rv_backend, claim: Claim, retained: list | None) -> Annotation | No
         return None
 
 
-class _Deferred:
-    """A call made on the caller thread when its result is asked for: the
-    sequential stand-in for a pooled stance call, so the calls run in the
-    order their results are read."""
-
-    __slots__ = ("_fn", "_args")
-
-    def __init__(self, fn, *args):
-        self._fn = fn
-        self._args = args
-
-    def result(self):
-        return self._fn(*self._args)
-
-
-class _Done:
-    """A call made at once on the caller thread: the sequential stand-in
-    for a pooled veracity call, so it runs before the next claim's stance
-    calls, as in the sequential walk."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, fn, *args):
-        self._value = fn(*args)
-
-    def result(self):
-        return self._value
-
-
 def _retained_by_policy(params: PolicyParams, rng: np.random.Generator, embedder,
                         claim: Claim, annotated: list) -> list:
     """The annotated posts the policy retains, decided in thread order. A
@@ -245,14 +222,14 @@ def evaluate(
     fails abstains on veracity.
 
     Each backend's `max_in_flight` attribute (1 when it has none) bounds
-    its own requests in flight. The calls of the backends above 1 go to
-    one pool, sized to the smaller of their bounds: the next claim's
-    stance calls are queued before this claim's are awaited, and a claim's
-    veracity call is queued behind them, so it overlaps the next claim's
-    stance calls. A backend at 1 is called on the caller thread, one call
-    at a time, where the sequential walk makes it. Decisions are made on
-    the caller thread in claim order with the one rng, so the report
-    equals that of the sequential walk.
+    its own requests in flight (`annotators.bounded_runners`). The calls
+    of the backends above 1 go to one pool, sized to the smaller of their
+    bounds: the next claim's stance calls are queued before this claim's
+    are awaited, and a claim's veracity call is queued behind them, so it
+    overlaps the next claim's stance calls. A backend at 1 is called on
+    the caller thread, one call at a time, where the sequential walk
+    makes it. Decisions are made on the caller thread in claim order with
+    the one rng, so the report equals that of the sequential walk.
     """
     if len(dataset) == 0:
         raise EmptyEvaluation("dataset has no claims")
@@ -277,17 +254,11 @@ def evaluate(
         except EmbedError:
             return None
 
-    sd_bound, rv_bound = (getattr(backend, "max_in_flight", 1)
-                          for backend in (sd_backend, rv_backend))
-    pooled = [bound for bound in (sd_bound, rv_bound) if bound > 1]
-    pool = ThreadPoolExecutor(max_workers=min(pooled)) if pooled else None
-    try:
-        verdicts = _pipeline(dataset.claims, sd_backend, rv_backend,
-                             pool.submit if sd_bound > 1 else _Deferred,
-                             pool.submit if rv_bound > 1 else _Done, decide)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+    # a stance call at 1 runs when its claim is decided, a veracity call at
+    # 1 where it is queued: the order of the sequential walk
+    with bounded_runners(sd_backend, rv_backend, Deferred, Done) as (sd_run, rv_run):
+        verdicts = _pipeline(dataset.claims, sd_backend, rv_backend, sd_run, rv_run,
+                             decide)
 
     if not stances and not verdicts:
         raise EmptyEvaluation("dataset has no gold labels for either task")

@@ -8,9 +8,13 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from claimsift.annotators import (
+    TASK_STANCE,
+    TASK_VERACITY,
     BackendConfig,
+    BackendReply,
     FineTuneExample,
     HttpAnnotator,
     OracleAnnotator,
@@ -21,12 +25,14 @@ from claimsift.annotators import (
     fine_tune,
     format_stance_target,
     format_veracity_target,
+    _from_reply,
     make_backend,
     smoothed_one_hot,
 )
 from claimsift.corpus import Claim, Post
 from claimsift.errors import AnnotatorError, ConfigError, ParseError, from_json
-from claimsift.labels import STANCES, STANCE_INDEX, VERACITIES
+from claimsift.labels import STANCES, STANCE_INDEX, STANCE_NAMES, VERACITIES, VERACITY_NAMES
+from claimsift.reward import ReferenceStanceStats, StanceMean, labeled_claim_reward
 
 CLAIM = Claim("c9", "power is out downtown", None, (
     Post("p9", "saw it myself", "max", 5),
@@ -339,6 +345,48 @@ def test_http_distribution_validation(scripted_server, fields, fragment):
         annotate_post(_http(scripted_server), CLAIM, CLAIM.posts[0])
     assert fragment in str(err.value)
     assert len(scripted_server.calls("/annotate")) == 2
+
+
+@st.composite
+def _near_edge(draw) -> tuple[int, list[float]]:
+    """(label index, distribution) near the edge of what the parser takes:
+    one entry other than the label's replaced by a value within 2e-9 of 0,
+    and the label's entry shifted so the sum lands about 1e-6 off 1."""
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)
+                   .filter(lambda w: sum(w) > 0.1))
+    vec = np.asarray(weights) / sum(weights)
+    label = int(vec.argmax())
+    vec[draw(st.sampled_from([i for i in range(4) if i != label]))] = \
+        draw(st.floats(-2e-9, 2e-9))
+    shift = draw(st.one_of(st.floats(-2e-6, 2e-6),
+                           st.floats(1e-6 - 3e-9, 1e-6 + 3e-9),
+                           st.floats(-1e-6 - 3e-9, -1e-6 + 3e-9)))
+    vec[label] += 1.0 - vec.sum() + shift
+    return label, vec.tolist()
+
+
+@settings(max_examples=400, deadline=None)
+@given(task=st.sampled_from([TASK_STANCE, TASK_VERACITY]), drawn=_near_edge())
+def test_a_distribution_the_parser_accepts_passes_the_reward_checks(task, drawn):
+    """What `_from_reply` returns is taken by every reward that checks a
+    distribution again, so an accepted reply never raises RewardError."""
+    index, distribution = drawn
+    name = (STANCE_NAMES[STANCES[index]] if task == TASK_STANCE
+            else VERACITY_NAMES[VERACITIES[index]])
+    try:
+        annotation = _from_reply(task, BackendReply(raw="", label=name,
+                                                    distribution=distribution), 0.1)
+    except ParseError:
+        return
+    StanceMean().add(annotation.distribution)
+    ReferenceStanceStats().update("T", annotation.distribution)
+    labeled_claim_reward(annotation.distribution, "T")
+
+
+def test_a_reply_whose_clipped_distribution_leaves_the_simplex_is_refused():
+    reply = BackendReply(raw="", label="Support", distribution=[1.0000010001, -1e-9, 0, 0])
+    with pytest.raises(ParseError, match="probability simplex"):
+        _from_reply(TASK_STANCE, reply, 0.1)
 
 
 # -------------------------------------------------------- fine-tuning

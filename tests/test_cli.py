@@ -471,3 +471,11 @@ def test_module_invocation_via_python():
     )
     assert proc.returncode == 0
     assert "--n-claims" in proc.stdout
+
+
+def test_evaluate_rng_seed_help_names_what_it_does_not_seed(capsys):
+    with pytest.raises(SystemExit):
+        main(["evaluate", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "seeds only the oracle backends" in help_text
+    assert "eval_seed" in help_text

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from claimsift import engine, policy
-from claimsift.annotators import BackendConfig, HttpAnnotator, OracleAnnotator
+from claimsift.annotators import BackendConfig, BackendReply, HttpAnnotator, OracleAnnotator
 from claimsift.config import RunConfig
 from claimsift.corpus import SynthConfig, generate_synthetic
 from claimsift.engine import Trainer
@@ -23,6 +25,7 @@ from claimsift.errors import (
 from claimsift.metrics import evaluate
 from claimsift.policy import PolicyParams, init_params
 from claimsift.state import HashedEmbedder, ServiceEmbedder
+from conftest import Gauge
 
 # stance-given-veracity rows that put all mass on the modal stance, so a
 # perfectly accurate oracle yields a +1 reward on every labeled claim
@@ -451,6 +454,31 @@ def test_stance_failures_are_counted_per_post():
     assert len(trainer.buffer.retain) == n_claims  # one claim row each
 
 
+class OffSimplexStance(OracleAnnotator):
+    """Stance replies whose distribution sums to 1 within 1e-6 only while
+    its -1e-9 entry counts: clipped to 0, the sum is 1.0000010001."""
+
+    def complete(self, task, prompt):
+        if task == "stance":
+            return BackendReply(raw="", label="Support",
+                                distribution=[1.0000010001, -1e-9, 0.0, 0.0])
+        return super().complete(task, prompt)
+
+
+@pytest.mark.parametrize("incremental", [False, True])
+def test_a_reply_off_the_simplex_once_clipped_is_a_counted_failure(incremental):
+    """Such a reply is a ParseError: asked for once more, then counted, and
+    training finishes instead of raising RewardError in the reward."""
+    trainer = _make_trainer(max_epochs=1, seed_fraction=1.0,
+                            incremental_veracity=incremental)
+    trainer.sd = OffSimplexStance(rng=0)
+    (report,) = trainer.train()
+    n_claims = len(trainer._claims)
+    assert report.claims_processed == n_claims
+    assert report.posts_annotated == 0
+    assert report.annotator_failures == n_claims * 4
+
+
 def test_wrong_typed_http_replies_are_counted_and_skipped(scripted_server):
     """JSON replies of the wrong type cost their claim or post, are counted
     in annotator_failures, and the run goes on."""
@@ -678,6 +706,145 @@ def test_pretrain_requires_seeds_for_http_veracity(scripted_server):
     )
     with pytest.raises(ConfigError, match="no seed claims available"):
         trainer.pretrain()
+
+
+# ------------------------------------- fine-tunes and warm-ups, paired
+
+class FineTuneGauge(OracleAnnotator):
+    """The oracle with a request bound and fine-tune requests that enter
+    `gauge` (as their origin) and take 50 ms, or raise `fail` at once if
+    given."""
+
+    def __init__(self, gauge, max_in_flight=1, fail=None, rng=0):
+        super().__init__(rng=rng)
+        self.gauge = gauge
+        self.max_in_flight = max_in_flight
+        self.fail = fail
+        self.finetunes = []
+
+    def finetune(self, task, examples, origin="selected"):
+        self.gauge.enter(task, origin)
+        try:
+            self.finetunes.append((task, origin, len(examples)))
+            if self.fail is not None:
+                raise self.fail
+            time.sleep(0.05)
+            return "job"
+        finally:
+            self.gauge.leave(task, origin)
+
+
+def _retaining_trainer(gauge, sd_bound=1, rv_bound=1, sd_fail=None, rv_fail=None,
+                       **config_kw):
+    """A trainer that keeps every claim and post, so each epoch ends with a
+    stance and a veracity fine-tune, on two FineTuneGauge backends."""
+    trainer = _make_trainer(**config_kw)
+    _constant_policy(trainer, 50.0)
+    trainer.sd = FineTuneGauge(gauge, sd_bound, sd_fail, rng=1)
+    trainer.rv = FineTuneGauge(gauge, rv_bound, rv_fail, rng=2)
+    return trainer
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_epoch_end_fine_tunes_go_out_together_within_each_bound(bound):
+    gauge = Gauge()
+    trainer = _retaining_trainer(gauge, bound, bound)
+    threads = threading.active_count()
+    report = trainer.run_epoch()
+    assert report.finetune_stance_examples and report.finetune_veracity_examples
+    assert gauge.task_peaks == {"stance": 1, "veracity": 1}
+    assert gauge.peak == bound
+    assert gauge.overlapped == (bound > 1)
+    if bound == 1:
+        assert gauge.events == [("start", "stance", "selected"), ("end", "stance", "selected"),
+                                ("start", "veracity", "selected"),
+                                ("end", "veracity", "selected")]
+        assert gauge.threads == {"stance": {threading.get_ident()},
+                                 "veracity": {threading.get_ident()}}
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("failing", ["sd", "rv"])
+@pytest.mark.parametrize("bound", [1, 2])
+def test_a_failed_fine_tune_is_logged_and_the_other_still_sent(failing, bound, caplog):
+    gauge = Gauge()
+    fail = {f"{failing}_fail": AnnotatorError("fine-tune endpoint down")}
+    trainer = _retaining_trainer(gauge, bound, bound, **fail)
+    with caplog.at_level(logging.WARNING, logger="claimsift.annotators"):
+        report = trainer.run_epoch()
+    assert report is not None and trainer.reports == [report]
+    assert [r.message for r in caplog.records] == [
+        "fine-tune request failed, continuing: fine-tune endpoint down"]
+    assert [call[:2] for call in trainer.sd.finetunes] == [("stance", "selected")]
+    assert [call[:2] for call in trainer.rv.finetunes] == [("veracity", "selected")]
+
+
+@pytest.mark.parametrize("failing", ["sd", "rv"])
+@pytest.mark.parametrize("bound", [1, 2])
+def test_an_unexpected_fine_tune_error_is_raised_after_the_other_call(failing, bound):
+    gauge = Gauge()
+    fail = {f"{failing}_fail": RuntimeError("scripted bug")}
+    trainer = _retaining_trainer(gauge, bound, bound, **fail)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="scripted bug"):
+        trainer.run_epoch()
+    # both calls had ended when the error came out, and no thread is left
+    assert gauge.now == {"stance": 0, "veracity": 0}
+    assert [event for event, _task, _what in gauge.events].count("end") == 2
+    assert threading.active_count() == threads
+
+
+def test_one_backend_for_both_tasks_at_one_is_called_in_turn_on_the_caller_thread():
+    gauge = Gauge()
+    trainer = _retaining_trainer(gauge)
+    trainer.sd = trainer.rv = FineTuneGauge(gauge, rng=1)
+    trainer.run_epoch()
+    assert gauge.peak == 1
+    assert [(event, task) for event, task, _what in gauge.events] == [
+        ("start", "stance"), ("end", "stance"), ("start", "veracity"), ("end", "veracity")]
+    assert gauge.threads == {"stance": {threading.get_ident()},
+                             "veracity": {threading.get_ident()}}
+
+
+def _warm_up_trainer(tmp_path, gauge, bound, sd_fail=None, rv_fail=None):
+    """A trainer whose config names HTTP backends, so both warm-ups are
+    sent, to two FineTuneGauge backends."""
+    path = tmp_path / "warm.jsonl"
+    path.write_text(json.dumps({"prompt": "p", "target": "Stance: Support, Reason: r"})
+                    + "\n", encoding="utf-8")
+    http = BackendConfig(kind="http", endpoint="http://127.0.0.1:1", max_in_flight=bound)
+    config = RunConfig(embed_dim=8, hidden_dim=2, max_epochs=1, seed_fraction=1.0,
+                       sd_backend=http, rv_backend=http, sd_pretrain_path=str(path))
+    dataset = generate_synthetic(SynthConfig(n_claims=3, posts_per_claim=2, rng_seed=9))
+    return Trainer(config, dataset, FineTuneGauge(gauge, bound, sd_fail, rng=1),
+                   FineTuneGauge(gauge, bound, rv_fail, rng=2), HashedEmbedder(8))
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_the_two_warm_ups_go_out_together_within_each_bound(tmp_path, bound):
+    gauge = Gauge()
+    trainer = _warm_up_trainer(tmp_path, gauge, bound)
+    trainer.pretrain()
+    assert trainer._pretrained
+    assert trainer.sd.finetunes == [("stance", "pretrain", 1)]
+    assert trainer.rv.finetunes == [("veracity", "pretrain", 3)]
+    assert gauge.overlapped == (bound > 1)
+    if bound == 1:
+        assert [(event, task) for event, task, _what in gauge.events] == [
+            ("start", "stance"), ("end", "stance"), ("start", "veracity"), ("end", "veracity")]
+
+
+@pytest.mark.parametrize("bound", [1, 2])
+def test_a_failed_stance_warm_up_raises_first_and_leaves_the_run_not_warmed(tmp_path, bound):
+    gauge = Gauge()
+    trainer = _warm_up_trainer(tmp_path, gauge, bound,
+                               sd_fail=AnnotatorError("stance warm-up down"),
+                               rv_fail=AnnotatorError("veracity warm-up down"))
+    with pytest.raises(AnnotatorError, match="stance warm-up down"):
+        trainer.train()
+    assert not trainer._pretrained
+    assert trainer.epoch_index == 0
+    assert trainer.rv.finetunes == [("veracity", "pretrain", 3)]
 
 
 # ------------------------------------------------------------ persistence

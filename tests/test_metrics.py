@@ -25,6 +25,7 @@ from claimsift.metrics import (
 from claimsift.policy import PolicyParams
 from claimsift.prompts import build_stance_prompt
 from claimsift.state import HashedEmbedder
+from conftest import Gauge
 
 
 # ------------------------------------------------------------- scoring
@@ -191,40 +192,6 @@ def test_evaluate_requires_gold_labels():
 
 
 # ------------------------------------------------------ evaluate, pipelined
-
-class Gauge:
-    """Annotation calls in flight across backends, guarded by one lock: the
-    most in flight at once, overall and per task, whether a veracity call
-    ran beside a stance call, the threads each task was called on, how many
-    calls have started, and each call's start and end in the order they
-    happened."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.now = {"stance": 0, "veracity": 0}
-        self.peak = 0
-        self.task_peaks = {"stance": 0, "veracity": 0}
-        self.threads = {"stance": set(), "veracity": set()}
-        self.overlapped = False
-        self.starts = 0
-        self.events = []
-
-    def enter(self, task, prompt):
-        with self.lock:
-            self.starts += 1
-            self.events.append(("start", task, prompt))
-            self.threads[task].add(threading.get_ident())
-            self.now[task] += 1
-            self.peak = max(self.peak, sum(self.now.values()))
-            self.task_peaks[task] = max(self.task_peaks[task], self.now[task])
-            if self.now["stance"] and self.now["veracity"]:
-                self.overlapped = True
-
-    def leave(self, task, prompt):
-        with self.lock:
-            self.now[task] -= 1
-            self.events.append(("end", task, prompt))
-
 
 def _crc(prompt):
     return zlib.crc32(prompt.encode("utf-8"))

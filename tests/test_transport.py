@@ -3,24 +3,30 @@
 from __future__ import annotations
 
 import gc
+import json
 import logging
 import os
 import subprocess
 import sys
+import time
 import warnings
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import claimsift
 from claimsift.annotators import BackendConfig, HttpAnnotator, OracleAnnotator
+from claimsift.config import RunConfig
 from claimsift.corpus import SynthConfig, generate_synthetic
+from claimsift.engine import Trainer
 from claimsift.errors import AnnotatorError
 from claimsift.metrics import evaluate
-from claimsift.state import ServiceEmbedder
+from claimsift.state import HashedEmbedder, ServiceEmbedder
+from conftest import Gauge
 
 
 def _http(server, max_in_flight: int = 4) -> HttpAnnotator:
@@ -76,6 +82,78 @@ def test_threaded_evaluate_opens_at_most_max_in_flight_connections(keep_alive_se
     sequential = evaluate(dataset, _http(keep_alive_server, 1), _http(keep_alive_server, 1))
     assert asdict(threaded) == asdict(sequential)
     assert len(keep_alive_server.requests) == 2 * (4 * 5 + 4)
+
+
+class GaugedHttp(HttpAnnotator):
+    """An HTTP backend whose requests enter a gauge, by task, while they
+    are in flight."""
+
+    def __init__(self, config: BackendConfig, gauge: Gauge):
+        super().__init__(config)
+        self.gauge = gauge
+
+    def _post(self, route: str, body: dict) -> dict:
+        self.gauge.enter(body["task"], route)
+        try:
+            return super()._post(route, body)
+        finally:
+            self.gauge.leave(body["task"], route)
+
+
+def _slow_finetune(body):
+    """A fine-tune reply 50 ms late, so that two requests sent together are
+    seen in flight together."""
+    time.sleep(0.05)
+    return 200, {"job": body["task"]}
+
+
+def _http_training(server, tmp_path, sd_bound, rv_bound):
+    """(gauge, final params, run log) of two epochs of training on two
+    HTTP backends of `server` with the given bounds, warm-ups included."""
+    warm_up = tmp_path / "warm.jsonl"
+    warm_up.write_text(json.dumps({"prompt": "p", "target": "Stance: Support, Reason: r"})
+                       + "\n", encoding="utf-8")
+    sd_config, rv_config = (BackendConfig(kind="http", endpoint=server.url, timeout=2.0,
+                                          max_in_flight=bound)
+                            for bound in (sd_bound, rv_bound))
+    config = RunConfig(embed_dim=8, hidden_dim=4, max_epochs=2, learning_rate=1e-2,
+                       rng_seed=4, sd_backend=sd_config, rv_backend=rv_config,
+                       sd_pretrain_path=str(warm_up))
+    dataset = generate_synthetic(SynthConfig(n_claims=3, posts_per_claim=2, rng_seed=3))
+    gauge = Gauge()
+    trainer = Trainer(config, dataset, GaugedHttp(sd_config, gauge),
+                      GaugedHttp(rv_config, gauge), HashedEmbedder(8))
+    events = []
+    trainer.set_event_sink(events.append)
+    reports = trainer.train()
+    assert [r.finetune_stance_examples > 0 for r in reports] == [True, True]
+    return gauge, (trainer.params.w1, trainer.params.w2), events
+
+
+@pytest.mark.parametrize("bounds", [(2, 2), (2, 1), (1, 2)])
+def test_training_keeps_each_backends_bound_and_the_sequential_run(keep_alive_server,
+                                                                  tmp_path, bounds):
+    """Annotation calls stay one at a time; the warm-ups and each epoch's
+    fine-tunes go out as pairs, in flight together when either backend is
+    above 1, and the run equals the all-sequential one."""
+    keep_alive_server.set_default("/annotate", _oracle_reply)
+    keep_alive_server.set_default("/finetune", _slow_finetune)
+    gauge, params, events = _http_training(keep_alive_server, tmp_path, *bounds)
+    sequential, reference, reference_events = _http_training(
+        keep_alive_server, tmp_path, 1, 1)
+    assert all(gauge.task_peaks[task] <= bound
+               for task, bound in zip(("stance", "veracity"), bounds))
+    # the warm-ups, then each epoch's fine-tunes: both of a pair start
+    # before either ends
+    assert [event for event, _task, what in gauge.events
+            if what == "/finetune"] == 3 * ["start", "start", "end", "end"]
+    # all-sequential: one call at a time, stance first in each pair
+    assert all(a[0] != b[0] for a, b in zip(sequential.events, sequential.events[1:]))
+    assert [(event, task) for event, task, what in sequential.events
+            if what == "/finetune"] == 3 * [("start", "stance"), ("end", "stance"),
+                                            ("start", "veracity"), ("end", "veracity")]
+    assert all(np.array_equal(a, b) for a, b in zip(params, reference))
+    assert events == reference_events
 
 
 def test_pool_under_thread_contention(keep_alive_server):
